@@ -92,24 +92,41 @@ class PhysicalMemory:
         self.nframes = total_bytes // PAGE_SIZE
         self.max_pinned = int(self.nframes * max_pinned_fraction)
         self._frames: dict[int, Frame] = {}
-        self._free_pfns: list[int] = list(range(self.nframes - 1, -1, -1))
+        # Free pfns are never listed in full.  Frames ``>= _next_pfn`` have
+        # never been handed out; ``_freed`` stacks the pfns returned since.
+        # Together they equal one descending free list popped from the end
+        # -- ``[nframes-1, ..., _next_pfn] + _freed`` -- because a pop takes
+        # the top of ``_freed`` while it is non-empty and only then the
+        # untouched ``_next_pfn``, and a free appends to ``_freed``.  So
+        # construction costs O(1) instead of O(nframes).
+        self._next_pfn = 0
+        self._freed: list[int] = []
         self.pinned_frames = 0
         self.alloc_count = 0
         self.free_count = 0
 
     @property
     def free_frames(self) -> int:
-        return len(self._free_pfns)
+        return self.nframes - self._next_pfn + len(self._freed)
 
     @property
     def used_frames(self) -> int:
-        return self.nframes - len(self._free_pfns)
+        return self._next_pfn - len(self._freed)
 
     def allocate(self) -> Frame:
-        """Take a free frame (lowest-numbered free pfn for determinism)."""
-        if not self._free_pfns:
+        """Take a free frame, deterministically.
+
+        The most recently freed frame is reused first (LIFO); when none is
+        free, the lowest never-used pfn is handed out.  So frames come in
+        pfn order until the first ``free()``, and freed frames after that.
+        """
+        if self._freed:
+            pfn = self._freed.pop()
+        elif self._next_pfn < self.nframes:
+            pfn = self._next_pfn
+            self._next_pfn += 1
+        else:
             raise OutOfMemory(f"all {self.nframes} frames in use")
-        pfn = self._free_pfns.pop()
         frame = self._frames.get(pfn)
         if frame is None:
             frame = Frame(pfn)
@@ -147,7 +164,7 @@ class PhysicalMemory:
             )
         frame.in_use = False
         frame.map_count = 0
-        self._free_pfns.append(frame.pfn)
+        self._freed.append(frame.pfn)
         self.free_count += 1
 
     # -- pin accounting ----------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for physical memory frames and pin accounting."""
 
+import tracemalloc
+
 import pytest
 
 from repro.hw import PAGE_SIZE, OutOfMemory, PhysicalMemory
+from repro.util.units import GIB
 
 
 def make_mem(nframes=16, max_pinned_fraction=0.9):
@@ -131,3 +134,25 @@ def test_constructor_validation():
         PhysicalMemory(PAGE_SIZE * 4, max_pinned_fraction=0.0)
     with pytest.raises(ValueError):
         PhysicalMemory(PAGE_SIZE * 4, max_pinned_fraction=1.5)
+
+
+def test_construction_cost_does_not_grow_with_memory_size():
+    # Building a host must not enumerate its frames: an 8 GiB memory has
+    # 2M of them, and a list of their pfns alone would take ~80 MB.
+    tracemalloc.start()
+    try:
+        mem = PhysicalMemory(8 * GIB)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mem.free_frames == 8 * GIB // PAGE_SIZE
+    assert peak < 1 << 20
+
+
+def test_allocation_order_is_pfn_order_then_freed_lifo():
+    mem = make_mem(8)
+    frames = [mem.allocate() for _ in range(4)]
+    assert [f.pfn for f in frames] == [0, 1, 2, 3]
+    mem.free(frames[1])
+    mem.free(frames[3])
+    assert [mem.allocate().pfn for _ in range(4)] == [3, 1, 4, 5]

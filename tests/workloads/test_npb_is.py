@@ -1,10 +1,12 @@
 """Tests for the NPB IS skeleton."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
 from repro.openmx import OpenMXConfig, PinningMode
 from repro.workloads import IsConfig, run_is
+from repro.workloads.npb_is import received_keys_ok
 
 
 def make_cluster(mode=PinningMode.CACHE):
@@ -48,3 +50,35 @@ def test_is_two_ranks():
     result = run_is(cluster, IsConfig(total_keys=1 << 16, iterations=1))
     assert result.verified
     assert result.nranks == 2
+
+
+def _alltoall_of_sorted_keys(size=4, chunk_keys=16):
+    rng = np.random.default_rng(7)
+    sorted_keys = [np.sort(rng.integers(0, size * 1000, size=size * chunk_keys,
+                                        dtype=np.uint32))
+                   for _ in range(size)]
+    received = [np.concatenate([keys[r * chunk_keys:(r + 1) * chunk_keys]
+                                for keys in sorted_keys])
+                for r in range(size)]
+    return sorted_keys, received
+
+
+def test_received_keys_check_accepts_the_alltoall_result():
+    sorted_keys, received = _alltoall_of_sorted_keys()
+    assert all(received_keys_ok(buf, sorted_keys, rank, 16)
+               for rank, buf in enumerate(received))
+    # Another rank's slice is not this rank's.
+    assert not received_keys_ok(received[1], sorted_keys, 2, 16)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_received_keys_check_rejects_a_corrupted_chunk(chunk):
+    sorted_keys, received = _alltoall_of_sorted_keys()
+    corrupted = received[2].copy()
+    corrupted[chunk * 16 + 5] ^= 1
+    assert not received_keys_ok(corrupted, sorted_keys, 2, 16)
+    # A chunk that arrived from the wrong source fails too.
+    swapped = received[2].copy()
+    swapped[chunk * 16:(chunk + 1) * 16] = received[2][
+        ((chunk + 1) % 4) * 16:((chunk + 1) % 4 + 1) * 16]
+    assert not received_keys_ok(swapped, sorted_keys, 2, 16)
