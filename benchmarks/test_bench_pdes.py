@@ -1,77 +1,30 @@
-"""Benchmark + equivalence guardrails for the conservative-PDES change.
+"""Benchmark + equivalence guardrails for the conservative-PDES scenario.
 
-The contract under test: partitioning ``pdes_soak`` across forked shard
-workers simulates *exactly* the same world as the serial run — identical
-end-state digest for every shard count, clean and chaos — while the
-coordinator's critical path (slowest shard per window, CPU time) shrinks
-with the shard count, which is the wall-time win on a multi-core host.
+The contract under test: partitioning ``openmx_shard`` (the full Open-MX
+stack) across forked shard workers simulates *exactly* the same world as
+the serial run — identical end-state digest for every shard count — while
+the coordinator's critical path (slowest shard per window, CPU time)
+shrinks with the shard count, which is the wall-time win on a multi-core
+host.
 """
 
 import json
 from pathlib import Path
 
-from repro.sim.bench import run_pdes_soak
-from repro.sim.pdes import pdes_sim_state, run_pdes_ab, run_shards, soak_params
+from repro.sim.bench import run_openmx_shard
+from repro.sim.openmx_shard import (
+    openmx_params,
+    openmx_sim_state,
+    run_openmx,
+    run_openmx_ab,
+)
 
 from benchmarks.conftest import full_sweep
-
-QUICK_STATE = Path(__file__).with_name("pdes_sim_quick.json")
-
-
-def test_pdes_ab_identical_end_state(run_once):
-    # run_pdes_ab raises SystemExit if the serial and sharded runs
-    # disagree on any end-state byte.
-    report = run_once(run_pdes_ab, quick=not full_sweep(), shards=4,
-                      repeat=1)
-    assert report["shards"] == 4
-    assert report["windows"] > 1
-    assert report["cross_shard_frames"] > 0
-    assert report["critical_path_s"] > 0
-    print()
-    print(f"pdes_soak: serial {report['serial_wall_s']:.3f}s vs "
-          f"4 shards {report['sharded_wall_s']:.3f}s "
-          f"({report['speedup']:.2f}x wall on {report['host_cores']} "
-          f"core(s), {report['critical_path_speedup']:.2f}x critical path)")
-
-
-def test_every_shard_count_lands_on_one_digest():
-    params = soak_params(quick=True)
-    digests = {run_shards(params, n, mode="inline")["state"]["digest"]
-               for n in (1, 2, 4, 8)}
-    assert len(digests) == 1
-
-
-def test_critical_path_shrinks_with_shards():
-    quick = not full_sweep()
-    serial = run_pdes_soak(quick=quick, shards=1, repeat=1)
-    sharded = run_pdes_soak(quick=quick, shards=4, repeat=1)
-    assert sharded["digest"] == serial["digest"]
-    assert sharded["events"] == serial["events"]
-    # CPU time along the critical path is contention-free, so this holds
-    # even on a single-core CI runner where wall time cannot improve.
-    assert sharded["critical_path_s"] < serial["critical_path_s"]
-
-
-def test_committed_quick_state_matches_current_tree():
-    committed = json.loads(QUICK_STATE.read_text())
-    fresh = pdes_sim_state(quick=True,
-                           shards=committed["shards"])
-    assert fresh == committed, (
-        "pdes_soak end state changed — if intentional, regenerate with "
-        "PYTHONPATH=src python -m repro.sim.bench --quick "
-        "--pdes-sim-json benchmarks/pdes_sim_quick.json --shards "
-        f"{committed['shards']}"
-    )
-
-
-# -- full-stack openmx_shard --------------------------------------------------
 
 OPENMX_QUICK_STATE = Path(__file__).with_name("openmx_shard_quick.json")
 
 
 def test_openmx_ab_identical_end_state(run_once):
-    from repro.sim.openmx_shard import run_openmx_ab
-
     # Raises SystemExit if serial and sharded full-stack runs disagree on
     # any end-state byte, for any partition strategy.
     report = run_once(run_openmx_ab, quick=not full_sweep(), shards=4,
@@ -92,8 +45,6 @@ def test_openmx_ab_identical_end_state(run_once):
 
 
 def test_openmx_every_shard_count_lands_on_one_digest():
-    from repro.sim.openmx_shard import openmx_params, run_openmx
-
     params = openmx_params(quick=True)
     serial = run_openmx(params, 1, mode="inline")
     for n in (2, 4, 8):
@@ -103,8 +54,6 @@ def test_openmx_every_shard_count_lands_on_one_digest():
 
 
 def test_openmx_critical_path_shrinks_with_shards():
-    from repro.sim.bench import run_openmx_shard
-
     quick = not full_sweep()
     serial = run_openmx_shard(quick=quick, shards=1, repeat=1)
     sharded = run_openmx_shard(quick=quick, shards=4, repeat=1)
@@ -114,8 +63,6 @@ def test_openmx_critical_path_shrinks_with_shards():
 
 
 def test_openmx_committed_quick_state_matches_current_tree():
-    from repro.sim.openmx_shard import openmx_sim_state
-
     committed = json.loads(OPENMX_QUICK_STATE.read_text())
     fresh = openmx_sim_state(quick=True, shards=committed["shards"])
     assert fresh == committed, (

@@ -15,16 +15,13 @@ extra delay accumulate across the chain.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.hw.nic import EthernetFrame, Nic
 from repro.obs.metrics import MetricRegistry, resolve_registry
 from repro.sim import Environment, SimulationError
 
-__all__ = ["EtherCrossing", "Fabric", "FrameVerdict", "ShardEtherFabric",
-           "ShardFabric", "ShardFrame"]
+__all__ = ["EtherCrossing", "Fabric", "FrameVerdict", "ShardEtherFabric"]
 
 
 @dataclass
@@ -56,7 +53,6 @@ class Fabric:
         self.env = env
         self.latency_ns = latency_ns
         self._nics: dict[str, Nic] = {}
-        self._drop_rule: Callable[[EthernetFrame], bool] | None = None
         self.fault_injectors: list = []
         self.frames_carried = 0
         self.frames_dropped = 0
@@ -87,26 +83,6 @@ class Fabric:
         nic.attach_link(_Port(self, nic))
 
     # -- fault injection -----------------------------------------------------
-    @property
-    def drop_rule(self) -> Callable[[EthernetFrame], bool] | None:
-        """Deprecated: a bare per-frame drop predicate.
-
-        Superseded by :attr:`fault_injectors` / :meth:`add_fault_injector`
-        (which also support duplication, delay, and injection accounting).
-        Still honoured, before the injector chain, so old tests keep working.
-        """
-        return self._drop_rule
-
-    @drop_rule.setter
-    def drop_rule(self, rule: Callable[[EthernetFrame], bool] | None) -> None:
-        if rule is not None:
-            warnings.warn(
-                "Fabric.drop_rule is deprecated; use add_fault_injector() "
-                "with a fault model from repro.faults.models instead",
-                DeprecationWarning, stacklevel=2,
-            )
-        self._drop_rule = rule
-
     def add_fault_injector(self, injector) -> None:
         self.fault_injectors.append(injector)
 
@@ -119,7 +95,7 @@ class Fabric:
         self._m_dropped.labels(reason=reason).inc()
 
     def _carry(self, src_nic: Nic, frame: EthernetFrame) -> None:
-        if self._drop_rule is None and not self.fault_injectors:
+        if not self.fault_injectors:
             # Fast path: nothing can drop, duplicate, or delay this frame.
             dst = self._nics.get(frame.dst)
             if dst is None:
@@ -170,13 +146,10 @@ class Fabric:
     def _carry_slow(self, src_nic: Nic, frame: EthernetFrame) -> None:
         """Per-frame path: the historical code, byte-for-byte behavior.
 
-        Taken whenever anything interesting can happen to the frame — a
-        (deprecated) drop rule or any attached fault injector — so faulted
-        runs produce the same digests they always did.
+        Taken whenever anything interesting can happen to the frame — any
+        attached fault injector — so faulted runs produce the same digests
+        they always did.
         """
-        if self._drop_rule is not None and self._drop_rule(frame):
-            self._drop("drop_rule")
-            return
         copies = 1
         extra_delay = 0
         for injector in self.fault_injectors:
@@ -215,193 +188,6 @@ class Fabric:
 
 
 @dataclass(frozen=True)
-class ShardFrame:
-    """A host-to-host message on the PDES shard fabric.
-
-    Plain picklable data: cross-shard frames travel between worker
-    processes as these records.  ``(src, seq, copy)`` is the canonical
-    merge key — ``seq`` is assigned per *source host* monotonically by the
-    fabric that carried the frame, and ``copy`` disambiguates
-    fault-injected duplicates — so every shard (and the serial run) sorts
-    same-instant arrivals into exactly the same delivery order.
-    """
-
-    src: int
-    dst: int
-    seq: int
-    copy: int
-    kind: str
-    nbytes: int
-    sent_ns: int
-
-
-class ShardFabric:
-    """A fabric whose hosts may live in *other* worker processes.
-
-    The serial fabric above delivers by NIC address inside one
-    :class:`~repro.sim.Environment`.  A ``ShardFabric`` instead routes by
-    integer host id against a :class:`~repro.cluster.builder.ShardPlan`
-    partition: destinations local to this shard are scheduled for delivery
-    ``latency_ns`` later in the local environment, while frames for hosts
-    owned by another shard are buffered on the **egress** stub
-    (:meth:`take_egress`) for the PDES coordinator to route at the next
-    conservative-window barrier, and arrive through the **ingress** stub
-    (:meth:`ingress`) on the owning shard.
-
-    Determinism discipline (the whole point):
-
-    * delivery is batched per ``(arrival instant, destination host)`` —
-      one timer per pair, exactly as many engine events as the serial run;
-    * each batch is delivered sorted by the canonical ``(src, seq, copy)``
-      key, so same-instant arrivals from different source hosts — local or
-      remote — land in an order that is independent of shard count and of
-      event ids;
-    * fault verdicts (drop/duplicate/delay) are a pure function of the
-      frame key, evaluated at carry time on the source shard, so a faulted
-      run is byte-identical at every shard count too.
-
-    ``ingress`` refuses frames whose arrival is not strictly in the local
-    future: that would mean the conservative window math was violated, and
-    silently applying the frame would un-deterministically rewrite
-    history — abort loudly instead.
-    """
-
-    def __init__(self, env: Environment, latency_ns: int,
-                 local_hosts, fault=None,
-                 metrics: MetricRegistry | None = None):
-        if latency_ns <= 0:
-            raise ValueError(f"latency_ns must be positive, got {latency_ns}")
-        self.env = env
-        self.latency_ns = latency_ns
-        self.local_hosts = frozenset(local_hosts)
-        # fault: callable(frame_key...) -> (drop, copies, extra_delay_ns)
-        # or None.  Must be pure in (src, dst, seq) — see repro.sim.pdes.
-        self.fault = fault
-        self._handlers: dict[int, Callable[[ShardFrame, int], None]] = {}
-        # (arrival_ns, dst_host) -> frames pending delivery at that instant.
-        self._pending: dict[tuple[int, int], list[ShardFrame]] = {}
-        self._egress: list[tuple[int, ShardFrame]] = []
-        self._seq: dict[int, int] = {}
-        # Counters (plain attributes; mirrored into the registry below).
-        self.frames_carried = 0
-        self.frames_local = 0
-        self.frames_cross_shard = 0
-        self.frames_delivered = 0
-        self.frames_dropped = 0
-        self.frames_duplicated = 0
-        self.frames_delayed = 0
-        registry = resolve_registry(metrics)
-        self.metrics = registry
-        self._live_metrics = registry.enabled
-        self._m_local = registry.counter(
-            "pdes_frames_local", "shard-fabric frames delivered shard-locally")
-        self._m_cross = registry.counter(
-            "pdes_frames_cross_shard",
-            "shard-fabric frames handed to the egress stub for another shard")
-        self._m_dropped = registry.counter(
-            "pdes_frames_dropped", "shard-fabric frames dropped by fault plan")
-
-    def attach(self, host_id: int, handler: Callable[[ShardFrame, int], None]) -> None:
-        """Register the delivery callback for a shard-local host."""
-        if host_id not in self.local_hosts:
-            raise ValueError(f"host {host_id} is not local to this shard")
-        if host_id in self._handlers:
-            raise ValueError(f"host {host_id} already attached")
-        self._handlers[host_id] = handler
-
-    # -- carry ---------------------------------------------------------------
-    def send(self, src: int, dst: int, kind: str, nbytes: int) -> int:
-        """Carry one frame from ``src`` (must be local) toward ``dst``.
-
-        Returns the per-source sequence number assigned to the frame.
-        """
-        seq = self._seq.get(src, 0) + 1
-        self._seq[src] = seq
-        now = self.env.now
-        copies, extra_delay = 1, 0
-        if self.fault is not None:
-            drop, copies, extra_delay = self.fault(src, dst, seq)
-            if drop:
-                self.frames_dropped += 1
-                if self._live_metrics:
-                    self._m_dropped.inc()
-                return seq
-            if extra_delay:
-                self.frames_delayed += 1
-        self.frames_carried += 1
-        if copies > 1:
-            self.frames_duplicated += copies - 1
-        arrival = now + self.latency_ns + extra_delay
-        local = dst in self.local_hosts
-        for copy in range(copies):
-            frame = ShardFrame(src=src, dst=dst, seq=seq, copy=copy,
-                               kind=kind, nbytes=nbytes, sent_ns=now)
-            if local:
-                self.frames_local += 1
-                if self._live_metrics:
-                    self._m_local.inc()
-                self._schedule(arrival, frame)
-            else:
-                self.frames_cross_shard += 1
-                if self._live_metrics:
-                    self._m_cross.inc()
-                self._egress.append((arrival, frame))
-        return seq
-
-    def _schedule(self, arrival: int, frame: ShardFrame) -> None:
-        key = (arrival, frame.dst)
-        batch = self._pending.get(key)
-        if batch is None:
-            self._pending[key] = batch = []
-            timer = self.env.timeout(arrival - self.env.now)
-            timer.callbacks.append(lambda _ev, k=key: self._flush(k))
-        batch.append(frame)
-
-    def _flush(self, key: tuple[int, int]) -> None:
-        batch = self._pending.pop(key)
-        # Canonical same-instant merge order: entries may have been added
-        # locally at carry time and remotely at a window barrier, in any
-        # order — the sort makes delivery order a pure function of the
-        # frames themselves.
-        batch.sort(key=lambda f: (f.src, f.seq, f.copy))
-        handler = self._handlers[key[1]]
-        now = self.env.now
-        for frame in batch:
-            self.frames_delivered += 1
-            handler(frame, now)
-
-    # -- cross-shard stubs ----------------------------------------------------
-    def take_egress(self) -> list[tuple[int, ShardFrame]]:
-        """Drain the frames bound for other shards (coordinator barrier)."""
-        out = self._egress
-        self._egress = []
-        return out
-
-    def ingress(self, entries) -> None:
-        """Apply cross-shard frames routed to this shard by the coordinator.
-
-        Each entry is ``(arrival_ns, frame)`` exactly as produced by the
-        source shard's :meth:`take_egress`; the arrival instant already
-        includes latency and any fault-injected delay.
-        """
-        now = self.env.now
-        for arrival, frame in entries:
-            if arrival <= now:
-                raise SimulationError(
-                    f"conservative window violated: ingress frame "
-                    f"{frame} arrives at {arrival} but shard clock is "
-                    f"already at {now}")
-            if frame.dst not in self.local_hosts:
-                raise SimulationError(
-                    f"misrouted ingress frame {frame}: host {frame.dst} "
-                    f"is not local to this shard")
-            self._schedule(arrival, frame)
-
-
-# -- full-stack shard fabric --------------------------------------------------
-
-
-@dataclass(frozen=True)
 class EtherCrossing:
     """One Ethernet frame crossing a PDES shard boundary.
 
@@ -424,17 +210,21 @@ class EtherCrossing:
 
 
 class ShardEtherFabric:
-    """The full-stack sibling of :class:`ShardFabric`.
+    """A fabric whose hosts may live in *other* PDES worker processes.
 
-    :class:`ShardFabric` carries abstract :class:`ShardFrame` records for
-    fabric-level workloads; this one carries **real Ethernet frames**
-    between **real NICs**, so complete Open-MX hosts — kernel, MMU
-    notifiers, pin service, driver, softirq, NIC — can be partitioned
-    across PDES workers.  It plugs into :meth:`Nic.attach_link` exactly
-    like the serial :class:`Fabric` (the NIC, driver and kernel cannot
-    tell the difference), routes by NIC address through a global
-    ``host id -> address`` table, and applies the same determinism
-    discipline as :class:`ShardFabric`:
+    It carries **real Ethernet frames** between **real NICs**, so complete
+    Open-MX hosts — kernel, MMU notifiers, pin service, driver, softirq,
+    NIC — can be partitioned across PDES workers
+    (:mod:`repro.sim.pdes`).  It plugs into :meth:`Nic.attach_link`
+    exactly like the serial :class:`Fabric` (the NIC, driver and kernel
+    cannot tell the difference) and routes by NIC address through a
+    global ``host id -> address`` table against a
+    :class:`~repro.cluster.builder.ShardPlan`.  Frames for shard-local
+    hosts are scheduled in the local environment; frames for hosts owned
+    by another shard are buffered on the **egress** stub
+    (:meth:`take_egress`) for the coordinator to route at the next
+    window barrier, and arrive through the **ingress** stub
+    (:meth:`ingress`) on the owning shard.  Determinism discipline:
 
     * delivery batched per ``(arrival, dst host)`` — one timer per pair,
       so engine event counts equal the serial (1-shard) run exactly;
@@ -450,6 +240,9 @@ class ShardEtherFabric:
     ``latency_ns``: a frame leaves the source NIC at carry time ``t``
     (TX wire serialization already happened inside the source host) and
     arrives at ``t + latency_ns + extra_delay >= t + latency_ns``.
+    :meth:`ingress` refuses a frame whose arrival is not strictly in the
+    local future: that would mean the window math was violated, and
+    applying it would rewrite history — abort loudly instead.
     """
 
     def __init__(self, env: Environment, latency_ns: int, plan, shard_id: int,
@@ -472,9 +265,7 @@ class ShardEtherFabric:
         self._pending: dict[tuple[int, int],
                             list[tuple[tuple[int, int, int], EthernetFrame]]] = {}
         self._egress: list[tuple[int, EtherCrossing]] = []
-        # Counters (plain attributes; registry mirrors share the pdes_*
-        # names with ShardFabric so coordinator-merged dashboards see one
-        # series regardless of which shard fabric a scenario used).
+        # Counters (plain attributes; mirrored into the registry below).
         self.frames_carried = 0
         self.frames_local = 0
         self.frames_cross_shard = 0

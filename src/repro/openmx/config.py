@@ -92,7 +92,9 @@ class OpenMXConfig:
     # most ``pin_queue_wait_max_ns`` before the request degrades to the
     # copy-through fallback.  ``pin_queue_max_share`` caps the fraction of
     # the budget one owner (endpoint) may hold in reservations, so a single
-    # heavy pinner cannot monopolize admission.
+    # heavy pinner cannot monopolize admission.  Kept because the torture
+    # rotation (``repro.faults.torture.run_torture``) turns it on for every
+    # odd seed, so its golden digests cover both admission policies.
     pin_queue_enabled: bool = False
     pin_queue_wait_max_ns: int = 2_000_000
     pin_queue_max_share: float = 1.0
@@ -104,7 +106,10 @@ class OpenMXConfig:
     # range (off by default: the paper's design needs no user-space
     # invalidation — kernel notifiers keep stale *pins* safe; the check
     # detects "same range, new backing" and turns the hit into a miss so
-    # the descriptor table does not accumulate dead regions).
+    # the descriptor table does not accumulate dead regions).  Kept because
+    # the torture rotation (``repro.faults.torture.run_torture``) turns it on
+    # for every seed divisible by 3, so its golden digests cover the
+    # hit-turned-miss path that realloc-thrash episodes provoke.
     region_cache_validate: bool = False
 
     # Overlap bookkeeping: the per-packet watermark test the paper calls
@@ -124,12 +129,6 @@ class OpenMXConfig:
     # Library behaviour.
     poll_slice_ns: int = 5_000  # completion-spin granularity
     match_cost_ns: int = 500  # matching + queue bookkeeping per message
-
-    # Debug: dispatch endpoint MMU invalidations by scanning every declared
-    # region (the pre-index slow path) instead of the interval index.  The
-    # two must behave identically; property tests and the vm_churn A/B
-    # compare them.
-    notifier_linear_oracle: bool = False
 
     def __post_init__(self):
         if self.data_frame_payload <= 0:

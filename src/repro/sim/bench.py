@@ -59,25 +59,16 @@ complete simulated end state — final clock plus per-process fault/pin/
 notifier counters and data digests.  ``--vm-sim-json`` writes that end
 state for the CI drift gate (``benchmarks/vm_sim_quick.json``).
 
-``pdes_soak`` is the conservative-PDES scenario (:mod:`repro.sim.pdes`):
-eight hosts exchanging request/response traffic plus local load ticks,
-partitioned across ``--shards`` worker processes advancing in
-lookahead-bounded windows.  ``--ab-pdes`` interleaves serial
-(``shards=1``, in-process) against sharded (forked) runs with a hard
-end-state equality gate and reports the speedup; ``--pdes-sim-json``
-writes the scenario's exact end state at the chosen shard count, which
-CI diffs across ``--shards {1,2,4}`` — byte-identical or the gate fails.
-
-``openmx_shard`` (:mod:`repro.sim.openmx_shard`) applies the same
-discipline to the **full Open-MX stack**: 16 hosts, each with a complete
-kernel/MMU-notifier/pin-service/driver/NIC stack, exchanging mixed
-eager/rendezvous traffic under pin pressure, sharded across worker
-processes.  ``--ab-openmx`` runs the serial-vs-sharded equality gate plus
-a block/stripe/affinity partition comparison; ``--openmx-sim-json``
-writes the end state for the cross-shard-count CI diff.  ``--shards
-auto`` caps the default shard count at the host's usable cores (the wall
-speedup is meaningless when shards > cores; reports flag that as
-``core_starved``).
+``openmx_shard`` (:mod:`repro.sim.openmx_shard`) is the conservative-PDES
+scenario (:mod:`repro.sim.pdes`) on the **full Open-MX stack**: 16 hosts,
+each with a complete kernel/MMU-notifier/pin-service/driver/NIC stack,
+exchanging mixed eager/rendezvous traffic under pin pressure, sharded
+across worker processes.  ``--ab-openmx`` runs the serial-vs-sharded
+equality gate plus a block/stripe/affinity partition comparison;
+``--openmx-sim-json`` writes the end state for the cross-shard-count CI
+diff.  ``--shards auto`` caps the default shard count at the host's
+usable cores (the wall speedup is meaningless when shards > cores;
+reports flag that as ``core_starved``).
 """
 
 from __future__ import annotations
@@ -92,8 +83,7 @@ from typing import Any, Callable
 from repro.sim.engine import Environment
 
 __all__ = ["SCENARIOS", "datapath_sim_state", "run_ab", "run_benchmarks",
-           "run_datapath_ab", "run_openmx_shard", "run_pdes_soak",
-           "run_scenario", "run_vm_ab",
+           "run_datapath_ab", "run_openmx_shard", "run_scenario", "run_vm_ab",
            "vm_sim_state"]
 
 
@@ -850,75 +840,6 @@ def format_vm_report(report: dict[str, Any]) -> str:
     ])
 
 
-def run_pdes_soak(quick: bool = False, shards: int = 4,
-                  repeat: int = 3) -> dict[str, Any]:
-    """Run the ``pdes_soak`` scenario at one shard count, best-of walls."""
-    from repro.sim.pdes import run_shards, soak_params
-
-    params = soak_params(quick=quick)
-    best = None
-    for _ in range(repeat):
-        out = run_shards(params, shards)
-        if best is None or out["stats"]["wall_s"] < best["stats"]["wall_s"]:
-            best = out
-    stats = best["stats"]
-    return {
-        "schema": "repro.bench.pdes-soak/v1",
-        "quick": quick,
-        "repeat": repeat,
-        "shards": stats["shards"],
-        "mode": stats["mode"],
-        "windows": stats["windows"],
-        "advance_ns": stats["advance_ns"],
-        "cross_shard_frames": stats["cross_shard_frames"],
-        "wall_s": round(stats["wall_s"], 6),
-        "critical_path_s": round(stats["critical_path_s"], 6),
-        "barrier_idle_s": round(stats["barrier_idle_s"], 6),
-        "events": best["state"]["events"],
-        "digest": best["state"]["digest"],
-    }
-
-
-def format_pdes_soak_report(report: dict[str, Any]) -> str:
-    return "\n".join([
-        f"pdes_soak ({report['shards']} shard(s), {report['mode']}, "
-        f"best of {report['repeat']}):",
-        f"  {report['events']:,} events in {report['wall_s']:.4f} s "
-        f"across {report['windows']} windows "
-        f"({report['advance_ns']:,} ns simulated)",
-        f"  {report['cross_shard_frames']} cross-shard frames, "
-        f"critical path {report['critical_path_s']:.4f} s, "
-        f"barrier idle {report['barrier_idle_s']:.4f} s",
-        f"  end-state digest {report['digest']}",
-    ])
-
-
-def format_pdes_ab_report(report: dict[str, Any]) -> str:
-    lines = [
-        f"pdes_soak A/B (serial vs {report['shards']} forked shards, "
-        f"best of {report['repeat']}, {report['host_cores']} host cores):",
-        f"  serial  {report['events']:>10,} events "
-        f"{report['serial_wall_s']:>9.4f} s",
-        f"  sharded {report['events']:>10,} events "
-        f"{report['sharded_wall_s']:>9.4f} s "
-        f"({report['windows']} windows, "
-        f"{report['cross_shard_frames']} cross-shard frames)",
-        f"  wall speedup {report['speedup']:.2f}x; critical path "
-        f"{report['critical_path_s']:.4f} s "
-        f"({report['critical_path_speedup']:.2f}x attainable with "
-        f">= {report['shards']} free cores)",
-    ]
-    if report.get("core_starved"):
-        lines.append(
-            f"  CORE-STARVED: {report['host_cores']} cores < "
-            f"{report['shards']} shards — wall speedup is meaningless "
-            "here; critical path is the honest number "
-            "(try --shards auto)")
-    lines.append(f"  end-state digest {report['digest']}  "
-                 "[identical serial and sharded]")
-    return "\n".join(lines)
-
-
 def run_openmx_shard(quick: bool = False, shards: int = 4, repeat: int = 3,
                      strategy: str = "block") -> dict[str, Any]:
     """Run the full-stack ``openmx_shard`` scenario at one shard count."""
@@ -1059,19 +980,14 @@ def main(argv: list[str] | None = None) -> int:
                              "against a frozen AddressSpace/UserRegion/"
                              "PinService/region-index stack "
                              "(e.g. benchmarks/vm_seed_reference.py)")
-    parser.add_argument("--ab-pdes", action="store_true",
-                        help="interleaved A/B of the pdes_soak scenario: "
-                             "serial (shards=1, in-process) vs --shards "
-                             "forked workers, with an end-state equality "
-                             "gate")
     parser.add_argument("--ab-openmx", action="store_true",
                         help="interleaved A/B of the full-stack openmx_shard "
                              "scenario: serial vs --shards forked workers "
                              "with an end-state equality gate, plus a "
                              "block/stripe/affinity partition comparison")
     parser.add_argument("--shards", default="4",
-                        help="PDES shard count for pdes_soak / openmx_shard "
-                             "/ --ab-pdes / --ab-openmx / --*-sim-json; "
+                        help="PDES shard count for openmx_shard / "
+                             "--ab-openmx / --openmx-sim-json; "
                              "'auto' caps the default at the host's usable "
                              "cores (default 4)")
     parser.add_argument("--sim-json", metavar="PATH",
@@ -1080,19 +996,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--vm-sim-json", metavar="PATH",
                         help="write the vm_churn simulated end state "
                              "(exact, for the CI drift gate)")
-    parser.add_argument("--pdes-sim-json", metavar="PATH",
-                        help="write the pdes_soak simulated end state at "
-                             "--shards shards (exact; CI diffs it across "
-                             "shard counts)")
     parser.add_argument("--openmx-sim-json", metavar="PATH",
                         help="write the openmx_shard simulated end state at "
                              "--shards shards (exact; CI diffs it across "
                              "shard counts)")
     parser.add_argument("scenario", nargs="*",
-                        choices=[[], *SCENARIOS, "pdes_soak", "openmx_shard"],
+                        choices=[[], *SCENARIOS, "openmx_shard"],
                         help="subset of scenarios (default: all engine "
-                             "scenarios; pdes_soak and openmx_shard run at "
-                             "--shards shards)")
+                             "scenarios; openmx_shard runs at --shards "
+                             "shards)")
     args = parser.parse_args(argv)
     from repro.sim.pdes import resolve_shards
 
@@ -1104,9 +1016,9 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(state, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"(datapath sim state saved to {args.sim_json})")
-        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_pdes
-                or args.ab_openmx or args.vm_sim_json or args.pdes_sim_json
-                or args.openmx_sim_json or args.scenario):
+        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_openmx
+                or args.vm_sim_json or args.openmx_sim_json
+                or args.scenario):
             return 0
 
     if args.vm_sim_json:
@@ -1115,22 +1027,8 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(state, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"(vm sim state saved to {args.vm_sim_json})")
-        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_pdes
-                or args.ab_openmx or args.pdes_sim_json
+        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_openmx
                 or args.openmx_sim_json or args.scenario):
-            return 0
-
-    if args.pdes_sim_json:
-        from repro.sim.pdes import pdes_sim_state
-
-        state = pdes_sim_state(quick=args.quick, shards=args.shards)
-        with open(args.pdes_sim_json, "w") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"(pdes sim state at {args.shards} shard(s) saved to "
-              f"{args.pdes_sim_json})")
-        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_pdes
-                or args.ab_openmx or args.openmx_sim_json or args.scenario):
             return 0
 
     if args.openmx_sim_json:
@@ -1142,32 +1040,22 @@ def main(argv: list[str] | None = None) -> int:
             fh.write("\n")
         print(f"(openmx sim state at {args.shards} shard(s) saved to "
               f"{args.openmx_sim_json})")
-        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_pdes
-                or args.ab_openmx or args.scenario):
+        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_openmx
+                or args.scenario):
             return 0
 
-    if args.ab_pdes or args.ab_openmx:
-        # With both flags, one --json file carries both sections — that is
-        # how CI regenerates BENCH_pdes.json in a single run.
-        combined: dict[str, Any] = {"schema": "repro.bench.pdes/v2"}
-        if args.ab_pdes:
-            from repro.sim.pdes import run_pdes_ab
+    if args.ab_openmx:
+        from repro.sim.openmx_shard import run_openmx_ab
 
-            report = run_pdes_ab(quick=args.quick, shards=args.shards,
-                                 repeat=args.repeat)
-            print(format_pdes_ab_report(report))
-            combined["pdes_soak"] = report
-        if args.ab_openmx:
-            from repro.sim.openmx_shard import run_openmx_ab
-
-            report = run_openmx_ab(quick=args.quick, shards=args.shards,
-                                   repeat=args.repeat)
-            print(format_openmx_ab_report(report))
-            combined["openmx_shard"] = report
+        report = run_openmx_ab(quick=args.quick, shards=args.shards,
+                               repeat=args.repeat)
+        print(format_openmx_ab_report(report))
         if args.json:
-            out = combined if args.ab_pdes and args.ab_openmx else report
+            # Same layout as the committed BENCH_pdes.json.
             with open(args.json, "w") as fh:
-                json.dump(out, fh, indent=2, sort_keys=True)
+                json.dump({"schema": "repro.bench.pdes/v2",
+                           "openmx_shard": report},
+                          fh, indent=2, sort_keys=True)
                 fh.write("\n")
             print(f"(report saved to {args.json})")
         return 0
@@ -1194,18 +1082,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     scenarios = list(args.scenario or [])
-    if "pdes_soak" in scenarios:
-        scenarios = [s for s in scenarios if s != "pdes_soak"]
-        report = run_pdes_soak(quick=args.quick, shards=args.shards,
-                               repeat=args.repeat)
-        print(format_pdes_soak_report(report))
-        if not scenarios:
-            if args.json:
-                with open(args.json, "w") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"(report saved to {args.json})")
-            return 0
     if "openmx_shard" in scenarios:
         scenarios = [s for s in scenarios if s != "openmx_shard"]
         report = run_openmx_shard(quick=args.quick, shards=args.shards,

@@ -119,24 +119,3 @@ def test_repeated_heavy_loss_still_delivers():
         PeriodicDrop(7, match=FrameMatch(kinds=("PullReply",)))
     )
     run_transfer(cluster, 4 * MIB)
-
-
-def test_drop_rule_shim_still_works():
-    """The legacy ``drop_rule`` hook is deprecated but must keep working
-    until callers migrate to fault injectors."""
-    from repro.openmx import PullReply
-
-    cluster = build_cluster(config=OpenMXConfig(pinning_mode=PinningMode.CACHE))
-    seen = {"n": 0}
-
-    def rule(frame):
-        if isinstance(frame.payload, PullReply):
-            seen["n"] += 1
-            return seen["n"] == 3
-        return False
-
-    with pytest.warns(DeprecationWarning):
-        cluster.fabric.drop_rule = rule
-    run_transfer(cluster, 1 * MIB)
-    assert seen["n"] >= 3
-    assert cluster.nodes[1].driver.counters["pull_rerequest"] >= 1

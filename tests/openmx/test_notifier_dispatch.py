@@ -1,23 +1,35 @@
-"""Interval-dispatched endpoint notifiers vs the linear slow-path oracle.
+"""Interval-dispatched endpoint notifiers vs a linear-scan oracle.
 
 The driver's ``_EndpointNotifier`` consults an :class:`IntervalIndex` keyed
 by region id over segment ranges, so an invalidation touches only regions
-it can actually hit.  ``OpenMXConfig.notifier_linear_oracle`` keeps the
-historical scan-every-region dispatch alive as a debugging oracle; the two
-must produce indistinguishable simulations for any workload.
+it can actually hit.  The oracle below is the historical scan-every-region
+dispatch; the two must produce indistinguishable simulations.
 """
 
 from repro.cluster import build_cluster
 from repro.openmx import OpenMXConfig, PinningMode
+from repro.openmx.driver import _EndpointNotifier
 from repro.util.units import KIB
 
 
-def _run_workload(linear_oracle: bool):
+def _linear_invalidate_range(self, start: int, end: int) -> None:
+    """Scan every declared region's every segment.  Region ids are handed
+    out in increasing order and ``ep.regions`` preserves insertion order,
+    so this visits regions in the indexed dispatch's sorted-rid order."""
+    mgr = self.ep.driver.pin_mgr
+    for region in self.ep.regions.values():
+        if region.watermark == 0 and region.state.value != "pinning":
+            continue
+        if any(seg.va < end and start < seg.va + seg.length
+               for seg in region.segments):
+            mgr.invalidated(region)
+
+
+def _run_workload():
     """Transfers with malloc/free churn + VM pressure; returns the complete
     observable end state."""
     cluster = build_cluster(config=OpenMXConfig(
-        pinning_mode=PinningMode.CACHE,
-        notifier_linear_oracle=linear_oracle))
+        pinning_mode=PinningMode.CACHE))
     env = cluster.env
     s, r = cluster.lib(0), cluster.lib(1)
     sp, rp = cluster.nodes[0].procs[0], cluster.nodes[1].procs[0]
@@ -63,9 +75,11 @@ def _run_workload(linear_oracle: bool):
     }
 
 
-def test_indexed_dispatch_matches_linear_oracle_end_to_end():
-    indexed = _run_workload(linear_oracle=False)
-    linear = _run_workload(linear_oracle=True)
+def test_indexed_dispatch_matches_linear_oracle_end_to_end(monkeypatch):
+    indexed = _run_workload()
+    monkeypatch.setattr(_EndpointNotifier, "invalidate_range",
+                        _linear_invalidate_range)
+    linear = _run_workload()
     assert indexed == linear
     # The workload really drove the notifier path, repins and all.
     assert indexed["invalidations"] > 0

@@ -1,14 +1,14 @@
 """Property-based twin runs over the full Open-MX stack.
 
-The PR 8 properties (:mod:`tests.property.test_pdes_props`) covered the
-abstract soak hosts; these run the complete kernel/MMU-notifier/pin-
-service/driver/NIC stack under the coordinator.  For any small cluster
-shape, traffic seed, partition strategy, and pure fault plan hypothesis
-can dream up — drops, duplicates, and reorder-inducing delays landing on
+These run the complete kernel/MMU-notifier/pin-service/driver/NIC stack
+under the conservative PDES coordinator.  For any small cluster shape,
+traffic seed, partition strategy, and pure fault plan hypothesis can
+dream up — drops, duplicates, and reorder-inducing delays landing on
 cross-shard routes included — the sharded run must reproduce the serial
 end state to the byte: per-host send/recv digests (payload bytes
 included), driver counters, NIC counters, fabric totals, engine event
-counts, and the final clock.
+counts, and the final clock.  A shorter lookahead may change the window
+schedule, never what the hosts and fabric did.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -78,3 +78,17 @@ def test_chaos_verdicts_are_shard_independent(params, nshards):
     fab = serial["state"]["fabric"]
     assert fab["dropped"] == sharded["state"]["fabric"]["dropped"]
     assert fab["duplicated"] == sharded["state"]["fabric"]["duplicated"]
+
+
+@settings(max_examples=6, deadline=None)
+@given(params=_PARAMS.filter(lambda p: p.fault is not None
+                             and p.nhosts >= 3),
+       lookahead_frac=st.sampled_from([1, 2, 5]))
+def test_shorter_lookahead_never_changes_behavior(params, lookahead_frac):
+    lookahead = max(1, params.latency_ns // lookahead_frac)
+    a = run_openmx(params, 2, mode="inline")
+    b = run_openmx(params, 2, mode="inline", lookahead_ns=lookahead)
+    # The final clock is the last window's end (lookahead-dependent);
+    # everything the hosts and fabric did must be identical.
+    for key in ("events", "hosts", "fabric"):
+        assert a["state"][key] == b["state"][key]
