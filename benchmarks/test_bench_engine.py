@@ -2,20 +2,34 @@
 
 Unlike the experiment benchmarks this one also carries correctness
 assertions: the Timeout free-list must actually engage on the retransmit
-idiom, and the A/B harness must report identical event counts for the
-frozen seed engine and the current one (the optimization contract — speed
-may change, simulated behavior may not).
+idiom, every engine scenario must dispatch exactly the events the seed
+heap engine dispatched (the optimization contract — speed may change,
+simulated behavior may not), and the ``--ab-rev`` harness must refuse to
+compare runs whose simulated end states differ.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.sim.bench import SCENARIOS, run_ab, run_scenario
+from repro.sim.bench import SCENARIOS, gate_end_states, run_scenario
 
 from benchmarks.conftest import full_sweep
 
-SEED_ENGINE = Path(__file__).with_name("engine_seed_reference.py")
+ROOT = Path(__file__).resolve().parents[1]
+
+# Quick-scale event counts of the engine scenarios, on which the seed heap
+# engine and the timer-wheel engine agreed when the seed engine was retired.
+QUICK_EVENTS = {
+    "timer_churn": 38_432,
+    "timeout_ladder": 19_328,
+    "event_pingpong": 24_004,
+    "condition_fanout": 27_002,
+    "wheel_storm": 8_592,
+}
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -59,13 +73,41 @@ def test_per_scenario_counters_are_scenario_local():
     assert pingpong["timeouts_recycled"] == 0
 
 
-def test_ab_reference_agrees_on_event_counts(run_once):
-    # run_ab raises SystemExit if the seed engine and the current engine
-    # disagree on any scenario's event count — the determinism guardrail.
-    report = run_once(run_ab, str(SEED_ENGINE), quick=True, repeat=1)
-    assert report["total"]["events"] > 0
-    assert report["total"]["speedup"] > 0
+@pytest.mark.parametrize("name", sorted(QUICK_EVENTS))
+def test_quick_event_count_matches_seed_engine(name):
+    assert run_scenario(name, quick=True, repeat=1)["events"] == \
+        QUICK_EVENTS[name]
+
+
+def _bench(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-m", "repro.sim.bench", *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_ab_rev_head_reports_equal_end_states():
+    out = _bench("--quick", "--repeat", "1", "--ab-rev", "HEAD",
+                 "event_pingpong", "datapath_pull")
+    assert out.returncode == 0, out.stderr
+    assert "end states equal on both sides in all 2 scenario(s)" in out.stdout
     print()
-    for name, row in report["scenarios"].items():
-        print(f"{name}: {row['speedup']:.2f}x vs seed engine")
-    print(f"total: {report['total']['speedup']:.2f}x")
+    print(out.stdout)
+
+
+def test_ab_rev_unknown_revision_is_named_without_traceback():
+    out = _bench("--quick", "--ab-rev", "no-such-rev", "event_pingpong")
+    assert out.returncode != 0
+    assert "'no-such-rev'" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_end_state_gate_names_the_differing_key():
+    base = {"vm_churn": {"now_ns": 5, "procs": [{"faults": 3, "pins": 2}]}}
+    current = {"vm_churn": {"now_ns": 5, "procs": [{"faults": 4, "pins": 2}]}}
+    gate_end_states(base, base)
+    with pytest.raises(SystemExit) as exc:
+        gate_end_states(base, current)
+    message = str(exc.value)
+    assert "vm_churn.procs.0.faults: base=3 current=4" in message
+    assert "pins" not in message and "now_ns" not in message

@@ -67,7 +67,7 @@ def test_openmx_committed_quick_state_matches_current_tree():
     fresh = openmx_sim_state(quick=True, shards=committed["shards"])
     assert fresh == committed, (
         "openmx_shard end state changed — if intentional, regenerate with "
-        "PYTHONPATH=src python -m repro.sim.bench --quick "
-        "--openmx-sim-json benchmarks/openmx_shard_quick.json --shards "
-        f"{committed['shards']}"
+        "PYTHONPATH=src python -m repro.sim.bench --quick --shards "
+        f"{committed['shards']} --sim-json benchmarks/openmx_shard_quick.json "
+        "openmx_shard"
     )

@@ -27,6 +27,7 @@ suite enforces this.
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 from repro.experiments.ablations import (
@@ -52,103 +53,98 @@ from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table2 import format_table2, run_table2
 
 
-def _take_path_flag(argv: list[str], flag: str) -> tuple[list[str], str | None]:
-    if flag not in argv:
-        return argv, None
-    idx = argv.index(flag)
-    if idx + 1 >= len(argv):
-        raise SystemExit(f"error: {flag} requires a path")
-    return argv[:idx] + argv[idx + 2:], argv[idx + 1]
+ARTIFACTS = ("table1", "figure6", "figure7", "table2", "overlap-miss",
+             "ablations", "reuse-sweep", "motivation")
 
 
-def _take_jobs_flag(argv: list[str]) -> tuple[list[str], int]:
-    if "--jobs" not in argv:
-        return argv, 1
-    idx = argv.index("--jobs")
-    if idx + 1 >= len(argv):
-        raise SystemExit("error: --jobs requires a worker count")
+def _jobs(value: str) -> int:
     try:
-        jobs = int(argv[idx + 1])
+        jobs = int(value)
     except ValueError:
-        raise SystemExit(f"error: --jobs needs an integer, got {argv[idx + 1]!r}")
+        raise argparse.ArgumentTypeError(f"needs an integer, got {value!r}")
     if jobs < 1:
-        raise SystemExit(f"error: --jobs must be >= 1, got {jobs}")
-    return argv[:idx] + argv[idx + 2:], jobs
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
-def _take_shards_flag(argv: list[str]) -> tuple[list[str], int | None]:
-    """``--shards N|auto``: also run the overlap-miss measurement on the
-    PDES-sharded full stack (byte-identity enforced vs serial).  Absent,
-    output stays byte-identical to prior releases."""
-    if "--shards" not in argv:
-        return argv, None
-    idx = argv.index("--shards")
-    if idx + 1 >= len(argv):
-        raise SystemExit("error: --shards requires a count (or 'auto')")
+def _shards(value: str) -> int:
     from repro.sim.pdes import resolve_shards
 
     try:
-        shards = resolve_shards(argv[idx + 1])
+        return resolve_shards(value)
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    return argv[:idx] + argv[idx + 2:], shards
+        raise argparse.ArgumentTypeError(str(exc))
 
 
-def _take_cache_flag(argv: list[str]):
-    """``--cache`` / ``--cache-dir DIR``; returns (argv, ResultCache | None)."""
-    argv, cache_dir = _take_path_flag(argv, "--cache-dir")
-    enabled = "--cache" in argv
-    argv = [a for a in argv if a != "--cache"]
-    if not enabled and cache_dir is None:
-        return argv, None
-    from repro.experiments.cache import ResultCache
-
-    return argv, ResultCache(cache_dir) if cache_dir else ResultCache()
+def _parse(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Regenerate the paper's tables and figures.")
+    parser.add_argument("artifacts", nargs="*", metavar="ARTIFACT",
+                        help=f"any of {', '.join(ARTIFACTS)} (underscores "
+                             "work as dashes; default: all)")
+    parser.add_argument("--full", action="store_true",
+                        help="the paper's full size axis")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also save machine-readable results")
+    parser.add_argument("--metrics", metavar="PATH",
+                        help="dump the obs metric snapshot "
+                             "(render: python -m repro.obs PATH)")
+    parser.add_argument("--jobs", type=_jobs, default=1, metavar="N",
+                        help="fan sweep points out across N worker processes")
+    parser.add_argument("--shards", type=_shards, metavar="N|auto",
+                        help="also measure overlap misses on the "
+                             "PDES-sharded full stack ('auto' caps at the "
+                             "host's cores)")
+    parser.add_argument("--cache", action="store_true",
+                        help="reuse results cached by a prior run of "
+                             "identical code")
+    parser.add_argument("--cache-dir", metavar="DIR",
+                        help="cache directory (implies --cache)")
+    return parser.parse_intermixed_args(argv)
 
 
 def main(argv: list[str]) -> int:
     from repro.obs import MetricRegistry, use_registry, write_snapshot
 
-    full = "--full" in argv
-    argv, json_path = _take_path_flag(argv, "--json")
-    argv, metrics_path = _take_path_flag(argv, "--metrics")
-    argv, jobs = _take_jobs_flag(argv)
-    argv, shards = _take_shards_flag(argv)
-    argv, cache = _take_cache_flag(argv)
+    args = _parse(argv)
+    cache = None
+    if args.cache or args.cache_dir:
+        from repro.experiments.cache import ResultCache
+
+        cache = (ResultCache(args.cache_dir) if args.cache_dir
+                 else ResultCache())
+
     collected: dict[str, object] = {}
-    known = {
-        "table1", "figure6", "figure7", "table2", "overlap-miss", "ablations",
-        "reuse-sweep", "motivation"
-    }
     # Accept underscores as dash aliases (overlap_miss == overlap-miss).
-    wanted = {a.replace("_", "-") for a in argv if not a.startswith("-")} or known
-    unknown = wanted - known
+    wanted = {a.replace("_", "-") for a in args.artifacts} or set(ARTIFACTS)
+    unknown = wanted - set(ARTIFACTS)
     if unknown:
         raise SystemExit(
             f"error: unknown artifact(s) {sorted(unknown)}; "
-            f"choose from {sorted(known)}"
+            f"choose from {sorted(ARTIFACTS)}"
         )
-    sizes = FIGURE_SIZES if full else FAST_SIZES
+    sizes = FIGURE_SIZES if args.full else FAST_SIZES
 
     # Every cluster built below inherits this registry, so one snapshot at
     # the end covers the whole session's kernels, NICs and drivers.
     registry = MetricRegistry()
     with use_registry(registry):
-        _run_wanted(wanted, sizes, collected, jobs=jobs, cache=cache,
-                    shards=shards)
+        _run_wanted(wanted, sizes, collected, jobs=args.jobs, cache=cache,
+                    shards=args.shards)
     if cache is not None:
         # stderr, so a warm run's stdout is byte-identical to a cold one.
         print(f"(cache: {cache.hits} hit(s), {cache.misses} miss(es) "
               f"in {cache.directory})", file=sys.stderr)
-    if metrics_path is not None:
-        write_snapshot(metrics_path, registry)
-        print(f"(metrics snapshot saved to {metrics_path}; "
-              f"render with: python -m repro.obs {metrics_path})")
-    if json_path is not None:
+    if args.metrics is not None:
+        write_snapshot(args.metrics, registry)
+        print(f"(metrics snapshot saved to {args.metrics}; "
+              f"render with: python -m repro.obs {args.metrics})")
+    if args.json is not None:
         from repro.experiments.runner import save_results
 
-        save_results(json_path, collected)
-        print(f"(results saved to {json_path})")
+        save_results(args.json, collected)
+        print(f"(results saved to {args.json})")
     return 0
 
 

@@ -7,7 +7,7 @@ any result.  :func:`parallel_map` provides that fan-out with a hard
 determinism contract:
 
 * results come back **in submission order** regardless of which worker
-  finished first (``multiprocessing.Pool.map`` preserves order);
+  finished first (futures are collected in the order they were submitted);
 * each task runs under a **fresh** :class:`~repro.obs.MetricRegistry`
   installed as the process default, and the worker ships that registry
   back with the result; the parent folds the registries into the ambient
@@ -22,11 +22,16 @@ Tasks are ``(fn, kwargs)`` pairs where ``fn`` is a module-level callable
 (the multiprocessing pickler requires it).  The optional ``cache``
 argument (a :class:`repro.experiments.cache.ResultCache`) short-circuits
 tasks whose results were computed by a previous run of the same code.
+
+A worker that dies (SIGKILL, the OOM killer, a crash in C code) fails the
+map at once with a ``BrokenProcessPool`` naming the task(s) it was running;
+it never hangs the parent.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import reprlib
 from typing import Any, Callable, Sequence
 
 from repro.obs.metrics import MetricRegistry, current_registry, use_registry
@@ -71,6 +76,59 @@ def run_task(task: Task) -> tuple[Any, MetricRegistry]:
     return result, registry
 
 
+# Per-map flags, one per task, set by the worker that starts the task: they
+# tell the tasks a dead worker was running from those still queued.
+_started = None
+
+
+def _init_worker(started) -> None:
+    global _started
+    _started = started
+
+
+def _run_marked(index: int, task: Task) -> tuple[Any, MetricRegistry]:
+    _started[index] = 1
+    return run_task(task)
+
+
+def _describe(index: int, task: Task) -> str:
+    fn, kwargs = task
+    return (f"#{index} {fn.__module__}.{fn.__qualname__}"
+            f"(**{reprlib.repr(kwargs)})")
+
+
+def _run_pool(tasks: list[Task],
+              jobs: int) -> list[tuple[Any, MetricRegistry]]:
+    """Run ``tasks`` on ``jobs`` forked workers; results in task order."""
+    # Imported here: callers of run_task alone (the e2e benchmark) should
+    # not pay for the executor machinery.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork keeps workers cheap (no re-import) and inherits the
+    # already-loaded modules; tasks and results only need pickling.
+    ctx = multiprocessing.get_context("fork")
+    started = ctx.RawArray("b", len(tasks))
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
+                             initializer=_init_worker,
+                             initargs=(started,)) as pool:
+        futures = [pool.submit(_run_marked, i, t) for i, t in enumerate(tasks)]
+        try:
+            return [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            running = [_describe(i, t) for i, (t, f) in
+                       enumerate(zip(tasks, futures))
+                       if started[i] and isinstance(f.exception(),
+                                                    BrokenProcessPool)]
+            raise BrokenProcessPool(
+                f"a worker process died abruptly (killed or crashed) while "
+                f"running {' or '.join(running) or 'a task'} "
+                f"of {len(tasks)}") from exc
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # fail fast: drop the queue
+            raise
+
+
 def parallel_map(tasks: Sequence[Task], jobs: int = 1,
                  cache: Any = None) -> list[Any]:
     """Run ``tasks`` across ``jobs`` worker processes, deterministically.
@@ -100,11 +158,7 @@ def parallel_map(tasks: Sequence[Task], jobs: int = 1,
         if jobs <= 1 or len(todo) == 1:
             computed = [run_task(t) for t in todo]
         else:
-            # fork keeps workers cheap (no re-import) and inherits the
-            # already-loaded modules; tasks and results only need pickling.
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=min(jobs, len(todo))) as pool:
-                computed = pool.map(run_task, todo)
+            computed = _run_pool(todo, min(jobs, len(todo)))
         for i, pair in zip(misses, computed):
             pairs[i] = pair
             if cache is not None:

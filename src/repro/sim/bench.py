@@ -1,63 +1,55 @@
-"""Engine microbenchmark — ``python -m repro.sim.bench``.
+"""Engine and stack microbenchmarks — ``python -m repro.sim.bench``.
 
-Measures raw dispatch throughput (events/sec) of the discrete-event kernel
-on four synthetic workloads that mirror how the protocol layers actually
-drive it:
+Measures dispatch throughput (events/sec) and wall time on seven
+deterministic scenarios that mirror how the protocol layers drive the
+engine:
 
 * ``timer_churn`` — the retransmit idiom: an ack racing a long timer that
   almost always loses (PR 2's backoff timers create these in volume).
   Exercises lazy cancellation and the Timeout free-list.
 * ``timeout_ladder`` — many concurrent processes sleeping in a loop; the
-  pure heap + process-resume path.
+  pure queue + process-resume path.
 * ``event_pingpong`` — two processes alternating via bare events; the
   succeed/dispatch fast path with a single callback per event.
 * ``condition_fanout`` — ``any_of`` over several timers each round; the
   condition attach/detach path, with losing timers cancelled into the
   free-list (dead entries still pop, so event counts are unchanged).
 * ``wheel_storm`` — timers spread across every timer-wheel level plus the
-  overflow heap (short acks, microsecond retransmits, millisecond
-  watchdogs, far-future blackout timers that always cancel), with
-  zero-delay timeouts mixed in; the scenario the wheel rewrite targets,
-  and the one that exercises cascades/promotions hardest.
+  overflow heap, with zero-delay timeouts mixed in; the scenario that
+  exercises cascades/promotions hardest.
 * ``datapath_pull`` — a full NIC→fabric→softirq receive storm (two senders
   bursting 4 KiB frames at one receiver whose bottom half is the
-  bottleneck); the workload the data-path event-coalescing change targets.
+  bottleneck); the workload the data-path event coalescing targets.
+* ``vm_churn`` — processes looping mmap/write/declare/pin/probe/munmap/
+  COW/swap on the VM layer; the workload the VM indexes target.
 
 Every scenario is deterministic, so one timed round gives an exact event
-count; wall time is the only noise, which ``--repeat`` (best-of) tames.
+count and an exact simulated end state; wall time is the only noise, which
+``--repeat`` (best-of) tames.
 
 Usage::
 
-    python -m repro.sim.bench                 # full scale, 3 repeats
-    python -m repro.sim.bench --quick         # CI smoke (~1 s)
+    python -m repro.sim.bench                     # full scale, 3 repeats
+    python -m repro.sim.bench --quick             # CI smoke
     python -m repro.sim.bench --json BENCH_engine.json
-    python -m repro.sim.bench --baseline old.json   # annotate speedups
-    python -m repro.sim.bench --ab benchmarks/engine_seed_reference.py
+    python -m repro.sim.bench --ab-rev HEAD~1     # A/B against a revision
+    python -m repro.sim.bench --quick --sim-json state.json datapath_pull
 
-``--ab`` runs each timed repetition against *both* the current engine and a
-frozen reference engine loaded from the given file, strictly interleaved
-(ref, current, ref, current, ...) within the same process.  On a noisy or
-single-core host this cancels load drift that back-to-back whole-suite runs
-cannot, so the reported speedup is an honest like-for-like ratio.
+``--ab-rev REV`` compares this tree with any git revision.  The revision's
+``src/`` is exported with ``git archive`` into ``.e2e_revs/<sha>/``, the
+cache ``python -m benchmarks.e2e compare`` also fills.  Each repetition runs
+one subprocess per side; every subprocess runs *this* checkout's scenario
+code with its side's ``src/`` first on ``sys.path``, and the side that runs
+first alternates from one repetition to the next, so slow drift in host
+load hits both sides equally.  Best-of per side.  The two sides may
+dispatch different numbers of events (coalescing events is what an
+optimization of the data path or the VM layer does), but every scenario's
+simulated end state must be equal on both: otherwise the run exits 1,
+listing the differing keys, and reports no speedup.
 
-``--ab-datapath`` does the same for the *data path* instead of the engine:
-the ``datapath_pull`` scenario is built once on a frozen pre-coalescing
-Nic/Fabric/SoftirqEngine stack (``benchmarks/datapath_seed_reference.py``)
-and once on the current one, interleaved, on the same current engine.  The
-two stacks intentionally differ in heap-event count — that is the whole
-optimization — so instead of comparing event totals the harness compares
-the complete simulated end state (final clock, every frame/byte/drop/BH
-counter) and aborts on any difference.  ``--sim-json`` writes that end
-state for the CI drift gate (``benchmarks/datapath_sim_quick.json``).
-
-``--ab-vm`` applies the same discipline to the *VM layer*: the ``vm_churn``
-scenario (many processes mmap/write/declare/pin/probe/munmap/COW/swap in a
-loop) is built once on a frozen pre-index AddressSpace/UserRegion/
-PinService/linear-region-index stack (``benchmarks/vm_seed_reference.py``)
-and once on the current bisect-indexed one.  Equivalence is again the
-complete simulated end state — final clock plus per-process fault/pin/
-notifier counters and data digests.  ``--vm-sim-json`` writes that end
-state for the CI drift gate (``benchmarks/vm_sim_quick.json``).
+``--sim-json PATH SCENARIO`` writes one scenario's simulated end state, the
+exact reference the CI drift gates diff against
+(``benchmarks/{datapath,vm,openmx_shard}_sim_quick.json``).
 
 ``openmx_shard`` (:mod:`repro.sim.openmx_shard`) is the conservative-PDES
 scenario (:mod:`repro.sim.pdes`) on the **full Open-MX stack**: 16 hosts,
@@ -65,32 +57,47 @@ each with a complete kernel/MMU-notifier/pin-service/driver/NIC stack,
 exchanging mixed eager/rendezvous traffic under pin pressure, sharded
 across worker processes.  ``--ab-openmx`` runs the serial-vs-sharded
 equality gate plus a block/stripe/affinity partition comparison;
-``--openmx-sim-json`` writes the end state for the cross-shard-count CI
-diff.  ``--shards auto`` caps the default shard count at the host's
-usable cores (the wall speedup is meaningless when shards > cores;
-reports flag that as ``core_starved``).
+``--sim-json PATH openmx_shard`` writes the end state at ``--shards``
+shards for the cross-shard-count CI diff.  ``--shards auto`` caps the
+default shard count at the host's usable cores (the wall speedup is
+meaningless when shards > cores; reports flag that as ``core_starved``).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import io
 import json
+import subprocess
 import sys
+import tarfile
 import time
-from typing import Any, Callable
+from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from repro.sim.engine import Environment
 
-__all__ = ["SCENARIOS", "datapath_sim_state", "run_ab", "run_benchmarks",
-           "run_datapath_ab", "run_openmx_shard", "run_scenario", "run_vm_ab",
-           "vm_sim_state"]
+__all__ = ["SCENARIOS", "Scenario", "format_report", "gate_end_states",
+           "run_ab_rev", "run_benchmarks", "run_openmx_shard", "run_scenario",
+           "sim_state"]
 
 
 # -- scenarios ----------------------------------------------------------------
+#
+# Every build takes (env, rounds), sets the scenario up on ``env`` and returns
+# a probe: a no-argument callable that reads the simulated end state once
+# ``env.run()`` has drained.  Wall time and the event count are measured by
+# the harness; the probe is what an A/B must find equal on both sides.
+
+Probe = Callable[[], dict[str, Any]]
 
 
-def _timer_churn(env: Environment, rounds: int, procs: int = 16) -> None:
+def _clock_probe(env: Environment) -> Probe:
+    """An engine scenario's end state: the final clock and the event count."""
+    return lambda: {"now_ns": env.now, "events": env.events_processed}
+
+
+def _timer_churn(env: Environment, rounds: int, procs: int = 16) -> Probe:
     """The retransmit idiom: ack at +10 ns races a timer at +1000 ns."""
 
     def worker():
@@ -101,15 +108,14 @@ def _timer_churn(env: Environment, rounds: int, procs: int = 16) -> None:
             )
             timer = env.timeout(1000)
             yield env.any_of([ack, timer])
-            cancel = getattr(timer, "cancel", None)
-            if cancel is not None:
-                cancel()
+            timer.cancel()
 
     for _ in range(procs):
         env.process(worker())
+    return _clock_probe(env)
 
 
-def _timeout_ladder(env: Environment, rounds: int, procs: int = 64) -> None:
+def _timeout_ladder(env: Environment, rounds: int, procs: int = 64) -> Probe:
     """Many processes sleeping in lockstep: heap + resume throughput."""
 
     def worker():
@@ -118,9 +124,10 @@ def _timeout_ladder(env: Environment, rounds: int, procs: int = 64) -> None:
 
     for _ in range(procs):
         env.process(worker())
+    return _clock_probe(env)
 
 
-def _event_pingpong(env: Environment, rounds: int) -> None:
+def _event_pingpong(env: Environment, rounds: int) -> Probe:
     """Two processes alternating on bare events (single-callback dispatch)."""
     ping = [env.event()]
     pong = [env.event()]
@@ -139,15 +146,15 @@ def _event_pingpong(env: Environment, rounds: int) -> None:
 
     env.process(a())
     env.process(b())
+    return _clock_probe(env)
 
 
-def _condition_fanout(env: Environment, rounds: int, width: int = 8) -> None:
+def _condition_fanout(env: Environment, rounds: int, width: int = 8) -> Probe:
     """any_of over ``width`` timers; one wins, the losers are cancelled.
 
-    Cancelling the detached losers (getattr-guarded: the frozen seed
-    engine's Timeout has no ``cancel``) routes them through the free-list
+    Cancelling the detached losers routes them through the free-list
     without changing simulated behavior — dead entries still pop at their
-    original expiry, so the event count stays identical on both engines.
+    original expiry, so the event count is the same as without the cancel.
     """
 
     def worker():
@@ -155,25 +162,24 @@ def _condition_fanout(env: Environment, rounds: int, width: int = 8) -> None:
             timers = [env.timeout(j + 1) for j in range(width)]
             yield env.any_of(timers)
             for t in timers:
-                cancel = getattr(t, "cancel", None)
-                if cancel is not None:
-                    cancel()
+                t.cancel()
 
     env.process(worker())
+    return _clock_probe(env)
 
 
-def _wheel_storm(env: Environment, rounds: int, procs: int = 8) -> None:
+def _wheel_storm(env: Environment, rounds: int, procs: int = 8) -> Probe:
     """Timers on every wheel level at once — the wheel-stress workload.
 
     Each round every process races a fast ack against four timers whose
     expiries land in different wheel levels: a short poll (level 0), a
     microsecond retransmit (level 1), a millisecond watchdog (level 2) and
     a far-future blackout timer (overflow heap).  The ack wins, the losers
-    are cancelled (getattr-guarded for the seed engine) and pop dead at
-    their original expiries — so the tail of the run is dominated by the
-    wheel advancing across sparse, multi-level expiries, exercising
-    cascades, overflow promotions and bitmap tick-finding.  Every seventh
-    round adds a zero-delay timeout (the ready-FIFO path).
+    are cancelled and pop dead at their original expiries — so the tail of
+    the run is dominated by the wheel advancing across sparse, multi-level
+    expiries, exercising cascades, overflow promotions and bitmap
+    tick-finding.  Every seventh round adds a zero-delay timeout (the
+    ready-FIFO path).
     """
 
     def worker(k: int):
@@ -190,14 +196,13 @@ def _wheel_storm(env: Environment, rounds: int, procs: int = 8) -> None:
             )
             yield env.any_of([ack, *racers])
             for t in racers:
-                cancel = getattr(t, "cancel", None)
-                if cancel is not None:
-                    cancel()
+                t.cancel()
             if i % 7 == 0:
                 yield env.timeout(0)
 
     for k in range(procs):
         env.process(worker(k))
+    return _clock_probe(env)
 
 
 # Data-path scenario constants: 4 KiB frames arrive from two senders every
@@ -210,14 +215,11 @@ _DP_BURST = 64          # frames per sender per message
 _DP_GAP_NS = 600_000    # inter-message settle gap (ring fully drains)
 
 
-def _datapath_pull(env: Environment, rounds: int, stack=None):
+def _datapath_pull(env: Environment, rounds: int) -> Probe:
     """Two senders burst 4 KiB frames at one receiver's bottom half.
 
-    ``stack`` picks the Nic/Fabric/SoftirqEngine classes to build on
-    (default: the current tree); the frozen pre-coalescing stack lives in
-    ``benchmarks/datapath_seed_reference.py``.  Returns a probe reading the
-    complete simulated end state, with the constructed parts hung off it
-    (``probe.fabric`` and friends) for tests.
+    Returns a probe reading the complete simulated end state, with the
+    constructed parts hung off it (``probe.fabric`` and friends) for tests.
     """
     from repro.cluster.network import Fabric
     from repro.hw.cpu import CpuCore
@@ -225,12 +227,9 @@ def _datapath_pull(env: Environment, rounds: int, stack=None):
     from repro.hw.specs import MYRI_10G, XEON_E5460
     from repro.kernel.interrupts import SoftirqEngine
 
-    s = stack or {"EthernetFrame": EthernetFrame, "Nic": Nic,
-                  "Fabric": Fabric, "SoftirqEngine": SoftirqEngine}
-    frame_cls = s["EthernetFrame"]
-    fabric = s["Fabric"](env, latency_ns=1_000)
-    rx = s["Nic"](env, MYRI_10G, "rxhost")
-    senders = [s["Nic"](env, MYRI_10G, f"txhost{i}") for i in range(2)]
+    fabric = Fabric(env, latency_ns=1_000)
+    rx = Nic(env, MYRI_10G, "rxhost")
+    senders = [Nic(env, MYRI_10G, f"txhost{i}") for i in range(2)]
     for nic in (rx, *senders):
         fabric.attach(nic)
     core = CpuCore(env, XEON_E5460, "rxhost", 0)
@@ -241,17 +240,16 @@ def _datapath_pull(env: Environment, rounds: int, stack=None):
         handled["bytes"] += frame.payload_bytes
         yield from ctx.memcpy(frame.payload_bytes)
 
-    softirq = s["SoftirqEngine"](env, core, rx, handler)
+    softirq = SoftirqEngine(env, core, rx, handler)
     # The handler charges before any externally visible action, so every
-    # frame is fusable.  Plain attribute assignment works on both stacks
-    # (the seed engine simply never reads the hint).
+    # frame is fusable.
     softirq.fuse_hint = lambda frame: True
     rx.set_rx_callback(softirq.raise_irq)
 
     def sender(nic):
         for _ in range(rounds):
             for _ in range(_DP_BURST):
-                nic.send(frame_cls(
+                nic.send(EthernetFrame(
                     src=nic.address, dst=rx.address, ethertype=0x86DF,
                     payload=None, payload_bytes=_DP_FRAME_BYTES))
             yield env.timeout(_DP_GAP_NS)
@@ -292,14 +290,12 @@ _VM_PROCS = 6
 _VM_BUFS_PER_ROUND = 3
 
 
-def _vm_churn(env: Environment, rounds: int, stack=None):
+def _vm_churn(env: Environment, rounds: int) -> Probe:
     """Many processes churning mmap/pin/probe/invalidate on the VM layer.
 
-    ``stack`` picks the AddressSpace/UserRegion/PinService/region-index
-    classes to build on (default: the current tree); the frozen pre-index
-    stack lives in ``benchmarks/vm_seed_reference.py``.  Returns a probe
-    reading the complete simulated end state: final clock plus, per
-    process, every VM/pin/notifier counter and a digest of all data read.
+    Returns a probe reading the complete simulated end state: final clock
+    plus, per process, every VM/pin/notifier counter and a digest of all
+    data read.
     """
     import hashlib
     import random
@@ -313,18 +309,16 @@ def _vm_churn(env: Environment, rounds: int, stack=None):
     from repro.obs.metrics import MetricRegistry
     from repro.openmx.regions import Segment, UserRegion
 
-    s = stack or {"AddressSpace": AddressSpace, "UserRegion": UserRegion,
-                  "PinService": PinService, "RegionIndex": IntervalIndex}
     registry = MetricRegistry()  # private: keep the ambient registry clean
     parts: list[dict | None] = [None] * _VM_PROCS
 
     def worker(pid: int):
         rng = random.Random(1_000_003 * (pid + 1))
         memory = PhysicalMemory(64 << 20)
-        aspace = s["AddressSpace"](memory, name=f"vm{pid}")
+        aspace = AddressSpace(memory, name=f"vm{pid}")
         core = CpuCore(env, XEON_E5460, f"vmhost{pid}", 0)
-        pin = s["PinService"](metrics=registry, host=f"vmhost{pid}")
-        index = s["RegionIndex"]()
+        pin = PinService(metrics=registry, host=f"vmhost{pid}")
+        index = IntervalIndex()
         regions: dict[int, object] = {}
         next_rid = 1
         buffers: list[tuple[int, int]] = []  # (addr, nbytes)
@@ -372,7 +366,7 @@ def _vm_churn(env: Environment, rounds: int, stack=None):
             new_regions.append(tuple(vec))
             pin_rids = []
             for segs in new_regions:
-                region = s["UserRegion"](next_rid, aspace, segs)
+                region = UserRegion(next_rid, aspace, segs)
                 regions[next_rid] = region
                 index.add(next_rid,
                           [(sg.va, sg.va + sg.length) for sg in segs])
@@ -464,15 +458,20 @@ def _vm_churn(env: Environment, rounds: int, stack=None):
     return probe
 
 
-# name -> (builder, rounds at full scale, rounds at --quick scale)
-SCENARIOS: dict[str, tuple[Callable[..., None], int, int]] = {
-    "timer_churn": (_timer_churn, 6_000, 600),
-    "timeout_ladder": (_timeout_ladder, 3_000, 300),
-    "event_pingpong": (_event_pingpong, 120_000, 12_000),
-    "condition_fanout": (_condition_fanout, 30_000, 3_000),
-    "wheel_storm": (_wheel_storm, 1_500, 150),
-    "datapath_pull": (_datapath_pull, 150, 15),
-    "vm_churn": (_vm_churn, 150, 8),
+class Scenario(NamedTuple):
+    build: Callable[[Environment, int], Probe]
+    full: int     # rounds at full scale
+    quick: int    # rounds at --quick scale
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "timer_churn": Scenario(_timer_churn, 6_000, 600),
+    "timeout_ladder": Scenario(_timeout_ladder, 3_000, 300),
+    "event_pingpong": Scenario(_event_pingpong, 120_000, 12_000),
+    "condition_fanout": Scenario(_condition_fanout, 30_000, 3_000),
+    "wheel_storm": Scenario(_wheel_storm, 1_500, 150),
+    "datapath_pull": Scenario(_datapath_pull, 150, 15),
+    "vm_churn": Scenario(_vm_churn, 150, 8),
 }
 
 
@@ -484,360 +483,196 @@ SCENARIOS: dict[str, tuple[Callable[..., None], int, int]] = {
 # fresh env, so the counts are per-scenario by construction (an earlier
 # revision threaded two of them positionally through the harness and
 # reported zeros for every scenario that wasn't timer_churn).  getattr
-# defaults keep the harness compatible with the frozen seed engine, which
-# has neither the free-list nor the wheel.
+# defaults let ``--ab-rev`` time revisions that predate a counter.
 _ENGINE_COUNTERS = ("timeouts_recycled", "timeouts_reused",
                     "wheel_ticks", "wheel_cascades", "wheel_promotions")
 
 
-def _engine_counters(env: Any) -> dict[str, int]:
-    """Snapshot the engine's own counters after a timed round."""
-    return {name: getattr(env, name, 0) for name in _ENGINE_COUNTERS}
+def _rounds(name: str, quick: bool) -> int:
+    return SCENARIOS[name].quick if quick else SCENARIOS[name].full
 
 
-def _time_once(env_cls: type, name: str,
-               rounds: int) -> tuple[float, int, dict[str, int]]:
-    """One timed round: returns (wall_s, events, engine counters)."""
-    builder = SCENARIOS[name][0]
-    env = env_cls()
-    builder(env, rounds)
+def _time_once(name: str, rounds: int
+               ) -> tuple[float, int, dict[str, int], dict[str, Any]]:
+    """One timed round: (wall_s, events, engine counters, end state)."""
+    env = Environment()
+    probe = SCENARIOS[name].build(env, rounds)
     start = time.perf_counter()
     env.run()
     wall = time.perf_counter() - start
-    return wall, env.events_processed, _engine_counters(env)
+    counters = {c: getattr(env, c, 0) for c in _ENGINE_COUNTERS}
+    return wall, env.events_processed, counters, probe()
 
 
-def run_scenario(name: str, quick: bool = False, repeat: int = 3,
-                 env_cls: type = Environment) -> dict[str, Any]:
+def _row(events: int, wall: float) -> dict[str, Any]:
+    return {"events": events, "wall_s": round(wall, 6),
+            "events_per_sec": round(events / wall) if wall else 0}
+
+
+def run_scenario(name: str, quick: bool = False,
+                 repeat: int = 3) -> dict[str, Any]:
     """Run one scenario ``repeat`` times; report the best wall time."""
-    rounds = SCENARIOS[name][2 if quick else 1]
-    best_wall = float("inf")
-    events = 0
-    counters: dict[str, int] = {}
-    for _ in range(repeat):
-        wall, events, counters = _time_once(env_cls, name, rounds)
-        best_wall = min(best_wall, wall)
-    return {
-        "rounds": rounds,
-        "events": events,
-        "wall_s": round(best_wall, 6),
-        "events_per_sec": round(events / best_wall) if best_wall else 0,
-        **counters,
-    }
+    rounds = _rounds(name, quick)
+    runs = [_time_once(name, rounds) for _ in range(repeat)]
+    wall, events, counters, _ = min(runs, key=lambda run: run[0])
+    return {"rounds": rounds, **_row(events, wall), **counters}
+
+
+def _report(quick: bool, repeat: int,
+            rows: dict[str, dict[str, Any]]) -> dict[str, Any]:
+    total = _row(sum(r["events"] for r in rows.values()),
+                 sum(r["wall_s"] for r in rows.values()))
+    return {"schema": "repro.bench.engine/v1", "quick": quick,
+            "repeat": repeat, "scenarios": rows, "total": total}
 
 
 def run_benchmarks(quick: bool = False, repeat: int = 3,
                    scenarios: list[str] | None = None) -> dict[str, Any]:
-    results: dict[str, Any] = {}
-    for name in scenarios or list(SCENARIOS):
-        results[name] = run_scenario(name, quick=quick, repeat=repeat)
-    total_events = sum(r["events"] for r in results.values())
-    total_wall = sum(r["wall_s"] for r in results.values())
-    return {
-        "schema": "repro.bench.engine/v1",
-        "quick": quick,
-        "repeat": repeat,
-        "scenarios": results,
-        "total": {
-            "events": total_events,
-            "wall_s": round(total_wall, 6),
-            "events_per_sec": round(total_events / total_wall) if total_wall else 0,
-        },
-    }
+    return _report(quick, repeat, {
+        name: run_scenario(name, quick=quick, repeat=repeat)
+        for name in scenarios or SCENARIOS})
 
 
-def _load_engine(path: str) -> type:
-    """Load an Environment class from a standalone engine module file."""
-    spec = importlib.util.spec_from_file_location("repro_sim_engine_ref", path)
-    if spec is None or spec.loader is None:
-        raise SystemExit(f"cannot load reference engine from {path}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.Environment
-
-
-def run_ab(ref_path: str, quick: bool = False, repeat: int = 5,
-           scenarios: list[str] | None = None) -> dict[str, Any]:
-    """Interleaved A/B: reference vs current engine, rep by rep.
-
-    Each repetition times the reference engine and then the current engine
-    on the same scenario before moving on, so slow drift in host load hits
-    both sides equally.  Best-of-``repeat`` per side, per scenario.
-    """
-    ref_cls = _load_engine(ref_path)
-    # datapath_pull and vm_churn build on the hw/kernel layers, whose
-    # Resource/Store types belong to the live repro.sim — a foreign engine
-    # class cannot host them.  Each has its own A/B harness
-    # (run_datapath_ab / run_vm_ab) that swaps the layer stack instead of
-    # the engine.
-    names = scenarios or [
-        n for n in SCENARIOS if n not in ("datapath_pull", "vm_churn")
-    ]
-    best: dict[str, dict[str, Any]] = {
-        n: {"ref_wall": float("inf"), "cur_wall": float("inf")} for n in names
-    }
-    for _ in range(repeat):
-        for name in names:
-            rounds = SCENARIOS[name][2 if quick else 1]
-            b = best[name]
-            wall, b["ref_events"], _ = _time_once(ref_cls, name, rounds)
-            b["ref_wall"] = min(b["ref_wall"], wall)
-            wall, b["cur_events"], b["counters"] = _time_once(
-                Environment, name, rounds)
-            b["cur_wall"] = min(b["cur_wall"], wall)
-            b["rounds"] = rounds
-    results: dict[str, Any] = {}
-    tot_ref_w = tot_cur_w = 0.0
-    tot_ref_e = tot_cur_e = 0
-    for name in names:
-        b = best[name]
-        if b["ref_events"] != b["cur_events"]:
-            raise SystemExit(
-                f"{name}: engines disagree on event count "
-                f"({b['ref_events']} vs {b['cur_events']}) — not comparable"
-            )
-        ref_eps = round(b["ref_events"] / b["ref_wall"])
-        cur_eps = round(b["cur_events"] / b["cur_wall"])
-        results[name] = {
-            "rounds": b["rounds"],
-            "events": b["cur_events"],
-            "wall_s": round(b["cur_wall"], 6),
-            "events_per_sec": cur_eps,
-            "baseline_wall_s": round(b["ref_wall"], 6),
-            "baseline_events_per_sec": ref_eps,
-            "speedup": round(cur_eps / ref_eps, 3),
-            **b["counters"],
-        }
-        tot_ref_w += b["ref_wall"]
-        tot_cur_w += b["cur_wall"]
-        tot_ref_e += b["ref_events"]
-        tot_cur_e += b["cur_events"]
-    ref_total_eps = round(tot_ref_e / tot_ref_w) if tot_ref_w else 0
-    cur_total_eps = round(tot_cur_e / tot_cur_w) if tot_cur_w else 0
-    return {
-        "schema": "repro.bench.engine/v1",
-        "quick": quick,
-        "repeat": repeat,
-        "ab_reference": ref_path,
-        "scenarios": results,
-        "total": {
-            "events": tot_cur_e,
-            "wall_s": round(tot_cur_w, 6),
-            "events_per_sec": cur_total_eps,
-            "baseline_wall_s": round(tot_ref_w, 6),
-            "baseline_events_per_sec": ref_total_eps,
-            "speedup": round(cur_total_eps / ref_total_eps, 3)
-            if ref_total_eps else 0.0,
-        },
-    }
-
-
-def _load_stack(path: str) -> dict[str, type]:
-    """Load a class stack (``STACK``) from a frozen reference module."""
-    spec = importlib.util.spec_from_file_location("repro_stack_ref", path)
-    if spec is None or spec.loader is None:
-        raise SystemExit(f"cannot load reference stack from {path}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.STACK
-
-
-def _time_datapath(rounds: int, stack=None) -> tuple[float, int, dict[str, Any]]:
-    """One timed datapath run: (wall_s, engine events, simulated end state)."""
-    env = Environment()
-    probe = _datapath_pull(env, rounds, stack=stack)
-    start = time.perf_counter()
-    env.run()
-    wall = time.perf_counter() - start
-    return wall, env.events_processed, probe()
-
-
-def datapath_sim_state(quick: bool = False) -> dict[str, Any]:
-    """The ``datapath_pull`` scenario's deterministic simulated end state.
+def sim_state(name: str, quick: bool = False, shards: int = 1
+              ) -> dict[str, Any]:
+    """One scenario's deterministic simulated end state, for ``--sim-json``.
 
     Every field is an exact simulation output (no wall-clock noise), so CI
-    can diff it against a committed reference with zero tolerance — any
-    change means the coalescing stopped being byte-identical.
+    diffs it against a committed reference with zero tolerance — any change
+    means a change that should have been invisible moved the simulation.
+    ``openmx_shard`` runs at ``shards`` shards.
     """
-    rounds = SCENARIOS["datapath_pull"][2 if quick else 1]
-    _, _, state = _time_datapath(rounds)
-    return {
-        "schema": "repro.bench.datapath-sim/v1",
-        "quick": quick,
-        "rounds": rounds,
-        "state": state,
-    }
+    if name == "openmx_shard":
+        from repro.sim.openmx_shard import openmx_sim_state
+
+        return openmx_sim_state(quick=quick, shards=shards)
+    rounds = _rounds(name, quick)
+    return {"schema": f"repro.bench.{name.split('_')[0]}-sim/v1",
+            "quick": quick, "rounds": rounds,
+            "state": _time_once(name, rounds)[3]}
 
 
-def run_datapath_ab(ref_path: str, quick: bool = False,
-                    repeat: int = 5) -> dict[str, Any]:
-    """Interleaved A/B of the datapath stacks: frozen seed vs current.
+# -- A/B against a git revision ----------------------------------------------
 
-    Both stacks run the ``datapath_pull`` scenario on the *current* engine,
-    rep by rep (ref, current, ref, current, ...).  The two sides execute
-    different numbers of heap events — that is the optimization — so the
-    equivalence check compares the full simulated end state instead:
-    identical final clock and identical frame/byte/drop/BH counters, or
-    the run aborts.
+
+_SRC = Path(__file__).resolve().parents[2]   # the src/ holding this repro
+_ROOT = _SRC.parent
+
+# One side of one repetition: this file's scenario code, run with the
+# side's src/ first on sys.path.  runpy, not ``python bench.py``: running
+# the file as a script would put repro/sim/ on sys.path, where trace.py
+# shadows the stdlib module.
+_SIDE = """\
+import json, runpy, sys
+sys.path.insert(0, sys.argv[2])
+bench = runpy.run_path(sys.argv[1])
+print(json.dumps(bench["_run_side"](sys.argv[4:], sys.argv[3] == "quick")))
+"""
+
+
+def _run_side(names: list[str], quick: bool) -> dict[str, Any]:
+    """Time every scenario once: what one side of ``--ab-rev`` reports."""
+    out = {}
+    for name in names:
+        wall, events, counters, state = _time_once(name, _rounds(name, quick))
+        out[name] = {"wall_s": wall, "events": events, "counters": counters,
+                     "state": state}
+    return out
+
+
+def _export_rev(rev: str) -> tuple[str, Path]:
+    """(sha, src/) of git revision ``rev``, exported once per sha."""
+    found = subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+        cwd=_ROOT, capture_output=True, text=True)
+    if found.returncode:
+        raise SystemExit(f"--ab-rev: unknown git revision {rev!r}")
+    sha = found.stdout.strip()
+    dest = _ROOT / ".e2e_revs" / sha
+    if not (dest / "src" / "repro").is_dir():
+        tar = subprocess.run(["git", "archive", "--format=tar", sha, "src"],
+                             cwd=_ROOT, capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+            archive.extractall(dest, filter="data")
+    return sha, dest / "src"
+
+
+def _flatten(value: Any, prefix: str = "") -> dict[str, Any]:
+    """Nested dicts/lists as dotted leaf keys: ``{"procs.0.faults": 3}``."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {prefix: value}
+    flat: dict[str, Any] = {}
+    for key, item in items:
+        flat.update(_flatten(item, f"{prefix}.{key}" if prefix else str(key)))
+    return flat
+
+
+def gate_end_states(base: dict[str, Any], current: dict[str, Any]) -> None:
+    """The A/B gate: scenario -> end state maps must be equal on both sides.
+
+    Exits 1, naming every differing key, when they are not.
     """
-    stack = _load_stack(ref_path)
-    rounds = SCENARIOS["datapath_pull"][2 if quick else 1]
-    ref_wall = cur_wall = float("inf")
-    ref_events = cur_events = 0
-    ref_state: dict[str, Any] = {}
-    cur_state: dict[str, Any] = {}
-    for _ in range(repeat):
-        wall, ref_events, ref_state = _time_datapath(rounds, stack=stack)
-        ref_wall = min(ref_wall, wall)
-        wall, cur_events, cur_state = _time_datapath(rounds)
-        cur_wall = min(cur_wall, wall)
-    if ref_state != cur_state:
-        diffs = [
-            f"{key}: ref={ref_state.get(key)!r} cur={cur_state.get(key)!r}"
-            for key in sorted(ref_state.keys() | cur_state.keys())
-            if ref_state.get(key) != cur_state.get(key)
-        ]
-        raise SystemExit(
-            "datapath stacks disagree on simulated end state — not comparable:\n  "
-            + "\n  ".join(diffs)
-        )
-    return {
-        "schema": "repro.bench.datapath/v1",
-        "quick": quick,
-        "repeat": repeat,
-        "ab_reference": ref_path,
-        "rounds": rounds,
-        "sim_state": cur_state,
-        "events": cur_events,
-        "baseline_events": ref_events,
-        "event_reduction": round(1 - cur_events / ref_events, 3)
-        if ref_events else 0.0,
-        "wall_s": round(cur_wall, 6),
-        "baseline_wall_s": round(ref_wall, 6),
-        "speedup": round(ref_wall / cur_wall, 3) if cur_wall else 0.0,
-    }
+    flat_base, flat_cur = _flatten(base), _flatten(current)
+    diffs = [f"{key}: base={flat_base.get(key)!r} "
+             f"current={flat_cur.get(key)!r}"
+             for key in sorted(flat_base.keys() | flat_cur.keys())
+             if flat_base.get(key) != flat_cur.get(key)]
+    if diffs:
+        raise SystemExit("end states differ — not comparable, no speedup "
+                         "reported:\n  " + "\n  ".join(diffs))
 
 
-def format_datapath_report(report: dict[str, Any]) -> str:
-    state = report["sim_state"]
-    return "\n".join([
-        f"datapath_pull ({report['rounds']} rounds, "
-        f"best of {report['repeat']}):",
-        f"  seed stack    {report['baseline_events']:>10,} events "
-        f"{report['baseline_wall_s']:>9.4f} s",
-        f"  current stack {report['events']:>10,} events "
-        f"{report['wall_s']:>9.4f} s",
-        f"  event reduction {report['event_reduction']:.1%}, "
-        f"speedup {report['speedup']:.2f}x",
-        f"  end state: t={state['now_ns']:,} ns, "
-        f"{state['handled_frames']} frames handled, "
-        f"{state['bh_runs']} BH runs, "
-        f"{state['ksoftirqd_rounds']} ksoftirqd rounds, "
-        f"{state['rx_ring_drops']} ring drops  [identical on both stacks]",
-    ])
+def _versus(base_events: int, base_wall: float, events: int,
+            wall: float) -> dict[str, Any]:
+    """The baseline side's numbers, and how the current side compares."""
+    return {"baseline_events": base_events,
+            "baseline_wall_s": round(base_wall, 6),
+            "event_reduction": round(1 - events / base_events, 3)
+            if base_events else 0.0,
+            "speedup": round(base_wall / wall, 3) if wall else 0.0}
 
 
-def _time_vm(rounds: int, stack=None) -> tuple[float, int, dict[str, Any]]:
-    """One timed vm_churn run: (wall_s, engine events, simulated end state)."""
-    env = Environment()
-    probe = _vm_churn(env, rounds, stack=stack)
-    start = time.perf_counter()
-    env.run()
-    wall = time.perf_counter() - start
-    return wall, env.events_processed, probe()
-
-
-def vm_sim_state(quick: bool = False) -> dict[str, Any]:
-    """The ``vm_churn`` scenario's deterministic simulated end state.
-
-    Exact simulation outputs only (final clock, per-process VM/pin/notifier
-    counters, data digests) — CI diffs it against a committed reference
-    with zero tolerance; any change means a VM-layer index stopped being
-    behaviour-identical.
-    """
-    rounds = SCENARIOS["vm_churn"][2 if quick else 1]
-    _, _, state = _time_vm(rounds)
-    return {
-        "schema": "repro.bench.vm-sim/v1",
-        "quick": quick,
-        "rounds": rounds,
-        "state": state,
-    }
-
-
-def run_vm_ab(ref_path: str, quick: bool = False,
-              repeat: int = 5) -> dict[str, Any]:
-    """Interleaved A/B of the VM-layer stacks: frozen seed vs current.
-
-    Both stacks run the ``vm_churn`` scenario on the *current* engine, rep
-    by rep (ref, current, ref, current, ...).  The indexed stack executes
-    fewer engine events (fused pin charges) — so the equivalence check
-    compares the full simulated end state instead: identical final clock
-    and identical per-process counters/digests, or the run aborts.
-    """
-    stack = _load_stack(ref_path)
-    rounds = SCENARIOS["vm_churn"][2 if quick else 1]
-    ref_wall = cur_wall = float("inf")
-    ref_events = cur_events = 0
-    ref_state: dict[str, Any] = {}
-    cur_state: dict[str, Any] = {}
-    for _ in range(repeat):
-        wall, ref_events, ref_state = _time_vm(rounds, stack=stack)
-        ref_wall = min(ref_wall, wall)
-        wall, cur_events, cur_state = _time_vm(rounds)
-        cur_wall = min(cur_wall, wall)
-    if ref_state != cur_state:
-        diffs = [f"now_ns: ref={ref_state.get('now_ns')!r} "
-                 f"cur={cur_state.get('now_ns')!r}"] \
-            if ref_state.get("now_ns") != cur_state.get("now_ns") else []
-        for pid, (rp, cp) in enumerate(zip(ref_state.get("procs", []),
-                                           cur_state.get("procs", []))):
-            rp, cp = rp or {}, cp or {}
-            diffs += [
-                f"proc{pid}.{key}: ref={rp.get(key)!r} cur={cp.get(key)!r}"
-                for key in sorted(rp.keys() | cp.keys())
-                if rp.get(key) != cp.get(key)
-            ]
-        raise SystemExit(
-            "VM stacks disagree on simulated end state — not comparable:\n  "
-            + "\n  ".join(diffs)
-        )
-    return {
-        "schema": "repro.bench.vm/v1",
-        "quick": quick,
-        "repeat": repeat,
-        "ab_reference": ref_path,
-        "rounds": rounds,
-        "sim_state": cur_state,
-        "events": cur_events,
-        "baseline_events": ref_events,
-        "event_reduction": round(1 - cur_events / ref_events, 3)
-        if ref_events else 0.0,
-        "wall_s": round(cur_wall, 6),
-        "baseline_wall_s": round(ref_wall, 6),
-        "speedup": round(ref_wall / cur_wall, 3) if cur_wall else 0.0,
-    }
-
-
-def format_vm_report(report: dict[str, Any]) -> str:
-    state = report["sim_state"]
-    procs = [p for p in state["procs"] if p]
-    return "\n".join([
-        f"vm_churn ({report['rounds']} rounds x {len(state['procs'])} procs, "
-        f"best of {report['repeat']}):",
-        f"  seed stack    {report['baseline_events']:>10,} events "
-        f"{report['baseline_wall_s']:>9.4f} s",
-        f"  current stack {report['events']:>10,} events "
-        f"{report['wall_s']:>9.4f} s",
-        f"  event reduction {report['event_reduction']:.1%}, "
-        f"speedup {report['speedup']:.2f}x",
-        f"  end state: t={state['now_ns']:,} ns, "
-        f"{sum(p['faults'] for p in procs)} faults, "
-        f"{sum(p['pins'] for p in procs)} pins, "
-        f"{sum(p['invalidations'] for p in procs)} invalidations, "
-        f"{sum(p['notifier_unpins'] for p in procs)} notifier unpins"
-        "  [identical on both stacks]",
-    ])
+def run_ab_rev(rev: str, quick: bool = False, repeat: int = 3,
+               scenarios: list[str] | None = None) -> dict[str, Any]:
+    """Interleaved A/B of this tree against git revision ``rev``."""
+    sha, base_src = _export_rev(rev)
+    sides = {"base": base_src, "current": _SRC}
+    names = list(scenarios or SCENARIOS)
+    best: dict[str, dict[str, Any]] = {side: {} for side in sides}
+    for i in range(repeat):
+        for side in (sides if i % 2 == 0 else list(sides)[::-1]):
+            out = subprocess.run(
+                [sys.executable, "-c", _SIDE, __file__, str(sides[side]),
+                 "quick" if quick else "full", *names],
+                cwd=_ROOT, capture_output=True, text=True)
+            if out.returncode:
+                raise SystemExit(f"--ab-rev: the {side} side failed:\n"
+                                 f"{out.stderr}")
+            for name, run in json.loads(out.stdout).items():
+                if (name not in best[side]
+                        or run["wall_s"] < best[side][name]["wall_s"]):
+                    best[side][name] = run
+    gate_end_states({n: r["state"] for n, r in best["base"].items()},
+                    {n: r["state"] for n, r in best["current"].items()})
+    rows = {}
+    for name in names:
+        base, cur = best["base"][name], best["current"][name]
+        rows[name] = {"rounds": _rounds(name, quick),
+                      **_row(cur["events"], cur["wall_s"]),
+                      **_versus(base["events"], base["wall_s"],
+                                cur["events"], cur["wall_s"]),
+                      **cur["counters"]}
+    report = _report(quick, repeat, rows)
+    report["ab_rev"] = sha
+    report["total"].update(_versus(
+        sum(best["base"][n]["events"] for n in names),
+        sum(best["base"][n]["wall_s"] for n in names),
+        report["total"]["events"], report["total"]["wall_s"]))
+    return report
 
 
 def run_openmx_shard(quick: bool = False, shards: int = 4, repeat: int = 3,
@@ -920,45 +755,42 @@ def format_openmx_ab_report(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def annotate_speedup(report: dict[str, Any], baseline: dict[str, Any]) -> None:
-    """Attach per-scenario and aggregate speedups vs a prior report."""
-    base = baseline.get("scenarios", {})
-    for name, r in report["scenarios"].items():
-        b = base.get(name)
-        if b and b.get("events_per_sec"):
-            r["baseline_events_per_sec"] = b["events_per_sec"]
-            r["speedup"] = round(r["events_per_sec"] / b["events_per_sec"], 3)
-    b_total = baseline.get("total", {})
-    if b_total.get("events_per_sec"):
-        report["total"]["baseline_events_per_sec"] = b_total["events_per_sec"]
-        report["total"]["speedup"] = round(
-            report["total"]["events_per_sec"] / b_total["events_per_sec"], 3
-        )
-
-
 def format_report(report: dict[str, Any]) -> str:
-    lines = [f"{'scenario':18s} {'events':>10s} {'wall s':>9s} "
-             f"{'events/sec':>12s} {'recycled':>9s} {'ticks':>9s} "
-             f"{'speedup':>8s}"]
-    rows = list(report["scenarios"].items()) + [
-        ("TOTAL", {**report["total"],
-                   "timeouts_recycled": "", "wheel_ticks": ""})
-    ]
-    for name, r in rows:
-        speedup = r.get("speedup")
-        lines.append(
-            f"{name:18s} {r['events']:>10,} {r['wall_s']:>9.4f} "
-            f"{r['events_per_sec']:>12,} {str(r.get('timeouts_recycled', '')):>9s} "
-            f"{str(r.get('wheel_ticks', '')):>9s} "
-            f"{f'{speedup:.2f}x' if speedup else '-':>8s}"
-        )
+    """The plain report, or with ``ab_rev`` set the A/B report."""
+    ab = "ab_rev" in report
+    head = (f"{'scenario':18s} {'events':>10s} {'wall s':>9s} "
+            f"{'events/sec':>12s} {'recycled':>9s} {'ticks':>9s}")
+    if ab:
+        head += (f" {'base events':>11s} {'reduction':>9s} "
+                 f"{'base wall s':>11s} {'speedup':>8s}")
+    lines = [head]
+    for name, r in [*report["scenarios"].items(), ("TOTAL", report["total"])]:
+        line = (f"{name:18s} {r['events']:>10,} {r['wall_s']:>9.4f} "
+                f"{r['events_per_sec']:>12,} "
+                f"{str(r.get('timeouts_recycled', '')):>9s} "
+                f"{str(r.get('wheel_ticks', '')):>9s}")
+        if ab:
+            line += (f" {r['baseline_events']:>11,} "
+                     f"{r['event_reduction']:>9.1%} "
+                     f"{r['baseline_wall_s']:>11.4f} {r['speedup']:>7.2f}x")
+        lines.append(line)
+    if ab:
+        lines.append(f"base {report['ab_rev'][:12]}: end states equal on "
+                     f"both sides in all {len(report['scenarios'])} "
+                     f"scenario(s), best of {report['repeat']}")
     return "\n".join(lines)
+
+
+def _write_json(path: str, obj: dict[str, Any]) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.bench",
-        description="Microbenchmark the discrete-event engine hot path.",
+        description="Microbenchmark the engine and the simulated stack.",
     )
     parser.add_argument("--quick", action="store_true",
                         help="small rounds for CI smoke runs")
@@ -966,83 +798,38 @@ def main(argv: list[str] | None = None) -> int:
                         help="timed repetitions per scenario, best-of (default 3)")
     parser.add_argument("--json", metavar="PATH",
                         help="write the machine-readable report here")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help="prior report to compute speedups against")
-    parser.add_argument("--ab", metavar="ENGINE_PY",
-                        help="interleaved A/B against a frozen engine module "
-                             "(e.g. benchmarks/engine_seed_reference.py)")
-    parser.add_argument("--ab-datapath", metavar="STACK_PY",
-                        help="interleaved A/B of the datapath_pull scenario "
-                             "against a frozen Nic/Fabric/SoftirqEngine stack "
-                             "(e.g. benchmarks/datapath_seed_reference.py)")
-    parser.add_argument("--ab-vm", metavar="STACK_PY",
-                        help="interleaved A/B of the vm_churn scenario "
-                             "against a frozen AddressSpace/UserRegion/"
-                             "PinService/region-index stack "
-                             "(e.g. benchmarks/vm_seed_reference.py)")
+    parser.add_argument("--ab-rev", metavar="REV",
+                        help="interleaved A/B against git revision REV; "
+                             "aborts unless every end state is equal")
     parser.add_argument("--ab-openmx", action="store_true",
                         help="interleaved A/B of the full-stack openmx_shard "
                              "scenario: serial vs --shards forked workers "
                              "with an end-state equality gate, plus a "
                              "block/stripe/affinity partition comparison")
     parser.add_argument("--shards", default="4",
-                        help="PDES shard count for openmx_shard / "
-                             "--ab-openmx / --openmx-sim-json; "
+                        help="PDES shard count for openmx_shard; "
                              "'auto' caps the default at the host's usable "
                              "cores (default 4)")
     parser.add_argument("--sim-json", metavar="PATH",
-                        help="write the datapath_pull simulated end state "
-                             "(exact, for the CI drift gate)")
-    parser.add_argument("--vm-sim-json", metavar="PATH",
-                        help="write the vm_churn simulated end state "
-                             "(exact, for the CI drift gate)")
-    parser.add_argument("--openmx-sim-json", metavar="PATH",
-                        help="write the openmx_shard simulated end state at "
-                             "--shards shards (exact; CI diffs it across "
-                             "shard counts)")
+                        help="write the one named scenario's simulated end "
+                             "state (exact, for the CI drift gates)")
     parser.add_argument("scenario", nargs="*",
                         choices=[[], *SCENARIOS, "openmx_shard"],
-                        help="subset of scenarios (default: all engine "
-                             "scenarios; openmx_shard runs at --shards "
-                             "shards)")
+                        help="subset of scenarios (default: all but "
+                             "openmx_shard, which runs at --shards shards)")
     args = parser.parse_args(argv)
     from repro.sim.pdes import resolve_shards
 
     args.shards = resolve_shards(args.shards)
 
     if args.sim_json:
-        state = datapath_sim_state(quick=args.quick)
-        with open(args.sim_json, "w") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"(datapath sim state saved to {args.sim_json})")
-        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_openmx
-                or args.vm_sim_json or args.openmx_sim_json
-                or args.scenario):
-            return 0
-
-    if args.vm_sim_json:
-        state = vm_sim_state(quick=args.quick)
-        with open(args.vm_sim_json, "w") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"(vm sim state saved to {args.vm_sim_json})")
-        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_openmx
-                or args.openmx_sim_json or args.scenario):
-            return 0
-
-    if args.openmx_sim_json:
-        from repro.sim.openmx_shard import openmx_sim_state
-
-        state = openmx_sim_state(quick=args.quick, shards=args.shards)
-        with open(args.openmx_sim_json, "w") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"(openmx sim state at {args.shards} shard(s) saved to "
-              f"{args.openmx_sim_json})")
-        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_openmx
-                or args.scenario):
-            return 0
+        if len(args.scenario) != 1:
+            parser.error("--sim-json takes exactly one scenario")
+        name = args.scenario[0]
+        _write_json(args.sim_json,
+                    sim_state(name, quick=args.quick, shards=args.shards))
+        print(f"({name} sim state saved to {args.sim_json})")
+        return 0
 
     if args.ab_openmx:
         from repro.sim.openmx_shard import run_openmx_ab
@@ -1052,32 +839,8 @@ def main(argv: list[str] | None = None) -> int:
         print(format_openmx_ab_report(report))
         if args.json:
             # Same layout as the committed BENCH_pdes.json.
-            with open(args.json, "w") as fh:
-                json.dump({"schema": "repro.bench.pdes/v2",
-                           "openmx_shard": report},
-                          fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"(report saved to {args.json})")
-        return 0
-
-    if args.ab_datapath:
-        report = run_datapath_ab(args.ab_datapath, quick=args.quick,
-                                 repeat=args.repeat)
-        print(format_datapath_report(report))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"(report saved to {args.json})")
-        return 0
-
-    if args.ab_vm:
-        report = run_vm_ab(args.ab_vm, quick=args.quick, repeat=args.repeat)
-        print(format_vm_report(report))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(args.json, {"schema": "repro.bench.pdes/v2",
+                                    "openmx_shard": report})
             print(f"(report saved to {args.json})")
         return 0
 
@@ -1089,26 +852,19 @@ def main(argv: list[str] | None = None) -> int:
         print(format_openmx_shard_report(report))
         if not scenarios:
             if args.json:
-                with open(args.json, "w") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                _write_json(args.json, report)
                 print(f"(report saved to {args.json})")
             return 0
 
-    if args.ab:
-        report = run_ab(args.ab, quick=args.quick, repeat=args.repeat,
-                        scenarios=scenarios or None)
+    if args.ab_rev:
+        report = run_ab_rev(args.ab_rev, quick=args.quick,
+                            repeat=args.repeat, scenarios=scenarios or None)
     else:
         report = run_benchmarks(quick=args.quick, repeat=args.repeat,
                                 scenarios=scenarios or None)
-    if args.baseline:
-        with open(args.baseline) as fh:
-            annotate_speedup(report, json.load(fh))
     print(format_report(report))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, report)
         print(f"(report saved to {args.json})")
     return 0
 

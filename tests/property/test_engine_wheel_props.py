@@ -1,30 +1,20 @@
-"""Property-based tests: the timer-wheel engine equals the frozen heap engine.
+"""Property-based tests: the timer-wheel engine equals a plain heap engine.
 
-The wheel rewrite must be a pure representation change of the pending-event
+The wheel must be a pure representation change of the pending-event
 queue: for *any* sequence of schedule / cancel / reschedule / trigger
-operations, the wheel engine and the frozen seed heap engine preserved in
-``benchmarks/engine_seed_reference.py`` must fire the same observers at the
-same simulated times in the same order, process the same number of events,
-and leave the clock in the same place — whether the run drains in one shot
-or is chopped into arbitrary ``run(until=...)`` segments (the segmented
-variant is what exercises the wheel's deadline-jump resynchronisation).
+operations, the wheel engine and the heap spec in ``heap_engine_spec.py``
+must fire the same observers at the same simulated times in the same
+order, process the same number of events, and leave the clock in the same
+place — whether the run drains in one shot or is chopped into arbitrary
+``run(until=...)`` segments (the segmented variant is what exercises the
+wheel's deadline-jump resynchronisation).
 """
-
-import importlib.util
-from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment
 
-_SEED_PATH = (
-    Path(__file__).resolve().parents[2] / "benchmarks"
-    / "engine_seed_reference.py"
-)
-_spec = importlib.util.spec_from_file_location("engine_seed_reference",
-                                               _SEED_PATH)
-_seed = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_seed)
+from tests.property import heap_engine_spec
 
 
 # Delays are drawn to land in every wheel container: the ready FIFO (0),
@@ -41,9 +31,9 @@ _DELAYS = st.one_of(
 # An op batch executed at one instant by the driver process:
 #   ("obs", delay)    observed timer — callback records (creation#, time)
 #   ("quiet", delay)  unobserved timer — cancellation candidate
-#   ("cancel", pick)  cancel a pending quiet timer (wheel engine recycles
-#                     it; the seed engine has no cancel and just lets the
-#                     dead entry pop — both count the pop identically)
+#   ("cancel", pick)  cancel a pending quiet timer (the wheel engine
+#                     recycles it; the spec lets the dead entry pop — both
+#                     count the pop identically)
 #   ("event",)        immediately-succeeded bare event, also observed
 _OPS = st.one_of(
     st.tuples(st.just("obs"), _DELAYS),
@@ -82,9 +72,8 @@ def _run_trace(env_cls, trace, chunks=None):
                 elif kind == "cancel":
                     if quiet:
                         t = quiet.pop(op[1] % len(quiet))
-                        cancel = getattr(t, "cancel", None)
-                        if cancel is not None and t.callbacks is not None:
-                            cancel()
+                        if t.callbacks is not None:
+                            t.cancel()
                 elif kind == "event":
                     counter[0] += 1
                     env.event().succeed().callbacks.append(
@@ -109,7 +98,7 @@ def _run_trace(env_cls, trace, chunks=None):
 @given(trace=_TRACES)
 def test_wheel_equals_heap_engine(trace):
     assert (_run_trace(Environment, trace)
-            == _run_trace(_seed.Environment, trace))
+            == _run_trace(heap_engine_spec.Environment, trace))
 
 
 @settings(max_examples=80, deadline=None)
@@ -118,7 +107,7 @@ def test_wheel_equals_heap_engine(trace):
                        min_size=1, max_size=20))
 def test_wheel_equals_heap_engine_in_deadline_segments(trace, chunks):
     assert (_run_trace(Environment, trace, chunks)
-            == _run_trace(_seed.Environment, trace, chunks))
+            == _run_trace(heap_engine_spec.Environment, trace, chunks))
 
 
 @settings(max_examples=60, deadline=None)

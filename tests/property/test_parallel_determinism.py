@@ -7,7 +7,12 @@ a byte of JSON.  They also pin eight golden chaos digests so an engine
 silently shifting every downstream number.
 """
 
+import os
 import pickle
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +117,44 @@ def test_run_task_isolates_registry():
     # The task wrote only to its own fresh registry, never the ambient one.
     assert task_reg.counter("pd_calls").value == 1
     assert "pd_calls" not in ambient.snapshot()["metrics"]
+
+
+# A map in which task #1 SIGKILLs its own worker.  It runs in a subprocess
+# so that, should the map ever hang again, the test times out instead of
+# hanging the suite.
+_KILLED_WORKER_MAP = """
+import os, signal
+from repro.experiments.parallel import parallel_map
+
+def echo(x):
+    return x
+
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+try:
+    parallel_map([(echo, {"x": 1}), (die, {}), (echo, {"x": 3})], jobs=2)
+except Exception as exc:
+    print(type(exc).__name__, exc)
+    raise SystemExit(3)
+"""
+
+
+def test_killed_worker_fails_the_map_and_names_its_task():
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_WORKER_MAP],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            stdout=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the map and its workers
+        proc.communicate()
+        pytest.fail("parallel_map hung after a worker was SIGKILLed")
+    assert proc.returncode == 3, out
+    assert out.startswith("BrokenProcessPool")
+    assert "#1 __main__.die(**{})" in out
 
 
 # -- result cache -------------------------------------------------------------

@@ -5,25 +5,17 @@ lists, interval-dispatched MMU notifiers) must be a pure representation
 change: for *any* sequence of mmap/mmap_fixed/munmap/write/read/COW/swap/
 pin/declare/destroy operations, the indexed :class:`AddressSpace` and
 :class:`IntervalIndex` must produce exactly the observable behaviour of the
-frozen pre-index implementations preserved in
-``benchmarks/vm_seed_reference.py`` — same return values, same exceptions,
-same fault/COW/swap counters, same notifier dispatch sets, same bytes.
+pre-index implementations kept next to this file in
+``vm_linear_reference.py`` — same return values, same exceptions, same
+fault/COW/swap counters, same notifier dispatch sets, same bytes.
 """
-
-import importlib.util
-from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from repro.hw import PAGE_SIZE, PhysicalMemory
 from repro.kernel import AddressSpace, CallbackNotifier, IntervalIndex
 
-_SEED_PATH = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "vm_seed_reference.py"
-)
-_spec = importlib.util.spec_from_file_location("vm_seed_reference", _SEED_PATH)
-_seed = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_seed)
+from tests.property import vm_linear_reference as _seed
 
 FIXED_BASE = AddressSpace.MMAP_BASE - (1 << 32)
 
