@@ -31,7 +31,8 @@ from repro.hw.cpu import PRIO_USER
 from repro.hw.nic import EthernetFrame
 from repro.kernel.context import AcquiringContext, ExecContext
 from repro.kernel.kernel import Kernel, UserProcess
-from repro.sim import Counter, Environment, Event
+from repro.obs.metrics import Counters
+from repro.sim import Environment, Event
 from repro.util.units import SECOND
 
 __all__ = ["ETH_P_IP", "TcpSegment", "TcpSocket", "TcpStack"]
@@ -229,7 +230,7 @@ class TcpStack:
         self.rto_ns = rto_ns
         self.delack_ns = delack_ns
         self.mss = kernel.host.nic.spec.mtu - IP_TCP_HEADER_BYTES
-        self.counters = Counter()
+        self.counters = Counters()
         self.closed = False
         self._sockets: dict[int, TcpSocket] = {}
         kernel.ethernet.register_protocol(ETH_P_IP, self._rx)

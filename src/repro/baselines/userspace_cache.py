@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.kernel.context import ExecContext
 from repro.kernel.kernel import UserProcess
-from repro.sim import Counter
+from repro.obs.metrics import Counters
 
 __all__ = ["HookedAllocator", "UserspaceRegistrationCache"]
 
@@ -49,12 +49,12 @@ class UserspaceRegistrationCache:
 
     def __init__(self, declare: Callable[[ExecContext, int, int], Generator],
                  destroy: Callable[[ExecContext, int], Generator],
-                 capacity: int = 64, counters: Counter | None = None):
+                 capacity: int = 64, counters: Counters | None = None):
         self._declare = declare
         self._destroy = destroy
         self.capacity = capacity
         self._lru: OrderedDict[tuple[int, int], _Entry] = OrderedDict()
-        self.counters = counters if counters is not None else Counter()
+        self.counters = counters if counters is not None else Counters()
 
     def get(self, ctx: ExecContext, va: int, length: int) -> Generator:
         """Look up or register (va, length); returns the region id."""

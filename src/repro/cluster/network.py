@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hw.nic import EthernetFrame, Nic
-from repro.obs.metrics import MetricRegistry, resolve_registry
+from repro.obs.metrics import Cell, MetricRegistry, resolve_registry
 from repro.sim import Environment, SimulationError
 
 __all__ = ["EtherCrossing", "Fabric", "FrameVerdict", "ShardEtherFabric"]
@@ -54,8 +54,6 @@ class Fabric:
         self.latency_ns = latency_ns
         self._nics: dict[str, Nic] = {}
         self.fault_injectors: list = []
-        self.frames_carried = 0
-        self.frames_dropped = 0
         # Fast-path delivery batch: frames carried at the same instant with
         # nothing injected share one timer (constant latency => identical
         # arrival instants).  ``frames_batched`` counts fast-path frames so
@@ -65,12 +63,14 @@ class Fabric:
         self.frames_batched = 0
         registry = resolve_registry(metrics)
         self.metrics = registry
-        self._live_metrics = registry.enabled
-        self._m_carried = registry.counter(
-            "fabric_frames_carried", "frames the switch forwarded")
+        # Counts: this fabric's own registry cells (read as ``.value``);
+        # drops get one cell per cause, made on the cause's first drop.
+        self.frames_carried = registry.counter(
+            "fabric_frames_carried", "frames the switch forwarded").cell()
         self._m_dropped = registry.counter(
             "fabric_frames_dropped", "frames the switch dropped, by cause",
             labelnames=("reason",))
+        self._dropped: dict[str, Cell] = {}
         self._m_duplicated = registry.counter(
             "fabric_frames_duplicated", "extra frame copies injected")
         self._m_delayed = registry.counter(
@@ -90,9 +90,16 @@ class Fabric:
         self.fault_injectors.clear()
 
     # -- forwarding ----------------------------------------------------------
+    @property
+    def frames_dropped(self) -> int:
+        """Frames dropped, every cause summed."""
+        return sum(cell.value for cell in self._dropped.values())
+
     def _drop(self, reason: str) -> None:
-        self.frames_dropped += 1
-        self._m_dropped.labels(reason=reason).inc()
+        cell = self._dropped.get(reason)
+        if cell is None:
+            cell = self._dropped[reason] = self._m_dropped.cell(reason=reason)
+        cell.value += 1
 
     def _carry(self, src_nic: Nic, frame: EthernetFrame) -> None:
         if not self.fault_injectors:
@@ -101,15 +108,13 @@ class Fabric:
             if dst is None:
                 self._drop("no_route")
                 return
-            self.frames_carried += 1
+            self.frames_carried.value += 1
             if dst.ring_pressure == 0:
                 self._carry_fast(dst, frame)
             else:
                 # Phantom RX pressure is a fault-injection knob: keep the
                 # per-frame delivery process so faulted runs stay
                 # bit-for-bit on the historical path.
-                if self._live_metrics:
-                    self._m_carried.inc()
                 self.env.process(self._deliver_one(dst, frame, 0),
                                  name="fabric.deliver")
             return
@@ -138,8 +143,6 @@ class Fabric:
         if batch is self._batch:
             self._batch = None
             self._batch_at = -1
-        if self._live_metrics:
-            self._m_carried.inc(len(batch))
         for dst, frame in batch:
             dst.deliver(frame)
 
@@ -166,8 +169,7 @@ class Fabric:
         if dst is None:
             self._drop("no_route")
             return
-        self.frames_carried += 1
-        self._m_carried.inc()
+        self.frames_carried.value += 1
         if copies > 1:
             self._m_duplicated.inc(copies - 1)
         if extra_delay > 0:
@@ -265,24 +267,24 @@ class ShardEtherFabric:
         self._pending: dict[tuple[int, int],
                             list[tuple[tuple[int, int, int], EthernetFrame]]] = {}
         self._egress: list[tuple[int, EtherCrossing]] = []
-        # Counters (plain attributes; mirrored into the registry below).
+        # Counters: plain attributes, except the three this fabric's own
+        # registry cells hold (read as ``.value``).
         self.frames_carried = 0
-        self.frames_local = 0
-        self.frames_cross_shard = 0
         self.frames_delivered = 0
-        self.frames_dropped = 0
         self.frames_duplicated = 0
         self.frames_delayed = 0
         registry = resolve_registry(metrics)
         self.metrics = registry
-        self._live_metrics = registry.enabled
-        self._m_local = registry.counter(
-            "pdes_frames_local", "shard-fabric frames delivered shard-locally")
-        self._m_cross = registry.counter(
+        self.frames_local = registry.counter(
+            "pdes_frames_local",
+            "shard-fabric frames delivered shard-locally").cell()
+        self.frames_cross_shard = registry.counter(
             "pdes_frames_cross_shard",
-            "shard-fabric frames handed to the egress stub for another shard")
-        self._m_dropped = registry.counter(
-            "pdes_frames_dropped", "shard-fabric frames dropped by fault plan")
+            "shard-fabric frames handed to the egress stub for another shard",
+        ).cell()
+        self.frames_dropped = registry.counter(
+            "pdes_frames_dropped",
+            "shard-fabric frames dropped by fault plan").cell()
 
     def attach(self, nic: Nic) -> None:
         """Wire one shard-local NIC into the fabric (serial-Fabric API)."""
@@ -307,17 +309,13 @@ class ShardEtherFabric:
         src = self._host_of[frame.src]
         dst = self._host_of.get(frame.dst)
         if dst is None:
-            self.frames_dropped += 1
-            if self._live_metrics:
-                self._m_dropped.inc()
+            self.frames_dropped.value += 1
             return
         copies, extra_delay = 1, 0
         if self.fault is not None:
             drop, copies, extra_delay = self.fault(src, dst, frame.seq)
             if drop:
-                self.frames_dropped += 1
-                if self._live_metrics:
-                    self._m_dropped.inc()
+                self.frames_dropped.value += 1
                 return
             if extra_delay:
                 self.frames_delayed += 1
@@ -328,14 +326,10 @@ class ShardEtherFabric:
         local = dst in self.local_hosts
         for copy in range(copies):
             if local:
-                self.frames_local += 1
-                if self._live_metrics:
-                    self._m_local.inc()
+                self.frames_local.value += 1
                 self._schedule(arrival, dst, (src, frame.seq, copy), frame)
             else:
-                self.frames_cross_shard += 1
-                if self._live_metrics:
-                    self._m_cross.inc()
+                self.frames_cross_shard.value += 1
                 self._egress.append(
                     (arrival, EtherCrossing(src=src, dst=dst, seq=frame.seq,
                                             copy=copy, frame=frame)))

@@ -25,7 +25,9 @@ tasks whose results were computed by a previous run of the same code.
 
 A worker that dies (SIGKILL, the OOM killer, a crash in C code) fails the
 map at once with a ``BrokenProcessPool`` naming the task(s) it was running;
-it never hangs the parent.
+it never hangs the parent.  A task that raises, or whose result cannot be
+pickled back, fails the map with a ``RuntimeError`` naming that task,
+chained to the original error.
 """
 
 from __future__ import annotations
@@ -113,8 +115,11 @@ def _run_pool(tasks: list[Task],
                              initializer=_init_worker,
                              initargs=(started,)) as pool:
         futures = [pool.submit(_run_marked, i, t) for i, t in enumerate(tasks)]
+        results: list[tuple[Any, MetricRegistry]] = []
         try:
-            return [f.result() for f in futures]
+            for future in futures:
+                results.append(future.result())
+            return results
         except BrokenProcessPool as exc:
             running = [_describe(i, t) for i, (t, f) in
                        enumerate(zip(tasks, futures))
@@ -124,8 +129,15 @@ def _run_pool(tasks: list[Task],
                 f"a worker process died abruptly (killed or crashed) while "
                 f"running {' or '.join(running) or 'a task'} "
                 f"of {len(tasks)}") from exc
-        except BaseException:
+        except Exception as exc:
+            # The task raised, or its result would not pickle: name it.
             pool.shutdown(cancel_futures=True)  # fail fast: drop the queue
+            index = len(results)
+            raise RuntimeError(
+                f"task {_describe(index, tasks[index])} of {len(tasks)} "
+                f"failed: {type(exc).__name__}: {exc}") from exc
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
             raise
 
 

@@ -10,9 +10,9 @@ transient ENOMEM and latency jitter into ``get_user_pages``.
 Every model draws from its own ``random.Random(seed)`` stream, so a fault
 schedule is a pure function of (seed, sequence of questions asked) — reruns
 of a deterministic simulation see identical faults.  Each model counts the
-faults it actually injected (``injected``) and mirrors the count into the
-``fault_injections`` obs counter once :meth:`FaultModel.bind_metrics` is
-called (FaultPlan.apply does this).
+faults it actually injected in its ``injected`` cell (read ``.value``);
+:meth:`FaultModel.bind_metrics` (called by FaultPlan.apply) makes that cell
+the model's share of the ``fault_injections`` obs counter.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable
 
 from repro.cluster.network import FrameVerdict
 from repro.hw.nic import EthernetFrame
-from repro.obs.metrics import MetricRegistry
+from repro.obs.metrics import Cell, MetricRegistry
 
 __all__ = [
     "BernoulliLoss",
@@ -72,25 +72,26 @@ class FrameMatch:
 
 
 class FaultModel:
-    """Base: seeded RNG, injection accounting, optional metric mirror."""
+    """Base: seeded RNG, injection accounting in one counter cell."""
 
     def __init__(self, seed: int = 0, match: FrameMatch | None = None,
                  name: str | None = None):
         self.rng = random.Random(seed)
         self.match = match
         self.name = name if name is not None else type(self).__name__
-        self.injected = 0
-        self._metric = None
+        self.injected = Cell()  # unattached until bind_metrics()
 
     def bind_metrics(self, registry: MetricRegistry) -> None:
-        self._metric = registry.counter(
-            "fault_injections", "faults actually injected, by model",
-            labelnames=("model",)).labels(model=self.name)
+        """Count into ``registry``'s ``fault_injections`` from now on.
 
-    def _record(self, n: int = 1) -> None:
-        self.injected += n
-        if self._metric is not None:
-            self._metric.inc(n)
+        The model's count so far moves into its new cell, so bind once,
+        before the model injects anything.
+        """
+        cell = registry.counter(
+            "fault_injections", "faults actually injected, by model",
+            labelnames=("model",)).cell(model=self.name)
+        cell.value += self.injected.value
+        self.injected = cell
 
     def _matches(self, frame: EthernetFrame) -> bool:
         return self.match is None or self.match(frame)
@@ -113,7 +114,7 @@ class BernoulliLoss(FaultModel):
         if not self._matches(frame):
             return None
         if self.rng.random() < self.prob:
-            self._record()
+            self.injected.value += 1
             return FrameVerdict(drop=True, drop_reason=self.name)
         return None
 
@@ -151,7 +152,7 @@ class GilbertElliott(FaultModel):
             self.bad = True
         loss = self.loss_bad if self.bad else self.loss_good
         if loss > 0.0 and self.rng.random() < loss:
-            self._record()
+            self.injected.value += 1
             return FrameVerdict(drop=True, drop_reason=self.name)
         return None
 
@@ -178,7 +179,7 @@ class Reorder(FaultModel):
         if not self._matches(frame):
             return None
         if self.rng.random() < self.prob:
-            self._record()
+            self.injected.value += 1
             # 1x..2x the configured delay, from the seeded stream.
             extra = self.delay_ns + self.rng.randrange(self.delay_ns)
             return FrameVerdict(extra_delay_ns=extra)
@@ -199,7 +200,7 @@ class Duplicate(FaultModel):
         if not self._matches(frame):
             return None
         if self.rng.random() < self.prob:
-            self._record()
+            self.injected.value += 1
             return FrameVerdict(duplicate=True)
         return None
 
@@ -222,7 +223,7 @@ class DropNth(FaultModel):
             return None
         self.seen += 1
         if self.seen in self.positions:
-            self._record()
+            self.injected.value += 1
             return FrameVerdict(drop=True, drop_reason=self.name)
         return None
 
@@ -249,7 +250,7 @@ class Blackout(FaultModel):
             return None
         for start, end in self.windows:
             if start <= now < end:
-                self._record()
+                self.injected.value += 1
                 return FrameVerdict(drop=True, drop_reason=self.name)
         return None
 
@@ -271,7 +272,7 @@ class PeriodicDrop(FaultModel):
             return None
         self.seen += 1
         if self.seen % self.period == self.phase:
-            self._record()
+            self.injected.value += 1
             return FrameVerdict(drop=True, drop_reason=self.name)
         return None
 
@@ -299,14 +300,10 @@ class PinFaults:
         self.max_failures = max_failures
         self.delay_ns = delay_ns
         self.jitter_ns = jitter_ns
-        self.injected = 0
+        self.injected = Cell()  # unattached until bind_metrics()
         self.delays_injected = 0
-        self._metric = None
 
-    def bind_metrics(self, registry: MetricRegistry) -> None:
-        self._metric = registry.counter(
-            "fault_injections", "faults actually injected, by model",
-            labelnames=("model",)).labels(model=self.name)
+    bind_metrics = FaultModel.bind_metrics
 
     def pin_delay_ns(self, npages: int) -> int:
         if self.delay_ns <= 0 and self.jitter_ns <= 0:
@@ -322,11 +319,9 @@ class PinFaults:
         if self.fail_prob <= 0.0:
             return False
         if (self.max_failures is not None
-                and self.injected >= self.max_failures):
+                and self.injected.value >= self.max_failures):
             return False
         if self.rng.random() < self.fail_prob:
-            self.injected += 1
-            if self._metric is not None:
-                self._metric.inc()
+            self.injected.value += 1
             return True
         return False

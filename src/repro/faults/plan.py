@@ -126,9 +126,10 @@ class FaultPlan:
             model.bind_metrics(registry)
             cluster.fabric.add_fault_injector(model)
         pin = self.build_pin_faults()
+        if pin is not None:
+            pin.bind_metrics(registry)
         for node in cluster.nodes:
             if pin is not None:
-                pin.bind_metrics(registry)
                 node.kernel.pin.fault_hook = pin
             if self.ring_pressure > 0:
                 nic = node.host.nic
@@ -147,9 +148,9 @@ class AppliedFaultPlan:
     pin: PinFaults | None = None
 
     def injection_counts(self) -> dict[str, int]:
-        counts = {m.name: m.injected for m in self.network}
+        counts = {m.name: m.injected.value for m in self.network}
         if self.pin is not None:
-            counts[self.pin.name] = self.pin.injected
+            counts[self.pin.name] = self.pin.injected.value
         return counts
 
     @property

@@ -495,7 +495,7 @@ def run_torture(seed: int, steps: int,
         denied += counts.get("pin_budget_denied", 0)
         stale_hits += counts.get("region_cache_stale_hit", 0)
         waits += node.kernel.pin.budget_waits
-        timeouts += node.kernel.pin.budget_timeouts
+        timeouts += node.kernel.pin.budget_timeouts.value
     transfers = max(1, len(completed) // 2)
     stats.update({"pin_fallbacks": fallbacks, "pin_budget_denied": denied,
                   "budget_waits": waits, "budget_timeouts": timeouts,
@@ -514,8 +514,8 @@ def run_torture(seed: int, steps: int,
         digest.update(
             f"{node.host.name} {counts} pins={pin.pins} "
             f"unpins={pin.unpins} pages={pin.pages_pinned} "
-            f"failures={pin.pin_failures} waits={pin.budget_waits} "
-            f"timeouts={pin.budget_timeouts} "
+            f"failures={pin.pin_failures.value} waits={pin.budget_waits} "
+            f"timeouts={pin.budget_timeouts.value} "
             f"pinned_now={node.host.memory.pinned_frames}\n".encode())
         for proc in node.procs:
             a = proc.aspace

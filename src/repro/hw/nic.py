@@ -59,35 +59,30 @@ class Nic:
         self._link: "LinkPort | None" = None
         self._on_rx: Callable[[], None] | None = None
         self._txseq = 0
-        # Statistics.
-        self.tx_frames = 0
-        self.tx_bytes = 0
-        self.rx_frames = 0
-        self.rx_bytes = 0
-        self.rx_ring_drops = 0
-        # Registry mirrors (see docs/observability.md for the catalogue).
-        # ``_live_metrics`` gates every per-frame mirror update behind one
-        # branch: the no-op registry hands out shared null metrics, but even
-        # no-op calls cost attribute lookups on the per-frame hot path.
+        # Statistics: each count is this NIC's own registry cell (read it as
+        # ``.value``; see docs/observability.md for the catalogue).
         registry = resolve_registry(metrics)
         self.metrics = registry
-        self._live_metrics = registry.enabled
         lbl = {"nic": name}
-        self._m_tx_frames = registry.counter(
+        self.tx_frames = registry.counter(
             "nic_tx_frames", "frames serialized onto the wire",
-            labelnames=("nic",)).labels(**lbl)
-        self._m_tx_bytes = registry.counter(
+            labelnames=("nic",)).cell(**lbl)
+        self.tx_bytes = registry.counter(
             "nic_tx_bytes", "payload bytes transmitted",
-            labelnames=("nic",)).labels(**lbl)
-        self._m_rx_frames = registry.counter(
+            labelnames=("nic",)).cell(**lbl)
+        self.rx_frames = registry.counter(
             "nic_rx_frames", "frames accepted into the RX ring",
-            labelnames=("nic",)).labels(**lbl)
-        self._m_rx_bytes = registry.counter(
+            labelnames=("nic",)).cell(**lbl)
+        self.rx_bytes = registry.counter(
             "nic_rx_bytes", "payload bytes received",
-            labelnames=("nic",)).labels(**lbl)
-        self._m_rx_drops = registry.counter(
+            labelnames=("nic",)).cell(**lbl)
+        self.rx_ring_drops = registry.counter(
             "nic_rx_ring_drops", "frames tail-dropped on a full RX ring",
-            labelnames=("nic",)).labels(**lbl)
+            labelnames=("nic",)).cell(**lbl)
+        # ``_live_metrics`` gates the per-frame ring-depth histogram behind
+        # one branch: the no-op registry hands out a shared null metric, but
+        # even no-op calls cost attribute lookups on the per-frame hot path.
+        self._live_metrics = registry.enabled
         self._m_ring_depth = registry.histogram(
             "nic_rx_ring_depth", "RX ring occupancy sampled at each arrival",
             labelnames=("nic",)).labels(**lbl)
@@ -145,11 +140,8 @@ class Nic:
     def _tx_done(self, _event) -> None:
         """Wire exit: hand the frame to the link, start the next one."""
         frame = self._txq.popleft()
-        self.tx_frames += 1
-        self.tx_bytes += frame.payload_bytes
-        if self._live_metrics:
-            self._m_tx_frames.inc()
-            self._m_tx_bytes.inc(frame.payload_bytes)
+        self.tx_frames.value += 1
+        self.tx_bytes.value += frame.payload_bytes
         self._link.carry(frame)
         if self._txq:
             self._arm_tx(self._txq[0])
@@ -160,16 +152,12 @@ class Nic:
     def deliver(self, frame: EthernetFrame) -> None:
         """Called by the link when a frame reaches this port."""
         if self._rx_ring_used + self.ring_pressure >= self.spec.rx_ring_entries:
-            self.rx_ring_drops += 1
-            if self._live_metrics:
-                self._m_rx_drops.inc()
+            self.rx_ring_drops.value += 1
             return
         self._rx_ring_used += 1
-        self.rx_frames += 1
-        self.rx_bytes += frame.payload_bytes
+        self.rx_frames.value += 1
+        self.rx_bytes.value += frame.payload_bytes
         if self._live_metrics:
-            self._m_rx_frames.inc()
-            self._m_rx_bytes.inc(frame.payload_bytes)
             self._m_ring_depth.observe(self._rx_ring_used)
         self.rx_ring.put(frame)
         if self._on_rx is not None:

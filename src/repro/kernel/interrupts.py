@@ -59,23 +59,23 @@ class SoftirqEngine:
         # HeldContext.defer_ns and docs/performance.md).
         self.fuse_hint = fuse_hint
         self._scheduled = False
-        self.bh_runs = 0
-        self.frames_processed = 0
-        self.ksoftirqd_rounds = 0
+        # Counts: this engine's own registry cells (read as ``.value``).
         registry = resolve_registry(metrics)
         self.metrics = registry
-        self._live_metrics = registry.enabled
         lbl = {"nic": nic.name}
-        self._m_bh_runs = registry.counter(
+        self.bh_runs = registry.counter(
             "softirq_bh_runs", "bottom-half activations (core acquisitions)",
-            labelnames=("nic",)).labels(**lbl)
-        self._m_frames = registry.counter(
+            labelnames=("nic",)).cell(**lbl)
+        self.frames_processed = registry.counter(
             "softirq_frames_processed", "frames drained by the bottom half",
-            labelnames=("nic",)).labels(**lbl)
-        self._m_ksoftirqd = registry.counter(
+            labelnames=("nic",)).cell(**lbl)
+        self.ksoftirqd_rounds = registry.counter(
             "softirq_ksoftirqd_rounds",
             "budget exhaustions continued at normal priority (ksoftirqd)",
-            labelnames=("nic",)).labels(**lbl)
+            labelnames=("nic",)).cell(**lbl)
+        # One branch keeps the per-activation backlog histogram off the hot
+        # path when nobody collects.
+        self._live_metrics = registry.enabled
         self._m_backlog = registry.histogram(
             "softirq_backlog_depth",
             "RX ring occupancy when the bottom half gets the core",
@@ -92,25 +92,23 @@ class SoftirqEngine:
         spec = self.core.spec
         per_packet = spec.bh_per_packet_ns
         fusable = self.fuse_hint
+        processed = self.frames_processed
         priority = PRIO_BH
         while True:
             drained = False
             with self.core.request(priority) as req:
                 yield req
-                self.bh_runs += 1
+                self.bh_runs.value += 1
                 if self._live_metrics:
-                    self._m_bh_runs.inc()
                     self._m_backlog.observe(self.nic._rx_ring_used)
                 ctx = HeldContext(self.env, self.core, priority)
                 yield from ctx.charge(spec.irq_entry_ns)
-                npkts = 0
                 for _ in range(self.budget):
                     frame = self.nic.ring_pop()
                     if frame is None:
                         drained = True
                         break
-                    self.frames_processed += 1
-                    npkts += 1
+                    processed.value += 1
                     if fusable is not None and fusable(frame):
                         # Fuse the per-packet cost into the handler's first
                         # charge: one timeout instead of two, identical
@@ -127,14 +125,11 @@ class SoftirqEngine:
                         yield from self.dispatch(frame, ctx)
                 else:
                     drained = self.nic.ring_pop_peek_empty()
-                if self._live_metrics and npkts:
-                    self._m_frames.inc(npkts)
             if drained:
                 # No yield between the empty-ring check and clearing the
                 # flag, so frames arriving later re-raise the interrupt.
                 self._scheduled = False
                 return
             # Budget exhausted: continue as ksoftirqd at normal priority.
-            self.ksoftirqd_rounds += 1
-            self._m_ksoftirqd.inc()
+            self.ksoftirqd_rounds.value += 1
             priority = PRIO_USER

@@ -74,7 +74,6 @@ class PinService:
         self.pins = 0
         self.unpins = 0
         self.pages_pinned = 0
-        self.pin_failures = 0
         self.fused_pins = 0  # pins served by the single-charge fast path
         # Fair budget admission (see reserve_budget): pages promised to
         # not-yet-completed pin operations, a per-owner footprint for the
@@ -87,7 +86,6 @@ class PinService:
         self._owner_pages: dict = {}
         self._waiters: list[_BudgetWaiter] = []
         self.budget_waits = 0  # reservations that had to queue
-        self.budget_timeouts = 0  # queue waits that expired ungranted
         # Fault injection: an object with ``pin_delay_ns(npages) -> int``
         # (extra CPU charged before the pin) and ``pin_should_fail() -> bool``
         # (transient ENOMEM: the attempt rolls back and raises PinError).
@@ -105,9 +103,11 @@ class PinService:
         self._m_pinned_pages = registry.gauge(
             "kernel_pinned_pages", "pages currently holding a pin reference",
             labelnames=("host",)).labels(**lbl)
-        self._m_pin_failures = registry.counter(
+        # Pin calls that failed, and queue waits that expired ungranted:
+        # this service's own registry cells (read as ``.value``).
+        self.pin_failures = registry.counter(
             "kernel_pin_failures", "pin calls that failed (bad range / OOM)",
-            labelnames=("host",)).labels(**lbl)
+            labelnames=("host",)).cell(**lbl)
         self._m_reserved_pages = registry.gauge(
             "kernel_pin_reserved_pages",
             "pages of the pin budget reserved by queued/admitted pinners",
@@ -116,10 +116,10 @@ class PinService:
             "kernel_pin_queue_wait_ns",
             "time spent queued for pin-budget headroom",
             labelnames=("host",)).labels(**lbl)
-        self._m_queue_timeouts = registry.counter(
+        self.budget_timeouts = registry.counter(
             "kernel_pin_queue_timeouts",
             "budget-queue waits that expired before admission",
-            labelnames=("host",)).labels(**lbl)
+            labelnames=("host",)).cell(**lbl)
 
     def account_unpin(self, nframes: int) -> None:
         """Bookkeeping for unpins performed by callers that charge their own
@@ -217,8 +217,7 @@ class PinService:
             return waiter.token
         # Timed out: mark for lazy removal so _drain_waiters skips us.
         waiter.cancelled = True
-        self.budget_timeouts += 1
-        self._m_queue_timeouts.inc()
+        self.budget_timeouts.value += 1
         return None
 
     def consume_reservation(self, token: PinReservation, npages: int) -> None:
@@ -340,8 +339,7 @@ class PinService:
         if not aspace.is_mapped_range(start, npages * PAGE_SIZE):
             # The paper: declaration of an invalid segment succeeds, but the
             # pin fails at communication time and the request aborts.
-            self.pin_failures += 1
-            self._m_pin_failures.inc()
+            self.pin_failures.value += 1
             raise PinError(
                 f"range {start:#x}+{npages}p not mapped in {aspace.name}"
             )
@@ -378,8 +376,7 @@ class PinService:
                 if frames:
                     yield from self.unpin_user_pages(core, aspace, frames,
                                                      priority)
-                self.pin_failures += 1
-                self._m_pin_failures.inc()
+                self.pin_failures.value += 1
                 raise PinError(str(exc)) from exc
             self.pins += 1
             self.fused_pins += 1
@@ -412,8 +409,7 @@ class PinService:
             # Roll back partial pins, paying the unpin cost.
             if frames:
                 yield from self.unpin_user_pages(core, aspace, frames, priority)
-            self.pin_failures += 1
-            self._m_pin_failures.inc()
+            self.pin_failures.value += 1
             raise PinError(str(exc)) from exc
         self.pins += 1
         self._m_pin_latency.observe(core.env.now - t_start)
@@ -484,8 +480,7 @@ class PinService:
             still_pinned = [f for f in mine if f.pinned]
             if still_pinned:
                 yield from self.unpin_user_pages(core, aspace, still_pinned, priority)
-            self.pin_failures += 1
-            self._m_pin_failures.inc()
+            self.pin_failures.value += 1
             raise PinError(str(exc)) from exc
         self.pins += 1
         self._m_pin_latency.observe(core.env.now - t_start)

@@ -1,7 +1,8 @@
 """repro.obs — the repro's observability subsystem.
 
 * :mod:`repro.obs.metrics` — labeled :class:`MetricRegistry` with counters,
-  gauges and log2-bucketed histograms (p50/p95/p99 queries).
+  gauges and log2-bucketed histograms (p50/p95/p99 queries); owners count
+  in their own counter :class:`Cell` (or a named set, :class:`Counters`).
 * :mod:`repro.obs.ring` — bounded ring buffer backing traces and spans.
 * :mod:`repro.obs.spans` — begin/end spans with parent links (protocol
   phases as a tree).
@@ -19,8 +20,9 @@ from repro.obs.export import (
     write_snapshot,
 )
 from repro.obs.metrics import (
+    Cell,
     Counter,
-    CounterShim,
+    Counters,
     Gauge,
     Histogram,
     MetricRegistry,
@@ -32,8 +34,9 @@ from repro.obs.ring import RingBuffer
 from repro.obs.spans import Span, SpanTracker, render_span_tree
 
 __all__ = [
+    "Cell",
     "Counter",
-    "CounterShim",
+    "Counters",
     "Gauge",
     "Histogram",
     "MetricRegistry",

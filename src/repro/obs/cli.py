@@ -10,6 +10,7 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import sys
 from typing import Any
 
@@ -67,36 +68,25 @@ def render_snapshot(snapshot: dict[str, Any], grep: str = "") -> str:
     return "\n\n".join(sections)
 
 
-def main(argv: list[str]) -> int:
-    fmt = "table"
-    grep = ""
-    paths: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--format":
-            if i + 1 >= len(argv):
-                print("error: --format requires a value", file=sys.stderr)
-                return 2
-            fmt = argv[i + 1]
-            i += 2
-        elif arg == "--grep":
-            if i + 1 >= len(argv):
-                print("error: --grep requires a value", file=sys.stderr)
-                return 2
-            grep = argv[i + 1]
-            i += 2
-        elif arg in ("-h", "--help"):
-            print(__doc__)
-            return 0
-        else:
-            paths.append(arg)
-            i += 1
-    if not paths:
-        print("usage: python -m repro.obs SNAPSHOT.json [--format table|prom|csv]"
-              " [--grep SUBSTR]", file=sys.stderr)
-        return 2
-    for path in paths:
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.obs",
+        description="Render repro.obs metric snapshots (JSON files written "
+                    "by --metrics) as tables, Prometheus text or CSV.")
+    parser.add_argument("snapshots", nargs="+", metavar="SNAPSHOT.json")
+    parser.add_argument("--format", choices=("table", "prom", "csv"),
+                        default="table", help="output format (default: table)")
+    parser.add_argument("--grep", default="", metavar="SUBSTR",
+                        help="tables only: show metrics whose name contains "
+                             "SUBSTR")
+    return parser.parse_intermixed_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Exit 0 on success; 2 on bad arguments (before any file is read) or
+    an unreadable, non-JSON or wrong-schema snapshot."""
+    args = _parse(argv)
+    for path in args.snapshots:
         try:
             snapshot = load_snapshot(path)
         except OSError as exc:
@@ -106,13 +96,10 @@ def main(argv: list[str]) -> int:
         except ValueError as exc:  # bad JSON or wrong snapshot schema
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
-        if fmt == "table":
-            print(render_snapshot(snapshot, grep=grep))
-        elif fmt == "prom":
+        if args.format == "table":
+            print(render_snapshot(snapshot, grep=args.grep))
+        elif args.format == "prom":
             print(snapshot_to_prometheus(snapshot), end="")
-        elif fmt == "csv":
-            print(snapshot_to_csv(snapshot), end="")
         else:
-            print(f"error: unknown format {fmt!r}", file=sys.stderr)
-            return 2
+            print(snapshot_to_csv(snapshot), end="")
     return 0

@@ -13,6 +13,10 @@ Design notes
   returns (creating on demand) the child that actually holds the value.
   Families declared with no label names proxy straight to their single
   anonymous child, so ``registry.counter("x").inc()`` just works.
+* A count is stored once, by its owner: ``family.cell(nic="host0/nic0")``
+  hands the owner its own :class:`Cell`, and the family sums every cell
+  under a label set into that set's one sample.  :class:`Counters` is an
+  owner's named set of cells.
 * Histograms bucket observations by powers of two (``v`` lands in the
   bucket with upper bound ``2**v.bit_length()``), which matches the
   nanosecond latencies this repo measures across six orders of magnitude.
@@ -21,7 +25,9 @@ Design notes
   bounded ring of raw observations and answers *exactly* while no sample
   has been evicted.
 * A registry built with ``enabled=False`` hands out shared no-op metrics:
-  instrumented hot paths pay one attribute call and nothing else.
+  instrumented hot paths pay one attribute call and nothing else.  Its
+  ``cell()`` returns a fresh unattached cell, so owners still count when
+  nobody collects.
 * ``use_registry(reg)`` installs a process-wide default registry;
   ``resolve_registry(None)`` returns the installed one (or a fresh private
   registry when none is installed).  ``build_cluster`` and the experiment
@@ -37,8 +43,9 @@ from typing import Any, Iterator
 from repro.obs.ring import RingBuffer
 
 __all__ = [
+    "Cell",
     "Counter",
-    "CounterShim",
+    "Counters",
     "GAUGE_MERGE_MODES",
     "Gauge",
     "Histogram",
@@ -106,16 +113,39 @@ class _Family:
         }
 
 
-class _CounterChild:
+class Cell:
+    """One owner's share of a counter sample.
+
+    The owner bumps ``value`` in place (``cell.value += n``) and reads it
+    back; the family it came from sums it with every other cell under the
+    same labels.  Only owners write a cell, and only upward.
+    """
+
     __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value = 0
 
+
+class _CounterChild:
+    """One label set's sample: the sum of every cell handed out under it.
+
+    ``cells[0]`` backs :meth:`inc`; :meth:`Counter.cell` appends the rest.
+    """
+
+    __slots__ = ("cells",)
+
+    def __init__(self) -> None:
+        self.cells = [Cell()]
+
     def inc(self, amount: int | float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
-        self.value += amount
+        self.cells[0].value += amount
+
+    @property
+    def value(self) -> int | float:
+        return sum(cell.value for cell in self.cells)
 
     def sample(self) -> dict[str, Any]:
         return {"value": self.value}
@@ -131,6 +161,12 @@ class Counter(_Family):
 
     def inc(self, amount: int | float = 1) -> None:
         self._default.inc(amount)
+
+    def cell(self, **labels: str) -> Cell:
+        """A fresh cell for one owner, summed into ``labels``' sample."""
+        cell = Cell()
+        self.labels(**labels).cells.append(cell)
+        return cell
 
     @property
     def value(self) -> int | float:
@@ -336,6 +372,9 @@ class _NullMetric:
     def labels(self, **kv: str) -> "_NullMetric":
         return self
 
+    def cell(self, **kv: str) -> Cell:
+        return Cell()
+
     def inc(self, amount: int | float = 1) -> None:
         pass
 
@@ -499,52 +538,48 @@ class MetricRegistry:
         }
 
 
-class CounterShim:
-    """Drop-in for :class:`repro.sim.Counter`, mirrored into a registry.
+class Counters:
+    """One owner's named counts, each held in its own counter cell.
 
-    The local dict stays authoritative — per-driver counts remain exact even
-    when several clusters share one registry — while every increment is also
-    forwarded to a registry counter named ``<prefix><name>`` carrying this
-    shim's labels.  Existing code (``driver.counters.incr(...)``, tests that
-    read ``as_dict()``) keeps working unchanged.
+    ``incr("foo")`` bumps this owner's cell of the counter family
+    ``<prefix>foo``, labeled with ``labels``; the family is registered on
+    the first ``incr`` of a name, so a name never counted never appears in
+    a snapshot.  Reads (``counters["foo"]``, :meth:`as_dict`) return this
+    owner's counts only, however many owners share the registry.  Without
+    a registry the cells are unattached: the owner counts, nobody collects.
     """
 
-    def __init__(self, registry: MetricRegistry, prefix: str = "omx_",
-                 **labels: str):
-        self._registry = registry
+    def __init__(self, registry: MetricRegistry | None = None,
+                 prefix: str = "", **labels: str):
+        self._registry = registry if registry is not None else _UNCOLLECTED
         self._prefix = prefix
-        self._labelnames = tuple(labels)
         self._labels = labels
-        self._counts: dict[str, int] = {}
-        self._mirrors: dict[str, Any] = {}
-
-    def _mirror(self, name: str) -> Any:
-        child = self._mirrors.get(name)
-        if child is None:
-            family = self._registry.counter(
-                self._prefix + name, labelnames=self._labelnames
-            )
-            child = family.labels(**self._labels) if self._labelnames else family
-            self._mirrors[name] = child
-        return child
+        self._cells: dict[str, Cell] = {}
 
     def incr(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-        self._mirror(name).inc(amount)
+        if amount < 0:
+            raise ValueError(f"counters only go up, got {amount}")
+        cell = self._cells.get(name)
+        if cell is None:
+            cell = self._cells[name] = self._registry.counter(
+                self._prefix + name, labelnames=tuple(self._labels),
+            ).cell(**self._labels)
+        cell.value += amount
 
     def __getitem__(self, name: str) -> int:
-        return self._counts.get(name, 0)
+        cell = self._cells.get(name)
+        return cell.value if cell is not None else 0
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def clear(self) -> None:
-        """Reset the local view (registry counters stay monotonic)."""
-        self._counts.clear()
+        return {name: cell.value for name, cell in self._cells.items()}
 
     def ratio(self, numerator: str, denominator: str) -> float:
-        den = self._counts.get(denominator, 0)
-        return self._counts.get(numerator, 0) / den if den else 0.0
+        """Safe ratio of two counts (0.0 when the denominator is zero)."""
+        den = self[denominator]
+        return self[numerator] / den if den else 0.0
+
+
+_UNCOLLECTED = MetricRegistry(enabled=False)
 
 
 # -- process-wide default registry plumbing -----------------------------------

@@ -29,7 +29,7 @@ from repro.kernel.address_space import BadAddress
 from repro.kernel.context import AcquiringContext, ExecContext
 from repro.kernel.mmu_notifier import IntervalIndex
 from repro.kernel.kernel import Kernel, UserProcess
-from repro.obs.metrics import CounterShim, MetricRegistry
+from repro.obs.metrics import Counters, MetricRegistry
 from repro.obs.spans import Span, SpanTracker
 from repro.openmx.config import OpenMXConfig, PinningMode
 from repro.openmx.events import (
@@ -220,13 +220,14 @@ class OpenMXDriver:
         self.env: Environment = kernel.env
         self.config = config
         self.board = kernel.host.nic.address
-        # Observability: counters are a thin shim over the host's metric
-        # registry (the local dict stays authoritative, so per-driver reads
-        # like ``driver.counters["overlap_miss_recv"]`` remain exact); spans
-        # record one tree per rendezvous when tracing is on.
+        # Observability: each protocol count is this driver's own cell of an
+        # ``omx_*`` registry counter (per-driver reads like
+        # ``driver.counters["overlap_miss_recv"]`` stay exact when clusters
+        # share a registry); spans record one tree per rendezvous when
+        # tracing is on.
         self.metrics = metrics if metrics is not None else kernel.metrics
         host_name = kernel.host.name
-        self.counters = CounterShim(self.metrics, prefix="omx_", host=host_name)
+        self.counters = Counters(self.metrics, prefix="omx_", host=host_name)
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.spans = SpanTracker(capacity=span_capacity,
                                  enabled=self.tracer.enabled)

@@ -29,9 +29,10 @@ from repro.hw.cpu import PRIO_KERNEL, CpuCore
 from repro.kernel.context import ExecContext
 from repro.kernel.kernel import Kernel
 from repro.kernel.pinning import PinError
+from repro.obs.metrics import Counters
 from repro.openmx.config import OpenMXConfig, PinningMode
 from repro.openmx.regions import RegionState, UserRegion
-from repro.sim import Counter, Environment, Event
+from repro.sim import Environment, Event
 
 __all__ = ["PinManager"]
 
@@ -45,7 +46,7 @@ class PinManager:
     """Implements the PinningMode policies for one driver."""
 
     def __init__(self, env: Environment, kernel: Kernel, config: OpenMXConfig,
-                 counters: Counter):
+                 counters: Counters):
         self.env = env
         self.kernel = kernel
         self.config = config

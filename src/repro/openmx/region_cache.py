@@ -33,9 +33,9 @@ from collections import OrderedDict
 from collections.abc import Callable, Generator
 
 from repro.kernel.context import ExecContext
+from repro.obs.metrics import Counters
 from repro.openmx.config import OpenMXConfig
 from repro.openmx.regions import Segment
-from repro.sim import Counter
 
 __all__ = ["RegionCache"]
 
@@ -50,7 +50,7 @@ class RegionCache:
         destroy: Callable[[ExecContext, int], Generator],
         is_idle: Callable[[int], bool],
         capacity: int | None = None,
-        counters: Counter | None = None,
+        counters: Counters | None = None,
         range_gen: Callable[[tuple[Segment, ...]], object] | None = None,
     ):
         self.config = config
@@ -69,7 +69,7 @@ class RegionCache:
         # Bumped by flush(); a declaration that was in flight across a flush
         # must not insert its (now unwanted) region into the emptied cache.
         self._flush_epoch = 0
-        self.counters = counters if counters is not None else Counter()
+        self.counters = counters if counters is not None else Counters()
 
     def __len__(self) -> int:
         return len(self._lru)

@@ -11,12 +11,11 @@ from .engine import (
     Timeout,
 )
 from .resources import Request, Resource, Store
-from .trace import Counter, TraceRecord, Tracer, summarize
+from .trace import TraceRecord, Tracer, summarize
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "Environment",
     "Event",
     "Interrupt",

@@ -215,6 +215,12 @@ _DP_BURST = 64          # frames per sender per message
 _DP_GAP_NS = 600_000    # inter-message settle gap (ring fully drains)
 
 
+def _count(store: Any) -> int:
+    """A count an owner holds in a counter cell, as an int.  ``--ab-rev``
+    runs these scenarios against revisions that stored it as a plain int."""
+    return getattr(store, "value", store)
+
+
 def _datapath_pull(env: Environment, rounds: int) -> Probe:
     """Two senders burst 4 KiB frames at one receiver's bottom half.
 
@@ -262,16 +268,16 @@ def _datapath_pull(env: Environment, rounds: int) -> Probe:
             "now_ns": env.now,
             "handled_frames": handled["frames"],
             "handled_bytes": handled["bytes"],
-            "tx_frames": sum(n.tx_frames for n in senders),
-            "tx_bytes": sum(n.tx_bytes for n in senders),
-            "rx_frames": rx.rx_frames,
-            "rx_bytes": rx.rx_bytes,
-            "rx_ring_drops": rx.rx_ring_drops,
-            "frames_carried": fabric.frames_carried,
+            "tx_frames": sum(_count(n.tx_frames) for n in senders),
+            "tx_bytes": sum(_count(n.tx_bytes) for n in senders),
+            "rx_frames": _count(rx.rx_frames),
+            "rx_bytes": _count(rx.rx_bytes),
+            "rx_ring_drops": _count(rx.rx_ring_drops),
+            "frames_carried": _count(fabric.frames_carried),
             "frames_dropped": fabric.frames_dropped,
-            "bh_runs": softirq.bh_runs,
-            "frames_processed": softirq.frames_processed,
-            "ksoftirqd_rounds": softirq.ksoftirqd_rounds,
+            "bh_runs": _count(softirq.bh_runs),
+            "frames_processed": _count(softirq.frames_processed),
+            "ksoftirqd_rounds": _count(softirq.ksoftirqd_rounds),
         }
 
     probe.fabric = fabric
@@ -441,7 +447,7 @@ def _vm_churn(env: Environment, rounds: int) -> Probe:
             "pins": pin.pins,
             "unpins": pin.unpins,
             "pages_pinned": pin.pages_pinned,
-            "pin_failures": pin.pin_failures,
+            "pin_failures": _count(pin.pin_failures),
             "free_frames": memory.free_frames,
             "pinned_frames": memory.pinned_frames,
             "regions_live": len(regions),

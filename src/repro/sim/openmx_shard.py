@@ -286,10 +286,10 @@ class OpenmxHost:
             "recvs_cancelled": sum(1 for r in self.rreqs
                                    if r.status == "cancelled"),
             "expected": self.expected,
-            "nic_tx_frames": nic.tx_frames,
-            "nic_rx_frames": nic.rx_frames,
-            "nic_rx_ring_drops": nic.rx_ring_drops,
-            "driver": dict(self.node.driver.counters.as_dict()),
+            "nic_tx_frames": nic.tx_frames.value,
+            "nic_rx_frames": nic.rx_frames.value,
+            "nic_rx_ring_drops": nic.rx_ring_drops.value,
+            "driver": self.node.driver.counters.as_dict(),
             "digest": digest.hexdigest(),
         }
 
@@ -350,7 +350,7 @@ class OpenmxShard:
             # depends on the partition by definition).
             "fabric": {
                 "carried": fab.frames_carried,
-                "dropped": fab.frames_dropped,
+                "dropped": fab.frames_dropped.value,
                 "duplicated": fab.frames_duplicated,
                 "delayed": fab.frames_delayed,
                 "delivered": fab.frames_delivered,

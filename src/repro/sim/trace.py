@@ -3,8 +3,6 @@
 A :class:`Tracer` collects timestamped records cheaply (appends to a ring
 buffer).  Experiments use it to reconstruct protocol timelines (Figures
 2/3/5 of the paper) and to assert ordering properties in tests.
-:class:`Counter` mirrors the counters the paper added to Open-MX to measure
-overlap-miss probability.
 
 By default a tracer is unbounded (small scripted scenarios stay exact);
 pass ``capacity`` to keep only the most recent records — long simulations
@@ -22,7 +20,7 @@ from typing import Any, Iterator
 from repro.obs.metrics import Histogram
 from repro.obs.ring import RingBuffer
 
-__all__ = ["Counter", "TraceRecord", "Tracer", "summarize"]
+__all__ = ["TraceRecord", "Tracer", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -100,30 +98,6 @@ class Tracer:
 
     def render(self) -> str:
         return "\n".join(str(r) for r in self.records)
-
-
-class Counter:
-    """Named integer counters, like the instrumentation added to Open-MX."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def __getitem__(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def clear(self) -> None:
-        self._counts.clear()
-
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """Safe ratio of two counters (0.0 when the denominator is zero)."""
-        den = self._counts.get(denominator, 0)
-        return self._counts.get(numerator, 0) / den if den else 0.0
 
 
 def summarize(samples: list[float]) -> dict[str, float]:

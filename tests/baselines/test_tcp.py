@@ -85,7 +85,7 @@ def test_retransmission_recovers_injected_loss():
                                           and bool(f.payload.data)))
     cluster.fabric.add_fault_injector(model)
     stream_once(cluster, a, b, 256 * KIB)
-    assert model.injected == 1
+    assert model.injected.value == 1
     assert stacks[0].counters["tcp_retransmit"] >= 1
 
 

@@ -75,7 +75,7 @@ def _outage_run(backoff_factor):
 
     env.run(until=env.all_of([env.process(sender()), env.process(receiver())]))
     assert rp.read(rbuf, n) == data
-    wasted = outage.injected
+    wasted = outage.injected.value
     rounds = cluster.nodes[1].driver.counters["pull_timeout_resend"]
     return wasted, rounds, env.now
 

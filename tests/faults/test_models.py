@@ -51,7 +51,7 @@ def test_bernoulli_same_seed_same_schedule():
     va = [a.on_frame(frame(), now=0) is not None for _ in range(200)]
     vb = [b.on_frame(frame(), now=0) is not None for _ in range(200)]
     assert va == vb
-    assert a.injected == b.injected > 0
+    assert a.injected.value == b.injected.value > 0
 
 
 def test_bernoulli_respects_match():
@@ -70,7 +70,7 @@ def test_gilbert_elliott_good_state_is_lossless():
     model = GilbertElliott(p_enter_bad=0.0, p_exit_bad=1.0, loss_bad=1.0,
                            seed=3)
     assert all(model.on_frame(frame(), now=0) is None for _ in range(100))
-    assert model.injected == 0
+    assert model.injected.value == 0
 
 
 def test_gilbert_elliott_bad_state_drops():
@@ -79,7 +79,7 @@ def test_gilbert_elliott_bad_state_drops():
                            seed=3)
     verdicts = [model.on_frame(frame(), now=0) for _ in range(50)]
     assert all(v is not None and v.drop for v in verdicts)
-    assert model.injected == 50
+    assert model.injected.value == 50
 
 
 def test_gilbert_elliott_losses_are_bursty():
@@ -119,7 +119,7 @@ def test_duplicate_flags_duplication():
     model = Duplicate(1.0, seed=9)
     verdict = model.on_frame(frame(), now=0)
     assert verdict.duplicate and not verdict.drop
-    assert model.injected == 1
+    assert model.injected.value == 1
 
 
 def test_drop_nth_exact_positions():
@@ -130,7 +130,7 @@ def test_drop_nth_exact_positions():
         outcomes.append(model.on_frame(frame(payload), now=0) is not None)
     # PullRequest doesn't count toward the position index.
     assert outcomes == [False, False, True, False, True, False]
-    assert model.injected == 2
+    assert model.injected.value == 2
 
 
 def test_periodic_drop_period_and_phase():
@@ -151,7 +151,7 @@ def test_blackout_drops_only_inside_windows():
     assert model.on_frame(frame(), now=199).drop
     assert model.on_frame(frame(), now=200) is None
     assert model.on_frame(frame(), now=550).drop
-    assert model.injected == 3
+    assert model.injected.value == 3
 
 
 def test_blackout_rejects_empty_window():
@@ -163,7 +163,7 @@ def test_pin_faults_cap_and_determinism():
     model = PinFaults(fail_prob=1.0, max_failures=2, seed=1)
     assert [model.pin_should_fail() for _ in range(5)] == \
         [True, True, False, False, False]
-    assert model.injected == 2
+    assert model.injected.value == 2
     # Unlimited failures when max_failures is None.
     persistent = PinFaults(fail_prob=1.0, max_failures=None, seed=1)
     assert all(persistent.pin_should_fail() for _ in range(20))

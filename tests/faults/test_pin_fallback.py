@@ -84,7 +84,7 @@ def test_transient_pin_failure_recovers_by_retry_without_fallback():
     assert send.status == "ok" and recv.status == "ok"
     assert delivered == data
     c0 = cluster.nodes[0].driver.counters
-    assert hooks[0].injected == 1
+    assert hooks[0].injected.value == 1
     assert c0["pin_retry"] >= 1
     assert c0["pin_fallback_send"] == 0  # the retry pinned for real
 

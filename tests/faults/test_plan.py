@@ -71,10 +71,10 @@ def test_injections_reach_the_obs_registry():
 
     env.run(until=env.all_of([env.process(sender()), env.process(receiver())]))
     model = applied.network[0]
-    assert model.injected > 0
+    assert model.injected.value > 0
     fam = registry.get("fault_injections")
     assert fam is not None
-    assert fam.labels(model="BernoulliLoss").value == model.injected
+    assert fam.labels(model="BernoulliLoss").value == model.injected.value
     # The fabric accounted the drops with the model's name as reason.
     drops = registry.get("fabric_frames_dropped")
-    assert drops.labels(reason="BernoulliLoss").value == model.injected
+    assert drops.labels(reason="BernoulliLoss").value == model.injected.value

@@ -31,7 +31,7 @@ def test_wire_serialization_time():
     env.run()
     expected = transfer_time_ns(8192 + 42, MYRI_10G.link_bytes_per_sec) + 1_000
     assert arrivals == [expected]
-    assert a.tx_frames == 1 and b.rx_frames == 1
+    assert a.tx_frames.value == 1 and b.rx_frames.value == 1
     assert b.ring_pop().payload == "p"
 
 
@@ -65,8 +65,8 @@ def test_rx_ring_overflow_drops():
     for _ in range(8):
         a.send(frame("a", "b", 1000))
     env.run()  # nobody drains the ring
-    assert b.rx_frames == 4
-    assert b.rx_ring_drops == 4
+    assert b.rx_frames.value == 4
+    assert b.rx_ring_drops.value == 4
 
 
 def test_oversize_frame_rejected():

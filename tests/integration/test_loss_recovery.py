@@ -39,7 +39,7 @@ def test_pull_reply_loss_recovered_optimistically(drops):
     run_transfer(cluster, 2 * MIB)
     counters = cluster.nodes[1].driver.counters
     assert counters["pull_rerequest"] >= 1
-    assert model.injected == len(drops)
+    assert model.injected.value == len(drops)
     # Recovery happened without burning the 1 s retransmission timeout.
     assert cluster.env.now < 500 * MILLISECOND
 

@@ -42,8 +42,8 @@ def test_frame_travels_and_bh_dispatches():
     assert payload == "hello"
     # tx cost + wire serialization + latency + irq + bh per packet + handler
     assert t > 1_000
-    assert k1.softirq.bh_runs == 1
-    assert k1.softirq.frames_processed == 1
+    assert k1.softirq.bh_runs.value == 1
+    assert k1.softirq.frames_processed.value == 1
 
 
 def test_burst_is_drained_in_one_bottom_half():
@@ -67,7 +67,7 @@ def test_burst_is_drained_in_one_bottom_half():
     env.run()
     assert received == list(range(10))
     # NAPI-style: far fewer BH activations than frames.
-    assert k1.softirq.bh_runs < 10
+    assert k1.softirq.bh_runs.value < 10
 
 
 def test_unregistered_ethertype_counted_not_crashed():
@@ -239,9 +239,9 @@ def test_budget_exactly_exhausted_with_empty_ring_no_ksoftirqd():
         nic.deliver(rx_frame(i))
     env.run()
     assert [p for p, _ in done] == [0, 1, 2, 3]
-    assert engine.frames_processed == 4
-    assert engine.bh_runs == 1
-    assert engine.ksoftirqd_rounds == 0
+    assert engine.frames_processed.value == 4
+    assert engine.bh_runs.value == 1
+    assert engine.ksoftirqd_rounds.value == 0
 
 
 def test_budget_exhausted_with_backlog_continues_as_ksoftirqd():
@@ -250,9 +250,9 @@ def test_budget_exhausted_with_backlog_continues_as_ksoftirqd():
         nic.deliver(rx_frame(i))
     env.run()
     assert [p for p, _ in done] == [0, 1, 2, 3, 4]
-    assert engine.ksoftirqd_rounds == 1
+    assert engine.ksoftirqd_rounds.value == 1
     # The ksoftirqd continuation re-acquires the core: a second activation.
-    assert engine.bh_runs == 2
+    assert engine.bh_runs.value == 2
 
 
 def test_frames_after_drain_re_raise_the_interrupt():
@@ -269,7 +269,7 @@ def test_frames_after_drain_re_raise_the_interrupt():
     env.timeout(50_000).callbacks.append(second_burst)
     env.run()
     assert [p for p, _ in done] == [0, 1, 2]
-    assert engine.bh_runs == 2
+    assert engine.bh_runs.value == 2
 
 
 def fused_vs_unfused(handler=None):
@@ -284,8 +284,9 @@ def fused_vs_unfused(handler=None):
 
         env.timeout(40_000).callbacks.append(late)
         env.run()
-        states.append((done, env.now, engine.bh_runs,
-                       engine.frames_processed, engine.ksoftirqd_rounds))
+        states.append((done, env.now, engine.bh_runs.value,
+                       engine.frames_processed.value,
+                       engine.ksoftirqd_rounds.value))
     return states
 
 

@@ -63,7 +63,7 @@ def test_pin_unmapped_range_fails_with_pin_error(rig):
         return True
 
     assert run(env, work())
-    assert pin.pin_failures == 1
+    assert pin.pin_failures.value == 1
     assert aspace.memory.pinned_frames == 0
 
 
@@ -275,5 +275,5 @@ def test_near_pin_limit_falls_back_to_per_page_path():
 
     assert env.run(until=env.process(work())) == "failed"
     assert pin.fused_pins == 0
-    assert pin.pin_failures == 1
+    assert pin.pin_failures.value == 1
     assert mem.pinned_frames == 0  # rollback unpinned everything

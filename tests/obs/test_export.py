@@ -104,3 +104,42 @@ def test_cli_other_formats(tmp_path, capsys):
     assert "# TYPE rx_frames counter" in capsys.readouterr().out
     assert cli.main([str(path), "--format", "csv"]) == 0
     assert capsys.readouterr().out.startswith("metric,")
+
+
+def test_cli_help_exits_zero_without_reading(capsys, monkeypatch):
+    def no_reads(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "load_snapshot", no_reads)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "--format" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["m.json", "--bogus"],
+    ["m.json", "--format", "xml"],
+    ["--format", "csv"],  # no snapshot
+])
+def test_cli_bad_arguments_exit_2_before_reading(argv, capsys, monkeypatch):
+    def no_reads(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "load_snapshot", no_reads)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_missing_or_bad_snapshot_exits_2(tmp_path, capsys):
+    assert cli.main([str(tmp_path / "absent.json")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    assert cli.main([str(garbage)]) == 2
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text('{"schema": "other/v9", "metrics": {}}')
+    assert cli.main([str(wrong), "--format", "csv"]) == 2
+    assert capsys.readouterr().err.count("error:") == 2

@@ -110,12 +110,13 @@ def test_nic_softirq_and_engine_metrics_are_wired():
 
     rx = registry.get("nic_rx_frames")
     node1 = cluster.nodes[1]
-    assert rx.labels(nic="host1/nic0").value == node1.host.nic.rx_frames > 0
+    assert (rx.labels(nic="host1/nic0").value
+            == node1.host.nic.rx_frames.value > 0)
     assert registry.get("nic_rx_ring_drops") is not None
     assert (registry.get("softirq_frames_processed").labels(nic="host1/nic0")
-            .value == node1.kernel.softirq.frames_processed > 0)
+            .value == node1.kernel.softirq.frames_processed.value > 0)
     depth = registry.get("softirq_backlog_depth").labels(nic="host1/nic0")
-    assert depth.count == node1.kernel.softirq.bh_runs > 0
+    assert depth.count == node1.kernel.softirq.bh_runs.value > 0
     # The engine mirrors its event totals into the same registry.
     assert (registry.get("sim_events_processed").value
             == cluster.env.events_processed > 0)

@@ -1,10 +1,10 @@
 """Registry, labels, counter/gauge semantics, histogram bucketing and
-percentiles, null metrics, merge, and the CounterShim."""
+percentiles, null metrics, merge, and per-owner counter cells."""
 
 import pytest
 
 from repro.obs.metrics import (
-    CounterShim,
+    Counters,
     MetricRegistry,
     _bucket_bound,
     current_registry,
@@ -171,35 +171,90 @@ def test_use_registry_installs_and_restores_default():
     assert resolve_registry(None) is not resolve_registry(None)
 
 
-# -- CounterShim --------------------------------------------------------------
+# -- per-owner counter cells ---------------------------------------------------
 
-def test_counter_shim_local_dict_and_registry_mirror():
+def test_counters_basics():
+    c = Counters()  # no registry: unattached cells
+    c.incr("pkt")
+    c.incr("pkt", 4)
+    c.incr("miss")
+    assert c["pkt"] == 5
+    assert c["miss"] == 1
+    assert c["absent"] == 0
+    assert c.ratio("miss", "pkt") == 1 / 5
+    assert c.ratio("miss", "absent") == 0.0
+    assert c.as_dict() == {"pkt": 5, "miss": 1}
+
+
+def test_counters_register_a_family_on_first_incr():
     reg = MetricRegistry()
-    shim = CounterShim(reg, prefix="omx_", host="host0")
-    shim.incr("overlap_miss_recv")
-    shim.incr("overlap_miss_recv", 2)
-    shim.incr("pull_bytes", 4096)
-    assert shim["overlap_miss_recv"] == 3
-    assert shim["unknown"] == 0
-    assert shim.as_dict() == {"overlap_miss_recv": 3, "pull_bytes": 4096}
-    assert reg.get("omx_overlap_miss_recv").labels(host="host0").value == 3
+    counters = Counters(reg, prefix="omx_", host="host0")
+    assert "omx_overlap_miss_recv" not in reg
+    counters.incr("overlap_miss_recv")
+    counters.incr("overlap_miss_recv", 2)
+    counters.incr("pull_bytes", 4096)
+    assert counters.as_dict() == {"overlap_miss_recv": 3, "pull_bytes": 4096}
+    family = reg.get("omx_overlap_miss_recv")
+    assert family.labelnames == ("host",) and family.help == ""
+    assert family.labels(host="host0").value == 3
     assert reg.get("omx_pull_bytes").labels(host="host0").value == 4096
-    assert shim.ratio("overlap_miss_recv", "pull_bytes") == 3 / 4096
-    assert shim.ratio("overlap_miss_recv", "nothing") == 0.0
-    # clear() resets the local view; the registry stays monotonic.
-    shim.clear()
-    assert shim.as_dict() == {}
-    assert reg.get("omx_overlap_miss_recv").labels(host="host0").value == 3
 
 
-def test_two_shims_sharing_a_registry_stay_locally_exact():
+def test_two_owners_with_equal_labels_stay_exact_and_share_one_sample():
     reg = MetricRegistry()
-    a = CounterShim(reg, host="host0")
-    b = CounterShim(reg, host="host0")  # same labels: registry sums both
-    a.incr("x", 1)
-    b.incr("x", 2)
-    assert a["x"] == 1 and b["x"] == 2
-    assert reg.get("omx_x").labels(host="host0").value == 3
+    family = reg.counter("nic_rx_frames", "frames", labelnames=("nic",))
+    a, b = family.cell(nic="n0"), family.cell(nic="n0")
+    other = family.cell(nic="n1")
+    a.value += 1
+    b.value += 2
+    other.value += 5
+    family.labels(nic="n0").inc(10)  # the label set's own cell
+    assert (a.value, b.value, other.value) == (1, 2, 5)
+    samples = reg.snapshot()["metrics"]["nic_rx_frames"]["samples"]
+    assert samples == [{"labels": {"nic": "n0"}, "value": 13},
+                       {"labels": {"nic": "n1"}, "value": 5}]
+    assert family.value == 18
+    x, y = Counters(reg, host="h"), Counters(reg, host="h")
+    x.incr("sent", 1)
+    y.incr("sent", 2)
+    assert x["sent"] == 1 and y["sent"] == 2
+    assert reg.get("sent").labels(host="h").value == 3
+
+
+def test_merge_sums_cells():
+    worker = MetricRegistry()
+    family = worker.counter("c", "help", labelnames=("k",))
+    family.cell(k="a").value += 2
+    family.cell(k="a").value += 3
+    family.cell(k="b").value += 1
+    session = MetricRegistry()
+    session.counter("c", "help", labelnames=("k",)).cell(k="b").value += 10
+    session.merge(worker)
+    session.merge(worker)
+    merged = session.get("c")
+    assert [(labels, child.value) for labels, child in merged.children()] == [
+        ({"k": "b"}, 12), ({"k": "a"}, 10)]
+
+
+def test_disabled_registry_still_counts_per_owner():
+    reg = MetricRegistry(enabled=False)
+    a = reg.counter("c", labelnames=("k",)).cell(k="x")
+    b = reg.counter("c", labelnames=("k",)).cell(k="x")
+    a.value += 2
+    b.value += 1
+    assert (a.value, b.value) == (2, 1)
+    counters = Counters(reg, prefix="omx_", host="h")
+    counters.incr("sent", 4)
+    assert counters["sent"] == 4
+    assert list(reg) == []
+
+
+def test_negative_incr_raises():
+    counters = Counters(MetricRegistry(), host="h")
+    counters.incr("x", 2)
+    with pytest.raises(ValueError, match="only go up"):
+        counters.incr("x", -1)
+    assert counters["x"] == 2
 
 
 # -- gauge merge policy -------------------------------------------------------

@@ -6,10 +6,11 @@ from repro.cluster.network import Fabric
 from repro.hw import PAGE_SIZE, XEON_E5460, Host
 from repro.kernel import Kernel
 from repro.kernel.context import AcquiringContext
+from repro.obs.metrics import Counters
 from repro.openmx.config import OpenMXConfig, PinningMode
 from repro.openmx.pin_manager import PinManager
 from repro.openmx.regions import RegionState, Segment, UserRegion
-from repro.sim import Counter, Environment
+from repro.sim import Environment
 
 
 def build(mode=PinningMode.PIN_PER_COMM, **host_kw):
@@ -18,7 +19,7 @@ def build(mode=PinningMode.PIN_PER_COMM, **host_kw):
     kernel = Kernel(host)
     Fabric(env).attach(host.nic)
     config = OpenMXConfig(pinning_mode=mode)
-    counters = Counter()
+    counters = Counters()
     mgr = PinManager(env, kernel, config, counters)
     proc = kernel.new_process("app", core_index=1)
     return env, host, kernel, mgr, proc, counters

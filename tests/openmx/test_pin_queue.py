@@ -20,10 +20,11 @@ from repro.cluster.network import Fabric
 from repro.hw import PAGE_SIZE, XEON_E5460, CpuCore, Host, PhysicalMemory
 from repro.kernel import Kernel, PinService
 from repro.kernel.context import AcquiringContext
+from repro.obs.metrics import Counters
 from repro.openmx.config import OpenMXConfig, PinningMode
 from repro.openmx.pin_manager import PinManager
 from repro.openmx.regions import RegionState, Segment, UserRegion
-from repro.sim import Counter, Environment
+from repro.sim import Environment
 
 
 # -- PinService reservation protocol ----------------------------------------
@@ -70,7 +71,7 @@ def test_try_reserve_cannot_overtake_queue(rig):
     assert results and results[0] is not None
     assert results[0].pages == 50
     assert pin.budget_waits == 1
-    assert pin.budget_timeouts == 0
+    assert pin.budget_timeouts.value == 0
 
 
 def test_fifo_head_blocks_smaller_followers(rig):
@@ -115,7 +116,7 @@ def test_bounded_wait_expires_into_denial(rig):
     env.run(until=env.all_of([env.process(waiter()),
                               env.process(release_late())]))
     assert results == [None]
-    assert pin.budget_timeouts == 1
+    assert pin.budget_timeouts.value == 1
     # The expired waiter was lazily removed; the budget is whole again.
     assert pin._waiters == []
     assert pin.budget_headroom(mem) == 100
@@ -179,7 +180,7 @@ def build_mgr(max_pinned, mode=PinningMode.PIN_PER_COMM, **cfg):
     kernel = Kernel(host)
     Fabric(env).attach(host.nic)
     config = OpenMXConfig(pinning_mode=mode, pin_queue_enabled=True, **cfg)
-    counters = Counter()
+    counters = Counters()
     mgr = PinManager(env, kernel, config, counters)
     proc = kernel.new_process("app", core_index=1)
     host.memory.max_pinned = max_pinned
@@ -238,7 +239,7 @@ def test_denied_acquire_degrades_with_pin_denied():
     assert region_b.pin_denied is True
     assert region_b.state is RegionState.UNPINNED
     assert counters["pin_budget_denied"] == 1
-    assert kernel.pin.budget_timeouts == 1
+    assert kernel.pin.budget_timeouts.value == 1
     assert host.memory.pinned_frames == 16  # only A's pages
 
 
@@ -270,7 +271,7 @@ def test_queue_disabled_is_legacy_path():
     Fabric(env).attach(host.nic)
     config = OpenMXConfig()
     assert config.pin_queue_enabled is False  # legacy default
-    mgr = PinManager(env, kernel, config, Counter())
+    mgr = PinManager(env, kernel, config, Counters())
     proc = kernel.new_process("app", core_index=1)
     region = region_of(proc, 8 * PAGE_SIZE)
     ctx = AcquiringContext(env, proc.core)

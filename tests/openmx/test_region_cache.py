@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.obs.metrics import Counters
 from repro.openmx.config import OpenMXConfig
 from repro.openmx.region_cache import RegionCache
 from repro.openmx.regions import Segment
-from repro.sim import Counter, Environment
+from repro.sim import Environment
 
 
 class Harness:
@@ -23,7 +24,7 @@ class Harness:
             destroy=self._destroy,
             is_idle=lambda rid: rid not in self.active,
             capacity=capacity,
-            counters=Counter(),
+            counters=Counters(),
         )
 
     def _declare(self, ctx, segments):

@@ -7,10 +7,11 @@ for the torture-suite hardening: half-removed entries, declarations racing a
 flush, double declarations of one key, and generation-stale hits.
 """
 
+from repro.obs.metrics import Counters
 from repro.openmx.config import OpenMXConfig
 from repro.openmx.region_cache import RegionCache
 from repro.openmx.regions import Segment
-from repro.sim import Counter, Environment
+from repro.sim import Environment
 
 
 class Harness:
@@ -29,7 +30,7 @@ class Harness:
             destroy=self._destroy,
             is_idle=lambda rid: rid not in self.active,
             capacity=capacity,
-            counters=Counter(),
+            counters=Counters(),
             range_gen=range_gen,
         )
 

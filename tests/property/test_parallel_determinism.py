@@ -12,6 +12,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,28 @@ def test_killed_worker_fails_the_map_and_names_its_task():
     assert proc.returncode == 3, out
     assert out.startswith("BrokenProcessPool")
     assert "#1 __main__.die(**{})" in out
+
+
+def _boom(x):
+    raise ValueError(f"boom {x}")
+
+
+def _unpicklable(x):
+    return threading.Lock()
+
+
+@pytest.mark.parametrize("fn, cause", [
+    (_boom, "ValueError: boom 2"),
+    (_unpicklable, "TypeError: cannot pickle '_thread.lock' object"),
+])
+def test_failing_task_fails_the_map_and_names_it(fn, cause):
+    tasks = [(_instrumented_square, {"x": 1}), (fn, {"x": 2})]
+    with pytest.raises(RuntimeError) as exc:
+        parallel_map(tasks, jobs=2)
+    message = str(exc.value)
+    assert f"task #1 {__name__}.{fn.__name__}(**{{'x': 2}}) of 2" in message
+    assert message.endswith(f"failed: {cause}")
+    assert exc.value.__cause__ is not None
 
 
 # -- result cache -------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_shard_fabric_routes_remote_hosts_to_egress():
     env, fabric, nics = _shard(((0,), (1,)), 0)
     frame = _frame(0, 1, 1)
     fabric._carry(nics[0], frame)
-    assert fabric.frames_cross_shard == 1 and fabric.frames_local == 0
+    assert fabric.frames_cross_shard.value == 1 and fabric.frames_local.value == 0
     egress = fabric.take_egress()
     assert [(a, c.src, c.dst, c.seq, c.copy) for a, c in egress] == [
         (LATENCY, 0, 1, 1, 0)]

@@ -1,6 +1,6 @@
-"""Unit tests for tracing and counters."""
+"""Unit tests for tracing and sample summaries."""
 
-from repro.sim import Counter, Tracer, summarize
+from repro.sim import Tracer, summarize
 
 
 def test_tracer_records_and_filters():
@@ -30,21 +30,6 @@ def test_tracer_render_and_clear():
     assert len(tr) == 0
     assert tr.first("evt") is None
     assert tr.last("evt") is None
-
-
-def test_counter_basics():
-    c = Counter()
-    c.incr("pkt")
-    c.incr("pkt", 4)
-    c.incr("miss")
-    assert c["pkt"] == 5
-    assert c["miss"] == 1
-    assert c["absent"] == 0
-    assert c.ratio("miss", "pkt") == 1 / 5
-    assert c.ratio("miss", "absent") == 0.0
-    assert c.as_dict() == {"pkt": 5, "miss": 1}
-    c.clear()
-    assert c["pkt"] == 0
 
 
 def test_summarize_empty_and_nonempty():
