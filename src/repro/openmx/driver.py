@@ -88,6 +88,9 @@ class _PullState:
     chunk_bytes: int
     block_chunks: int
     received: list[bool] = field(default_factory=list)
+    # Low watermark: every chunk below it has been received.  ``received``
+    # only goes from False to True, and only through ``mark_received``.
+    first_missing: int = 0
     bytes_received: int = 0
     next_block: int = 0
     nblocks: int = 0
@@ -113,7 +116,43 @@ class _PullState:
     def block_complete(self, block: int) -> bool:
         lo = block * self.block_chunks
         hi = min(lo + self.block_chunks, self.nchunks)
-        return all(self.received[lo:hi])
+        return all(self.received[max(lo, self.first_missing):hi])
+
+    def mark_received(self, chunk: int) -> None:
+        """Record ``chunk`` as landed and advance the received prefix."""
+        received = self.received
+        received[chunk] = True
+        if chunk == self.first_missing:
+            c, n = chunk + 1, self.nchunks
+            while c < n and received[c]:
+                c += 1
+            self.first_missing = c
+
+    def evidently_lost(self, chunk: int) -> list[int]:
+        """Chunks proven lost by the arrival of ``chunk`` (footnote 4).
+
+        The fabric and the sender both preserve order, so any chunk that was
+        requested no later than the arriving chunk's request and is still
+        missing can only have been dropped (wire loss, ring overflow, or an
+        overlap miss at the sender).  Every chunk below ``first_missing`` is
+        received, so the scan starts there and still returns exactly the
+        ascending list a scan from chunk 0 would.
+        """
+        req_time = self.last_request_ns[chunk]
+        received, last_request = self.received, self.last_request_ns
+        end = min(chunk, self.requested_chunks)
+        return [
+            c for c in range(self.first_missing, end)
+            if not received[c] and last_request[c] <= req_time
+        ]
+
+    def unreceived(self) -> list[int]:
+        """Requested chunks still missing, in ascending order."""
+        received = self.received
+        return [
+            c for c in range(self.first_missing, self.requested_chunks)
+            if not received[c]
+        ]
 
 
 @dataclass
@@ -683,21 +722,6 @@ class OpenMXDriver:
             and state.region.covers(*state.chunk_range(c))
         ]
 
-    def _evidently_lost(self, state: _PullState, chunk_idx: int) -> list[int]:
-        """Chunks proven lost by the arrival of ``chunk_idx`` (footnote 4).
-
-        The fabric and the sender both preserve order, so any chunk that was
-        requested no later than the arriving chunk's request and is still
-        missing can only have been dropped (wire loss, ring overflow, or an
-        overlap miss at the sender).
-        """
-        req_time = state.last_request_ns[chunk_idx]
-        return [
-            c
-            for c in range(min(chunk_idx, state.requested_chunks))
-            if not state.received[c] and state.last_request_ns[c] <= req_time
-        ]
-
     def _recv_fallback(self, ep: DriverEndpoint, state: _PullState) -> bool:
         """Degrade a receive whose region cannot be pinned to copy-through.
 
@@ -743,10 +767,7 @@ class OpenMXDriver:
                     yield from self._finish_pull(ctx, ep, state, status="timeout")
                     self.counters.incr("pull_gave_up")
                     return
-                missing = [
-                    c for c in range(state.requested_chunks)
-                    if not state.received[c]
-                ]
+                missing = state.unreceived()
                 if missing:
                     self.counters.incr("pull_timeout_resend")
                     ctx = AcquiringContext(self.env, ep.proc.core, PRIO_KERNEL)
@@ -997,19 +1018,22 @@ class OpenMXDriver:
                         name="omx.ioat")
                     state.dma_events.append(dma)
         self.spans.end(copy_span, self.env.now)
-        state.received[chunk_idx] = True
+        state.mark_received(chunk_idx)
         state.bytes_received += len(pkt.data)
         self.counters.incr("pull_bytes", len(pkt.data))
 
         # Optimistic re-request (paper footnote 4): a gap below this chunk
         # means earlier packets were lost or dropped on an overlap miss.
-        missing = set(self._evidently_lost(state, chunk_idx))
-        # Also recover chunks we dropped ourselves once the watermark covers
-        # them again.
-        missing.update(self._recoverable_misses(state))
+        missing = state.evidently_lost(chunk_idx)
+        if state.missed:
+            # Also recover chunks we dropped ourselves once the watermark
+            # covers them again.
+            union = set(missing)
+            union.update(self._recoverable_misses(state))
+            state.missed.difference_update(union)
+            missing = sorted(union)
         if missing:
-            state.missed.difference_update(missing)
-            yield from self._rerequest_chunks(ctx, ep, state, sorted(missing))
+            yield from self._rerequest_chunks(ctx, ep, state, missing)
 
         block = chunk_idx // state.block_chunks
         if state.block_complete(block):

@@ -228,7 +228,12 @@ class _InlineHandle:
     shard code path is identical either way."""
 
     def __init__(self, shard_id: int, plan: ShardPlan, factory) -> None:
-        self.shard = factory(shard_id, plan)
+        try:
+            self.shard = factory(shard_id, plan)
+        except Exception as exc:
+            raise SimulationError(
+                f"PDES shard {shard_id} factory failed: "
+                f"{type(exc).__name__}: {exc}") from exc
         self._reply = None
 
     def initial_next(self):

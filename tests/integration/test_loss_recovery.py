@@ -1,11 +1,19 @@
 """Loss injection: the pull protocol and eager reliability must recover
 from dropped frames with byte-exact delivery (drops are also the overlap
-miss recovery mechanism, so this machinery is load-bearing)."""
+miss recovery mechanism, so this machinery is load-bearing).
+
+Each case also pins its exact recovery counts — ``pull_rerequest``,
+``pull_reply_duplicate`` and ``pull_timeout_resend`` at the receiver, and
+the final simulated time — so a change to how losses are *detected* that
+alters which chunks are re-requested, or when, fails here even if the
+bytes still arrive.
+"""
 
 import pytest
 
 from repro.cluster import build_cluster
 from repro.faults import DropNth, FrameMatch, PeriodicDrop
+from repro.kernel.context import AcquiringContext
 from repro.openmx import OpenMXConfig, PinningMode
 from repro.util.units import KIB, MIB, MILLISECOND
 
@@ -31,6 +39,20 @@ def run_transfer(cluster, nbytes, tag=1):
     assert rp.read(rbuf, nbytes) == data
 
 
+def recovery_counts(cluster):
+    """(pull_rerequest, pull_reply_duplicate, pull_timeout_resend, now)."""
+    counters = cluster.nodes[1].driver.counters
+    return (counters["pull_rerequest"], counters["pull_reply_duplicate"],
+            counters["pull_timeout_resend"], cluster.env.now)
+
+
+OPTIMISTIC_COUNTS = {
+    frozenset({3}): (1, 1, 0, 1_985_358),
+    frozenset({1, 2}): (1, 2, 0, 1_985_358),
+    frozenset({5, 6, 7}): (1, 3, 0, 2_000_358),
+}
+
+
 @pytest.mark.parametrize("drops", [{3}, {1, 2}, {5, 6, 7}])
 def test_pull_reply_loss_recovered_optimistically(drops):
     cluster = build_cluster(config=OpenMXConfig(pinning_mode=PinningMode.CACHE))
@@ -42,6 +64,23 @@ def test_pull_reply_loss_recovered_optimistically(drops):
     assert model.injected.value == len(drops)
     # Recovery happened without burning the 1 s retransmission timeout.
     assert cluster.env.now < 500 * MILLISECOND
+    assert recovery_counts(cluster) == OPTIMISTIC_COUNTS[frozenset(drops)]
+
+
+def test_scattered_loss_in_long_pull_recovered_optimistically():
+    """An 8 MiB pull (1,024 chunks, 128 blocks) losing replies in several
+    blocks: gaps sit above the received prefix while later chunks keep
+    arriving, so detection must look past the prefix, not only at it."""
+    cluster = build_cluster(config=OpenMXConfig(pinning_mode=PinningMode.CACHE))
+    drops = {2, 9, 10, 17, 130, 131, 133, 400, 407, 1000, 1023}
+    model = DropNth(drops, match=FrameMatch(kinds=("PullReply",)))
+    cluster.fabric.add_fault_injector(model)
+    run_transfer(cluster, 8 * MIB)
+    assert model.injected.value == len(drops)
+    counters = cluster.nodes[1].driver.counters
+    assert counters["pull_rerequest"] >= 1
+    assert counters["pull_timeout_resend"] == 0
+    assert recovery_counts(cluster) == (8, 9, 0, 7_839_422)
 
 
 def test_adversarial_periodic_loss_still_delivers():
@@ -57,6 +96,7 @@ def test_adversarial_periodic_loss_still_delivers():
     )
     run_transfer(cluster, 2 * MIB)
     assert cluster.nodes[1].driver.counters["pull_rerequest"] >= 1
+    assert recovery_counts(cluster) == (88, 31, 0, 3_000_358)
 
 
 def test_pull_request_loss_recovered():
@@ -65,6 +105,7 @@ def test_pull_request_loss_recovered():
         DropNth({1}, match=FrameMatch(kinds=("PullRequest",)))
     )
     run_transfer(cluster, 1 * MIB)
+    assert recovery_counts(cluster) == (1, 8, 0, 1_048_014)
 
 
 def test_tail_loss_recovered_by_timeout():
@@ -80,6 +121,7 @@ def test_tail_loss_recovered_by_timeout():
     )
     run_transfer(cluster, nbytes)
     assert cluster.nodes[1].driver.counters["pull_timeout_resend"] >= 1
+    assert recovery_counts(cluster) == (1, 1, 1, 10_690_406)
 
 
 def test_eager_fragment_loss_recovered_by_retransmit():
@@ -91,6 +133,7 @@ def test_eager_fragment_loss_recovered_by_retransmit():
     )
     run_transfer(cluster, 24 * KIB)  # 3 eager fragments
     assert cluster.nodes[0].driver.counters["eager_retransmit"] >= 1
+    assert recovery_counts(cluster) == (0, 0, 0, 2_190_900)
 
 
 def test_eager_duplicate_after_liback_loss_is_deduplicated():
@@ -107,6 +150,7 @@ def test_eager_duplicate_after_liback_loss_is_deduplicated():
     counters = cluster.nodes[1].driver.counters
     assert counters["eager_duplicate"] >= 1
     assert counters["eager_received"] == 1  # delivered exactly once
+    assert recovery_counts(cluster) == (0, 0, 0, 10_032_825)
 
 
 def test_repeated_heavy_loss_still_delivers():
@@ -119,3 +163,47 @@ def test_repeated_heavy_loss_still_delivers():
         PeriodicDrop(7, match=FrameMatch(kinds=("PullReply",)))
     )
     run_transfer(cluster, 4 * MIB)
+    assert recovery_counts(cluster) == (80, 64, 0, 4_469_383)
+
+
+def test_receive_side_overlap_misses_recovered():
+    """A frame flood slows the receiver's pinning (the bottom half and the
+    application share core 0), so overlapped replies outrun the pinned
+    watermark and are dropped on arrival.  Those chunks sit in the pull's
+    ``missed`` set and must be re-requested once the pin catches up.
+
+    A synchronous 8-page prefix (4 chunks) lets the head of the message
+    land, and two of its replies are lost on the wire: their re-requested
+    replies arrive while ``missed`` is still non-empty, so detection runs
+    its merge with the receiver's own misses."""
+    cluster = build_cluster(
+        nhosts=3,
+        config=OpenMXConfig(pinning_mode=PinningMode.OVERLAP,
+                            overlap_sync_pages=8,
+                            resend_timeout_ns=20 * MILLISECOND),
+        first_app_core=0,
+    )
+    cluster.fabric.add_fault_injector(
+        DropNth({1, 3}, match=FrameMatch(kinds=("PullReply",)))
+    )
+
+    def flood_handler(frame, ctx):
+        yield from ctx.charge(10_000)
+
+    for node in cluster.nodes:
+        node.kernel.ethernet.register_protocol(0x0800, flood_handler)
+    env = cluster.env
+
+    def flood():
+        src = cluster.nodes[2]
+        dst = cluster.nodes[1].host.nic.address
+        ctx = AcquiringContext(env, src.host.cores[-1])
+        while True:
+            yield from src.kernel.ethernet.xmit(ctx, dst, "x", 4096,
+                                                ethertype=0x0800)
+            yield env.timeout(10_500)
+
+    env.process(flood())
+    run_transfer(cluster, 1 * MIB)
+    assert cluster.nodes[1].driver.counters["overlap_miss_recv"] > 0
+    assert recovery_counts(cluster) == (3, 14, 0, 8_601_079)

@@ -29,7 +29,7 @@ from repro.obs.metrics import MetricRegistry
 from repro.openmx.config import OpenMXConfig
 from repro.sim import SimulationError
 from repro.sim.openmx_shard import OpenmxParams, _OpenmxFactory, run_openmx
-from repro.sim.pdes import SeededFaultPlan, _ForkHandle
+from repro.sim.pdes import SeededFaultPlan, _ForkHandle, run_partitioned
 
 SMALL = OpenmxParams(nhosts=5, rounds=3, seed=11)
 LATENCY = 101
@@ -292,3 +292,38 @@ def test_dead_worker_fails_loudly_with_its_shard_id():
         assert time.monotonic() - t0 < 10
     finally:
         handle.close()
+
+
+class _FailingFactory:
+    """Builds the SMALL scenario's shards, except that ``bad`` raises."""
+
+    def __init__(self, bad: int) -> None:
+        self.bad = bad
+
+    def __call__(self, shard_id, plan):
+        if shard_id == self.bad:
+            raise ValueError(f"cannot build shard {shard_id}")
+        return _OpenmxFactory(SMALL)(shard_id, plan)
+
+
+def test_forked_factory_error_names_shard_and_reaps_workers():
+    before = set(multiprocessing.active_children())
+    plan = partition_hosts(SMALL.nhosts, 2)
+    with pytest.raises(
+            SimulationError,
+            match=r"(?s)PDES shard 1 worker failed:.*Traceback.*"
+                  r"ValueError: cannot build shard 1"):
+        run_partitioned(_FailingFactory(1), plan,
+                        lookahead_ns=SMALL.latency_ns, mode="fork")
+    assert set(multiprocessing.active_children()) - before == set()
+
+
+def test_inline_factory_error_names_shard_and_chains_cause():
+    plan = partition_hosts(SMALL.nhosts, 2)
+    with pytest.raises(
+            SimulationError,
+            match=r"PDES shard 0 factory failed: "
+                  r"ValueError: cannot build shard 0") as info:
+        run_partitioned(_FailingFactory(0), plan,
+                        lookahead_ns=SMALL.latency_ns, mode="inline")
+    assert isinstance(info.value.__cause__, ValueError)
