@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.bench import SCENARIOS, gate_end_states, run_scenario
+from repro.sim.bench import SCENARIOS, gate_end_states, run_scenario, sim_state
 
 from benchmarks.conftest import full_sweep
 
@@ -29,6 +29,18 @@ QUICK_EVENTS = {
     "event_pingpong": 24_004,
     "condition_fanout": 27_002,
     "wheel_storm": 8_592,
+}
+
+# poll_spin postdates the seed engine.  Its quick end state was recorded at
+# the revision whose core claims still kept holders in a set and whose
+# single-expiry level-1 slots still passed through level 0.
+POLL_SPIN_QUICK_STATE = {
+    "now_ns": 9_991_800,
+    "events": 7_063,
+    "wheel_ticks": 2_282,
+    "wheel_cascades": 2_432,
+    "total_grants": 2_270,
+    "busy_time": 9_246_000,
 }
 
 
@@ -77,6 +89,12 @@ def test_per_scenario_counters_are_scenario_local():
 def test_quick_event_count_matches_seed_engine(name):
     assert run_scenario(name, quick=True, repeat=1)["events"] == \
         QUICK_EVENTS[name]
+
+
+def test_poll_spin_quick_end_state_matches_recorded():
+    assert run_scenario("poll_spin", quick=True, repeat=1)["events"] == \
+        POLL_SPIN_QUICK_STATE["events"]
+    assert sim_state("poll_spin", quick=True)["state"] == POLL_SPIN_QUICK_STATE
 
 
 def _bench(*args: str) -> subprocess.CompletedProcess:

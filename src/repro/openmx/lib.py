@@ -294,22 +294,9 @@ class OmxLib:
         self._posted.append(req)
 
     def wait(self, req: OmxRequest) -> Generator:
-        """Process: block (spin) until the request completes."""
-        while not req.done:
-            yield from self._progress_drain()
-            if req.done:
-                break
-            if len(self.ep.event_queue):
-                continue
-            doorbell = self.ep.refresh_doorbell()
-            if len(self.ep.event_queue):
-                continue
-            with self.proc.core.request(PRIO_USER) as r:
-                yield r
-                timer = self.env.timeout(self.config.poll_slice_ns)
-                yield self.env.any_of([doorbell, timer])
-                timer.cancel()  # recycle the loser; no-op if it fired
-        return req.status
+        """Process: block (spin) until the request completes; returns its
+        status."""
+        return self._spin(req)
 
     def wait_all(self, reqs: list[OmxRequest]) -> Generator:
         for req in reqs:
@@ -330,16 +317,44 @@ class OmxLib:
         Building block for multi-request waits (``waitany``): one bounded
         spin, after which the caller re-checks its completion conditions.
         """
-        if len(self.ep.event_queue):
-            return
-        doorbell = self.ep.refresh_doorbell()
-        if len(self.ep.event_queue):
-            return
-        with self.proc.core.request(PRIO_USER) as r:
-            yield r
-            timer = self.env.timeout(self.config.poll_slice_ns)
-            yield self.env.any_of([doorbell, timer])
-            timer.cancel()  # recycle the loser; no-op if it fired
+        return self._spin(None)
+
+    def _spin(self, req: OmxRequest | None) -> Generator:
+        """Poll slices until ``req`` completes and return its status; with
+        ``req`` None, spin at most one slice.
+
+        A slice holds the core at user priority until the doorbell rings or
+        ``poll_slice_ns`` passes, then gives it back, so queued bottom-half
+        work gets the core at every slice boundary.  A queued driver event
+        is drained first (``req`` given) or ends the spin at once (None).
+        Everything a slice touches is bound once per call, since a wait can
+        spin for thousands of slices, and ``wait``/``wait_step`` hand this
+        generator out as their own, so no delegating frame resumes with
+        each slice.
+        """
+        ep = self.ep
+        queue = ep.event_queue
+        claim = self.proc.core.request
+        env = self.env
+        slice_ns = self.config.poll_slice_ns
+        while True:
+            if req is not None:
+                if req.done:
+                    return req.status
+                if len(queue):
+                    yield from self._progress_drain()
+                    if req.done:
+                        return req.status
+            elif len(queue):
+                return None
+            doorbell = ep.refresh_doorbell()
+            with claim(PRIO_USER) as r:
+                yield r
+                timer = env.timeout(slice_ns)
+                yield env.any_of([doorbell, timer])
+                timer.cancel()  # recycle the loser; no-op if it fired
+            if req is None:
+                return None
 
     def cancel(self, req: OmxRequest) -> bool:
         """Cancel a posted receive that has not matched yet (mx_cancel).

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.hw.memory import PAGE_SIZE, Frame
@@ -110,8 +111,8 @@ class UserRegion:
             page_idx += page_count(seg.va, seg.length)
 
     # -- offset geometry -----------------------------------------------------
-    def _locate(self, offset: int) -> tuple[Segment, int, int]:
-        """(segment, byte offset within segment, global page index)."""
+    def _locate(self, offset: int) -> tuple[int, int, int]:
+        """(segment index, byte offset within segment, global page index)."""
         if not 0 <= offset < self.total_length:
             raise ValueError(f"offset {offset} outside region of {self.total_length}")
         i = bisect_right(self._seg_offsets, offset) - 1
@@ -119,7 +120,7 @@ class UserRegion:
         delta = offset - self._seg_offsets[i]
         va = seg.va + delta
         page = self._seg_first_page[i] + (va // PAGE_SIZE - seg.va // PAGE_SIZE)
-        return seg, delta, page
+        return i, delta, page
 
     def segment_ranges(self) -> list[tuple[int, int]]:
         """Half-open [va, va+length) byte ranges, for interval indexing."""
@@ -174,44 +175,66 @@ class UserRegion:
         return self.watermark == self.npages
 
     # -- data access through pinned frames ------------------------------------
-    def _frame_at(self, offset: int) -> tuple[Frame, int, int]:
-        """(frame, in-page offset, bytes available in this page)."""
-        seg, delta, page = self._locate(offset)
-        frame = self.frames[page]
-        if frame is None:
-            raise RuntimeError(
-                f"region {self.id}: access at offset {offset} beyond pinned "
-                f"watermark (page {page}, watermark {self.watermark})"
-            )
+    def _pieces(self, offset: int, length: int
+                ) -> Iterator[tuple[Frame, int, int]]:
+        """(frame, in-page offset, bytes) for each page [offset, +length) touches.
+
+        One bisect finds the first page; every later piece is on the next
+        page, so an 8 KiB chunk costs one locate, not one per page.  Lazy
+        on purpose: a write that reaches a page beyond the watermark has
+        already written the pages before it.
+        """
+        if length <= 0:
+            return
+        i, delta, page = self._locate(offset)
+        segments = self.segments
+        frames = self.frames
+        seg = segments[i]
         va = seg.va + delta
-        in_page = va % PAGE_SIZE
-        seg_remaining = seg.length - delta
-        avail = min(PAGE_SIZE - in_page, seg_remaining)
-        return frame, in_page, avail
+        seg_end = seg.va + seg.length
+        pos = offset
+        while True:
+            frame = frames[page]
+            if frame is None:
+                raise RuntimeError(
+                    f"region {self.id}: access at offset {pos} beyond "
+                    f"pinned watermark (page {page}, watermark "
+                    f"{self.watermark})"
+                )
+            in_page = va % PAGE_SIZE
+            chunk = min(PAGE_SIZE - in_page, seg_end - va, length)
+            yield frame, in_page, chunk
+            length -= chunk
+            if not length:
+                return
+            pos += chunk
+            # The next piece starts a page: the next one of this segment,
+            # or the first of the next segment, which segments_pages lists
+            # right after this segment's last.
+            page += 1
+            va += chunk
+            if va == seg_end:
+                i += 1
+                if i == len(segments):
+                    raise ValueError(
+                        f"offset {pos} outside region of {self.total_length}")
+                seg = segments[i]
+                va = seg.va
+                seg_end = va + seg.length
 
     def read(self, offset: int, length: int) -> bytes:
         """Read bytes out of the pinned frames (send-side DMA)."""
         out = bytearray()
-        pos = offset
-        remaining = length
-        while remaining > 0:
-            frame, in_page, avail = self._frame_at(pos)
-            chunk = min(avail, remaining)
+        for frame, in_page, chunk in self._pieces(offset, length):
             out += frame.read(in_page, chunk)
-            pos += chunk
-            remaining -= chunk
         return bytes(out)
 
     def write(self, offset: int, data: bytes) -> None:
         """Write bytes into the pinned frames (receive-side copy)."""
-        pos = offset
         view = memoryview(data)
         done = 0
-        while done < len(data):
-            frame, in_page, avail = self._frame_at(pos)
-            chunk = min(avail, len(data) - done)
+        for frame, in_page, chunk in self._pieces(offset, len(data)):
             frame.write(in_page, view[done : done + chunk])
-            pos += chunk
             done += chunk
 
     def __repr__(self) -> str:  # pragma: no cover

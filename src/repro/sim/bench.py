@@ -1,6 +1,6 @@
 """Engine and stack microbenchmarks — ``python -m repro.sim.bench``.
 
-Measures dispatch throughput (events/sec) and wall time on seven
+Measures dispatch throughput (events/sec) and wall time on eight
 deterministic scenarios that mirror how the protocol layers drive the
 engine:
 
@@ -17,6 +17,10 @@ engine:
 * ``wheel_storm`` — timers spread across every timer-wheel level plus the
   overflow heap, with zero-delay timeouts mixed in; the scenario that
   exercises cascades/promotions hardest.
+* ``poll_spin`` — the completion-wait slice of ``OmxLib.wait`` (claim the
+  core, race a doorbell against a 5 us timer, release) on one core that a
+  higher-priority bottom half claims at fixed instants; the uncontended
+  core-claim and single-expiry cascade paths.
 * ``datapath_pull`` — a full NIC→fabric→softirq receive storm (two senders
   bursting 4 KiB frames at one receiver whose bottom half is the
   bottleneck); the workload the data-path event coalescing targets.
@@ -203,6 +207,65 @@ def _wheel_storm(env: Environment, rounds: int, procs: int = 8) -> Probe:
     for k in range(procs):
         env.process(worker(k))
     return _clock_probe(env)
+
+
+# Poll-spin scenario constants: the completion-wait slice of OmxLib.wait
+# on one capacity-1 core, with a bottom half arriving at fixed instants.
+_PS_SLICE_NS = 5_000        # OpenMXConfig's default poll_slice_ns
+_PS_BH_PERIOD_NS = 37_000   # one bottom-half arrival every 37 us
+_PS_BH_COST_NS = 1_800      # how long the bottom half holds the core
+
+
+def _poll_spin(env: Environment, rounds: int) -> Probe:
+    """The completion spin: ``rounds`` poll slices racing a doorbell.
+
+    Each slice claims the core at ``PRIO_USER``, holds it until the
+    doorbell rings or the 5 us slice timer fires, and gives it back; most
+    claims find the core free.  A ``PRIO_BH`` claimant arrives every 37 us,
+    finds a slice holding the core and queues.  It is granted at the slice
+    boundary, ahead of the spinner's next claim, holds the core 1.8 us and
+    rings the doorbell, which ends the spinner's next slice at once.  The
+    slice timers are lone level-1 wheel entries, so the wheel's
+    single-expiry cascade is exercised as hard as the core claims.
+    """
+    from repro.hw.cpu import PRIO_BH, PRIO_USER
+    from repro.sim.resources import Resource
+
+    core = Resource(env, capacity=1, name="core")
+    bell = [env.event()]
+
+    def spinner():
+        for _ in range(rounds):
+            with core.request(PRIO_USER) as req:
+                yield req
+                timer = env.timeout(_PS_SLICE_NS)
+                yield env.any_of([bell[0], timer])
+                timer.cancel()
+            if bell[0].triggered:
+                bell[0] = env.event()
+
+    def bottom_half():
+        at = 0
+        for _ in range(rounds * _PS_SLICE_NS // _PS_BH_PERIOD_NS):
+            at += _PS_BH_PERIOD_NS
+            yield env.timeout(at - env.now)
+            with core.request(PRIO_BH) as req:
+                yield req
+                yield env.timeout(_PS_BH_COST_NS)
+            if not bell[0].triggered:
+                bell[0].succeed()
+
+    env.process(spinner())
+    env.process(bottom_half())
+
+    def probe():
+        return {"now_ns": env.now, "events": env.events_processed,
+                "wheel_ticks": env.wheel_ticks,
+                "wheel_cascades": env.wheel_cascades,
+                "total_grants": core.total_grants,
+                "busy_time": core.busy_time}
+
+    return probe
 
 
 # Data-path scenario constants: 4 KiB frames arrive from two senders every
@@ -476,6 +539,7 @@ SCENARIOS: dict[str, Scenario] = {
     "event_pingpong": Scenario(_event_pingpong, 120_000, 12_000),
     "condition_fanout": Scenario(_condition_fanout, 30_000, 3_000),
     "wheel_storm": Scenario(_wheel_storm, 1_500, 150),
+    "poll_spin": Scenario(_poll_spin, 20_000, 2_000),
     "datapath_pull": Scenario(_datapath_pull, 150, 15),
     "vm_churn": Scenario(_vm_churn, 150, 8),
 }

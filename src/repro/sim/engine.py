@@ -56,6 +56,9 @@ Ordering is provably bit-identical to the old global heap:
   drained; the deadline-jump case is re-synchronised by ``_resync``), so
   cascaded entries — which are always older than any later direct insert —
   are never interleaved out of order;
+* a level-1 slot whose entries share one expiry fires straight from level
+  1: filed into the empty level 0 it would fill one slot, the next to pop,
+  with the same entries in the same order;
 * cancellation never changes simulated results: a cancelled timer's entry
   still pops at its original expiry, advancing the clock and the processed
   count exactly as an un-cancelled, unwatched timer would have, and the
@@ -663,16 +666,22 @@ class Environment:
             self._ready.append(event)
 
     # -- wheel mechanics ------------------------------------------------------
-    def _cascade(self) -> bool:
-        """Refill level 0 from the next occupied higher container.
+    def _cascade(self) -> list[Event] | None:
+        """Bring the next expiry down from the higher containers.
 
         Called only when the ready FIFO and level 0 are empty, which (by
         the prefix-window invariant) means *every* pending entry lives in
         level 1, level 2 or the overflow heap, strictly in that order of
-        expiry.  Moves the earliest occupied higher slot down one level
-        (possibly pulling a heap window into level 2 first) and reports
-        whether level 0 is now occupied.  Returns False when nothing is
+        expiry.  Moves the earliest occupied level-1 slot down (pulling a
+        level-2 slot, and a heap window before it, into level 1 first if
+        level 1 is empty) and returns the list holding exactly the next
+        expiry's entries, in insertion order.  Returns None when nothing is
         pending anywhere.
+
+        When every entry of that level-1 slot shares one expiry (the common
+        case: a lone poll or retransmit timer), the slot itself is that
+        list, and filing it into level 0 only to pop the same entries back
+        would be a bounce.  It is still counted as a cascade.
         """
         occ1 = self._occ1
         if not occ1:
@@ -680,7 +689,7 @@ class Environment:
             if not occ2:
                 heap = self._overflow
                 if not heap:
-                    return False
+                    return None
                 # Promote the earliest far-future window into level 2.
                 shift = 3 * _WHEEL_BITS
                 prefix = heap[0][0] >> shift
@@ -706,16 +715,27 @@ class Environment:
         bit = occ1 & -occ1
         self._occ1 = occ1 ^ bit
         slot = self._l1[bit.bit_length() - 1]
-        l0 = self._l0
-        occ0 = 0
-        for ev in slot:
-            s = ev._when & _WHEEL_MASK
-            l0[s].append(ev)
-            occ0 |= 1 << s
-        slot.clear()
-        self._occ0 = occ0
         self.wheel_cascades += 1
-        return True
+        if len(slot) > 1:
+            # Level-1 entries share the clock's >> 16 window and a slot
+            # fixes bits [8, 16), so equal low bytes mean equal expiries.
+            when = slot[0]._when
+            for ev in slot:
+                if ev._when != when:
+                    break
+            else:
+                return slot
+            l0 = self._l0
+            occ0 = 0
+            for ev in slot:
+                s = ev._when & _WHEEL_MASK
+                l0[s].append(ev)
+                occ0 |= 1 << s
+            slot.clear()
+            bit = occ0 & -occ0
+            self._occ0 = occ0 ^ bit
+            return l0[bit.bit_length() - 1]
+        return slot
 
     def _advance_tick(self) -> bool:
         """Move the clock to the next pending expiry and stage its events.
@@ -724,13 +744,14 @@ class Environment:
         FIFO in one batch.  Returns False when nothing is pending.
         """
         occ = self._occ0
-        if not occ:
-            if not self._cascade():
+        if occ:
+            bit = occ & -occ
+            self._occ0 = occ ^ bit
+            slot = self._l0[bit.bit_length() - 1]
+        else:
+            slot = self._cascade()
+            if slot is None:
                 return False
-            occ = self._occ0
-        bit = occ & -occ
-        self._occ0 = occ ^ bit
-        slot = self._l0[bit.bit_length() - 1]
         if self._debug:
             self._check_slot(slot)
         self._now = slot[0]._when
@@ -831,13 +852,17 @@ class Environment:
 
     # -- debug invariants -----------------------------------------------------
     def _check_slot(self, slot: list[Event]) -> None:
-        """Debug: a firing level-0 slot is one expiry, in insertion order."""
+        """Debug: a firing slot is one expiry, in insertion order.
+
+        The slot is a level-0 slot, or a single-expiry level-1 slot that
+        :meth:`_cascade` hands over without filing it into level 0.
+        """
         prev = -1
         when = slot[0]._when
         for ev in slot:
             if ev._when != when:
                 raise SimulationError(
-                    f"wheel corruption: level-0 slot mixes expiries "
+                    f"wheel corruption: firing slot mixes expiries "
                     f"{when} and {ev._when}")
             if ev._eid <= prev:
                 raise SimulationError(

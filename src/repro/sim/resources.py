@@ -17,7 +17,7 @@ import heapq
 from collections import deque
 from typing import Any
 
-from .engine import Environment, Event, SimulationError
+from .engine import _PENDING, Environment, Event, SimulationError
 
 __all__ = ["Request", "Resource", "Store"]
 
@@ -32,12 +32,13 @@ class Request(Event):
             yield env.timeout(cost)
     """
 
-    __slots__ = ("resource", "priority", "_key")
+    __slots__ = ("resource", "priority", "_held")
 
     def __init__(self, resource: "Resource", priority: int):
         super().__init__(resource.env)
         self.resource = resource
         self.priority = priority
+        self._held = False
         resource._grant_or_enqueue(self)
 
     def release(self) -> None:
@@ -51,7 +52,12 @@ class Request(Event):
 
 
 class Resource:
-    """A resource with ``capacity`` concurrent slots and a priority queue."""
+    """A resource with ``capacity`` concurrent slots and a priority queue.
+
+    Holders are counted, not collected: a granted :class:`Request` carries
+    ``_held``, so an uncontended claim and its release touch no set and no
+    heap.  Only a claim that finds every slot taken enters the queue.
+    """
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = "resource"):
         if capacity < 1:
@@ -59,7 +65,7 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.name = name
-        self._users: set[Request] = set()
+        self._holders = 0
         self._queue: list[tuple[int, int, Request]] = []
         self._seq = 0
         # Accounting for utilization reports.
@@ -70,25 +76,59 @@ class Resource:
     @property
     def count(self) -> int:
         """Number of slots currently held."""
-        return len(self._users)
+        return self._holders
 
     @property
     def queue_length(self) -> int:
         return len(self._queue)
 
     def request(self, priority: int = 0) -> Request:
-        """Claim one slot; the returned event fires when the claim is granted."""
-        return Request(self, priority)
+        """Claim one slot; the returned event fires when the claim is granted.
+
+        Core claims are among the most frequent allocations in a run, so
+        the Request is built field by field (keep in sync with
+        ``Event.__init__`` and ``Request.__init__``) and a free slot is
+        granted inline: the claim goes straight onto the ready FIFO, as
+        ``succeed()`` would put it.
+        """
+        env = self.env
+        req = Request.__new__(Request)
+        req.env = env
+        req.callbacks = []
+        req._waiters = 0
+        req._defused = False
+        req._cancelled = False
+        req.resource = self
+        req.priority = priority
+        if self._holders < self.capacity:
+            self._holders += 1
+            self.total_grants += 1
+            if self._busy_since is None:
+                self._busy_since = env._now
+            req._held = True
+            req._ok = True
+            req._value = req
+            req._scheduled = True
+            env._ready.append(req)
+        else:
+            req._held = False
+            req._ok = None
+            req._value = _PENDING
+            req._scheduled = False
+            self._seq += 1
+            heapq.heappush(self._queue, (priority, self._seq, req))
+        return req
 
     def _grant_or_enqueue(self, req: Request) -> None:
-        if len(self._users) < self.capacity:
+        if self._holders < self.capacity:
             self._grant(req)
         else:
             self._seq += 1
             heapq.heappush(self._queue, (req.priority, self._seq, req))
 
     def _grant(self, req: Request) -> None:
-        self._users.add(req)
+        self._holders += 1
+        req._held = True
         self.total_grants += 1
         if self._busy_since is None:
             self._busy_since = self.env.now
@@ -96,8 +136,14 @@ class Resource:
 
     def release(self, req: Request) -> None:
         """Give the slot back and wake the best queued claimant, if any."""
-        if req in self._users:
-            self._users.discard(req)
+        if req._held:
+            req._held = False
+            self._holders -= 1
+            if not self._queue:
+                if not self._holders:
+                    self.busy_time += self.env._now - self._busy_since
+                    self._busy_since = None
+                return
         else:
             # Cancel a queued request (e.g. the waiter was interrupted).
             for i, (_, _, queued) in enumerate(self._queue):
@@ -107,10 +153,10 @@ class Resource:
                     break
             else:
                 return  # already released; releasing twice is harmless
-        while self._queue and len(self._users) < self.capacity:
+        while self._queue and self._holders < self.capacity:
             _, _, nxt = heapq.heappop(self._queue)
             self._grant(nxt)
-        if not self._users and self._busy_since is not None:
+        if not self._holders and self._busy_since is not None:
             self.busy_time += self.env.now - self._busy_since
             self._busy_since = None
 

@@ -163,12 +163,12 @@ def test_locate_bisect_matches_linear_scan(aspace):
     def linear(offset):
         seg_off = 0
         page_idx = 0
-        for seg in segments:
+        for i, seg in enumerate(segments):
             if seg_off <= offset < seg_off + seg.length:
                 delta = offset - seg_off
                 page = page_idx + ((seg.va + delta) // PAGE_SIZE
                                    - seg.va // PAGE_SIZE)
-                return seg, delta, page
+                return i, delta, page
             seg_off += seg.length
             page_idx += page_count(seg.va, seg.length)
         raise AssertionError

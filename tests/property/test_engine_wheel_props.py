@@ -35,8 +35,12 @@ _DELAYS = st.one_of(
 #                     recycles it; the spec lets the dead entry pop — both
 #                     count the pop identically)
 #   ("event",)        immediately-succeeded bare event, also observed
+#   ("burst", delay, k)  k observed timers sharing one expiry, so wheel
+#                     slots hold several entries per expiry (a level-1
+#                     slot of one expiry fires without passing level 0)
 _OPS = st.one_of(
     st.tuples(st.just("obs"), _DELAYS),
+    st.tuples(st.just("burst"), _DELAYS, st.integers(min_value=2, max_value=4)),
     st.tuples(st.just("quiet"), _DELAYS),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=7)),
     st.tuples(st.just("event")),
@@ -67,6 +71,12 @@ def _run_trace(env_cls, trace, chunks=None):
                     t = env.timeout(op[1])
                     t.callbacks.append(
                         lambda ev, n=counter[0]: log.append((n, env.now)))
+                elif kind == "burst":
+                    for _ in range(op[2]):
+                        counter[0] += 1
+                        t = env.timeout(op[1])
+                        t.callbacks.append(
+                            lambda ev, n=counter[0]: log.append((n, env.now)))
                 elif kind == "quiet":
                     quiet.append(env.timeout(op[1]))
                 elif kind == "cancel":

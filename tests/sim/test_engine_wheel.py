@@ -307,3 +307,67 @@ def test_many_timers_in_one_slot_share_the_tick():
     env.run()
     assert fired == list(range(50))
     assert env.wheel_ticks == 1
+
+
+def _pinned_trace(env):
+    """A fixed trace over every kind of wheel slot; returns its firing log.
+
+    Level 1 gets a slot whose entries share one expiry (``pair``), a slot
+    mixing two expiries with the later one filed between them (``mixed``,
+    plus a cancelled entry), a lone entry and a run of 5 us poll slices
+    racing a doorbell.  A level-2 slot (``l2``) cascades into two level-1
+    slots, and two far-future timers come in through an overflow
+    promotion.
+    """
+    log = []
+
+    def mark(tag):
+        return lambda _ev: log.append((tag, env.now))
+
+    for tag, delay in (
+            ("pair-a", 1_000), ("pair-b", 1_000),
+            ("mixed-a", 2_100), ("mixed-b", 2_200), ("mixed-c", 2_100),
+            ("lone", 3_000),
+            ("l2-a", 300_000), ("l2-b", 300_000), ("l2-c", 300_700),
+            ("far-a", 20_000_000), ("far-b", 20_000_000)):
+        env.timeout(delay).callbacks.append(mark(tag))
+    assert env.timeout(2_150).cancel()
+
+    def spinner():
+        bell = env.event()
+        env.timeout(12_345).callbacks.append(lambda _ev: bell.succeed())
+        for i in range(6):
+            timer = env.timeout(5_000)
+            yield env.any_of([bell, timer])
+            timer.cancel()
+            log.append((f"slice{i}", env.now))
+            if bell.processed:
+                bell = env.event()
+
+    env.process(spinner())
+    env.run()
+    return log
+
+
+# Recorded at the revision before single-expiry level-1 slots fired
+# without passing through level 0; the counts must not move.
+_PINNED_LOG = [
+    ("pair-a", 1_000), ("pair-b", 1_000),
+    ("mixed-a", 2_100), ("mixed-c", 2_100), ("mixed-b", 2_200),
+    ("lone", 3_000),
+    ("slice0", 5_000), ("slice1", 10_000), ("slice2", 12_345),
+    ("slice3", 17_345), ("slice4", 22_345), ("slice5", 27_345),
+    ("l2-a", 300_000), ("l2-b", 300_000), ("l2-c", 300_700),
+    ("far-a", 20_000_000), ("far-b", 20_000_000),
+]
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug"])
+def test_wheel_counts_pinned_on_fixed_trace(debug):
+    env = Environment(debug=debug)
+    assert _pinned_trace(env) == _PINNED_LOG
+    assert env.events_processed == 28
+    assert env.wheel_ticks == 15
+    assert env.wheel_cascades == 15
+    assert env.wheel_promotions == 1
+    assert env.now == 20_000_000
