@@ -17,10 +17,11 @@ engine:
 * ``wheel_storm`` — timers spread across every timer-wheel level plus the
   overflow heap, with zero-delay timeouts mixed in; the scenario that
   exercises cascades/promotions hardest.
-* ``poll_spin`` — the completion-wait slice of ``OmxLib.wait`` (claim the
-  core, race a doorbell against a 5 us timer, release) on one core that a
-  higher-priority bottom half claims at fixed instants; the uncontended
-  core-claim and single-expiry cascade paths.
+* ``poll_spin`` — the slice idiom of ``OmxLib.wait`` written out on a bare
+  core (claim the core, race a doorbell against a 5 us timer, release),
+  which a higher-priority bottom half claims at fixed instants; the
+  uncontended core-claim and single-expiry cascade paths.  It does not
+  call ``OmxLib``, so it leaves out the library's own spin code.
 * ``datapath_pull`` — a full NIC→fabric→softirq receive storm (two senders
   bursting 4 KiB frames at one receiver whose bottom half is the
   bottleneck); the workload the data-path event coalescing targets.
@@ -209,8 +210,8 @@ def _wheel_storm(env: Environment, rounds: int, procs: int = 8) -> Probe:
     return _clock_probe(env)
 
 
-# Poll-spin scenario constants: the completion-wait slice of OmxLib.wait
-# on one capacity-1 core, with a bottom half arriving at fixed instants.
+# Poll-spin scenario constants: the slice idiom of OmxLib.wait on one
+# capacity-1 core, with a bottom half arriving at fixed instants.
 _PS_SLICE_NS = 5_000        # OpenMXConfig's default poll_slice_ns
 _PS_BH_PERIOD_NS = 37_000   # one bottom-half arrival every 37 us
 _PS_BH_COST_NS = 1_800      # how long the bottom half holds the core

@@ -717,8 +717,9 @@ class Environment:
         slot = self._l1[bit.bit_length() - 1]
         self.wheel_cascades += 1
         if len(slot) > 1:
-            # Level-1 entries share the clock's >> 16 window and a slot
-            # fixes bits [8, 16), so equal low bytes mean equal expiries.
+            # A slot whose entries all share one expiry is one tick
+            # already: it is staged as is, in insertion order, without
+            # being filed into level 0 and popped back out.
             when = slot[0]._when
             for ev in slot:
                 if ev._when != when:

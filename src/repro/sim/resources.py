@@ -35,11 +35,35 @@ class Request(Event):
     __slots__ = ("resource", "priority", "_held")
 
     def __init__(self, resource: "Resource", priority: int):
-        super().__init__(resource.env)
+        # Core claims are among the most frequent allocations in a run, so
+        # the Event setup is inlined here (no super().__init__), as in
+        # Timeout, and a free slot is granted in place: the claim goes
+        # straight onto the ready FIFO, as succeed() would put it.
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self._waiters = 0
+        self._defused = False
+        self._cancelled = False
         self.resource = resource
         self.priority = priority
-        self._held = False
-        resource._grant_or_enqueue(self)
+        if resource._holders < resource.capacity:
+            resource._holders += 1
+            resource.total_grants += 1
+            if resource._busy_since is None:
+                resource._busy_since = env._now
+            self._held = True
+            self._ok = True
+            self._value = self
+            self._scheduled = True
+            env._ready.append(self)
+        else:
+            self._held = False
+            self._ok = None
+            self._value = _PENDING
+            self._scheduled = False
+            resource._seq += 1
+            heapq.heappush(resource._queue, (priority, resource._seq, self))
 
     def release(self) -> None:
         self.resource.release(self)
@@ -83,48 +107,8 @@ class Resource:
         return len(self._queue)
 
     def request(self, priority: int = 0) -> Request:
-        """Claim one slot; the returned event fires when the claim is granted.
-
-        Core claims are among the most frequent allocations in a run, so
-        the Request is built field by field (keep in sync with
-        ``Event.__init__`` and ``Request.__init__``) and a free slot is
-        granted inline: the claim goes straight onto the ready FIFO, as
-        ``succeed()`` would put it.
-        """
-        env = self.env
-        req = Request.__new__(Request)
-        req.env = env
-        req.callbacks = []
-        req._waiters = 0
-        req._defused = False
-        req._cancelled = False
-        req.resource = self
-        req.priority = priority
-        if self._holders < self.capacity:
-            self._holders += 1
-            self.total_grants += 1
-            if self._busy_since is None:
-                self._busy_since = env._now
-            req._held = True
-            req._ok = True
-            req._value = req
-            req._scheduled = True
-            env._ready.append(req)
-        else:
-            req._held = False
-            req._ok = None
-            req._value = _PENDING
-            req._scheduled = False
-            self._seq += 1
-            heapq.heappush(self._queue, (priority, self._seq, req))
-        return req
-
-    def _grant_or_enqueue(self, req: Request) -> None:
-        if self._holders < self.capacity:
-            self._grant(req)
-        else:
-            self._seq += 1
-            heapq.heappush(self._queue, (req.priority, self._seq, req))
+        """Claim one slot; the returned event fires when the claim is granted."""
+        return Request(self, priority)
 
     def _grant(self, req: Request) -> None:
         self._holders += 1
@@ -139,11 +123,6 @@ class Resource:
         if req._held:
             req._held = False
             self._holders -= 1
-            if not self._queue:
-                if not self._holders:
-                    self.busy_time += self.env._now - self._busy_since
-                    self._busy_since = None
-                return
         else:
             # Cancel a queued request (e.g. the waiter was interrupted).
             for i, (_, _, queued) in enumerate(self._queue):
@@ -157,7 +136,7 @@ class Resource:
             _, _, nxt = heapq.heappop(self._queue)
             self._grant(nxt)
         if not self._holders and self._busy_since is not None:
-            self.busy_time += self.env.now - self._busy_since
+            self.busy_time += self.env._now - self._busy_since
             self._busy_since = None
 
     def utilization(self, elapsed: int | None = None) -> float:
