@@ -27,9 +27,11 @@ INTERESTING = {
 def show(title: str, result, limit: int = 14) -> None:
     print(f"\n=== {title} ===")
     shown = 0
-    for rec in result.records:
-        if rec.event in INTERESTING and shown < limit:
-            print(f"  {rec}")
+    for mark in result.marks:
+        if mark.name in INTERESTING and shown < limit:
+            extra = " ".join(f"{k}={v}" for k, v in mark.attrs.items())
+            print(f"  [{mark.start_ns:>12} ns] {mark.source:<20} "
+                  f"{mark.name:<24} {extra}")
             shown += 1
 
 

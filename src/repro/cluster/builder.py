@@ -14,10 +14,11 @@ from repro.hw.host import Host
 from repro.hw.specs import DEFAULT_IOAT, MYRI_10G, XEON_E5460, CpuSpec, IoatSpec, NicSpec
 from repro.kernel.kernel import Kernel, UserProcess
 from repro.obs.metrics import MetricRegistry, current_registry, resolve_registry
+from repro.obs.spans import SpanTracker
 from repro.openmx.config import OpenMXConfig
 from repro.openmx.driver import OpenMXDriver
 from repro.openmx.lib import OmxLib
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 from repro.util.units import GIB
 
 __all__ = ["Cluster", "Node", "ShardPlan", "build_cluster", "nic_address",
@@ -187,7 +188,7 @@ class Cluster:
     fabric: object
     nodes: list[Node]
     config: OpenMXConfig
-    tracer: Tracer
+    spans: SpanTracker
     metrics: MetricRegistry | None = None
     # Global ids of the hosts actually built here.  A serial cluster owns
     # 0..nhosts-1; a PDES sub-cluster owns only its shard's slice of the
@@ -231,6 +232,10 @@ def build_cluster(
     interrupt bottom halves, the usual IRQ-affinity setup).  Endpoint ids
     equal the process index on each host.
 
+    ``trace=True`` turns on the cluster's one trace stream,
+    ``cluster.spans``: every driver records its protocol marks and span
+    trees there, bounded to ``trace_capacity`` entries (``None``: all).
+
     With ``shard_plan`` set, this builds the **sub-cluster** for one PDES
     shard instead: only the hosts in ``shard_plan.shards[shard_id]`` are
     constructed (with their global names, so NIC addresses match the
@@ -258,7 +263,7 @@ def build_cluster(
     else:
         registry = resolve_registry(metrics)
     env.metrics = registry
-    tracer = Tracer(enabled=trace, capacity=trace_capacity)
+    spans = SpanTracker(capacity=trace_capacity, enabled=trace)
     if shard_plan is None:
         if shard_fault is not None:
             raise ValueError("shard_fault requires shard_plan (the serial "
@@ -282,7 +287,7 @@ def build_cluster(
         kernel = Kernel(host, bh_core_index=bh_core_index,
                         pin_fraction=pin_fraction)
         fabric.attach(host.nic)
-        driver = OpenMXDriver(kernel, config, tracer=tracer)
+        driver = OpenMXDriver(kernel, config, spans=spans)
         node = Node(host=host, kernel=kernel, driver=driver)
         for p in range(procs_per_host):
             core = (first_app_core + p) % cpu.ncores
@@ -291,4 +296,4 @@ def build_cluster(
             node.libs.append(OmxLib(proc, driver, endpoint_id=p))
         nodes.append(node)
     return Cluster(env=env, fabric=fabric, nodes=nodes, config=config,
-                   tracer=tracer, metrics=registry, host_ids=host_ids)
+                   spans=spans, metrics=registry, host_ids=host_ids)

@@ -204,8 +204,7 @@ def run_overloaded_core(nbytes: int = 1 * MIB, iterations: int = 2,
     bh_util = cluster.nodes[1].host.cores[0].utilization()
     pin_waits = [
         float(span.duration_ns)
-        for node in cluster.nodes
-        for span in node.driver.spans
+        for span in cluster.spans.spans()
         if span.name == "pin" and span.duration_ns is not None
     ]
     wait_stats = summarize(pin_waits)

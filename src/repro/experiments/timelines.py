@@ -14,12 +14,11 @@ checked as *assertions* (tests) and printed for humans (examples):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster import build_cluster
 from repro.obs.spans import Span, render_span_tree
 from repro.openmx import OpenMXConfig, PinningMode
-from repro.sim import TraceRecord
 from repro.util.units import MIB
 
 __all__ = ["TimelineResult", "run_rendezvous_timeline", "run_decoupled_timeline"]
@@ -27,40 +26,35 @@ __all__ = ["TimelineResult", "run_rendezvous_timeline", "run_decoupled_timeline"
 
 @dataclass(frozen=True)
 class TimelineResult:
-    records: list[TraceRecord]
+    marks: list[Span]
     counters: dict[str, int]
-    # Driver span trees keyed by board name (span ids are per-driver, so the
-    # trees must not be merged across boards).
-    spans: dict[str, list[Span]] = field(default_factory=dict)
+    spans: list[Span]
 
     def events(self, source_substr: str = "") -> list[str]:
-        return [r.event for r in self.records if source_substr in r.source]
+        return [m.name for m in self.marks if source_substr in m.source]
 
     def first_time(self, event: str) -> int:
-        for r in self.records:
-            if r.event == event:
-                return r.time
+        for m in self.marks:
+            if m.name == event:
+                return m.start_ns
         raise KeyError(event)
 
-    def render(self) -> str:
-        return "\n".join(str(r) for r in self.records)
-
     def render_spans(self) -> str:
-        """Per-board span trees (rndv → pin / pull[i] → copy / notify)."""
-        sections = []
-        for board, spans in self.spans.items():
-            sections.append(f"== {board} ==\n{render_span_tree(spans)}")
-        return "\n".join(sections)
+        """Span trees by source board (rndv → pin / pull[i] → copy / notify)."""
+        by_source: dict[str, list[Span]] = {}
+        for span in self.spans:
+            by_source.setdefault(span.source, []).append(span)
+        return "\n".join(f"== {source} ==\n{render_span_tree(spans)}"
+                         for source, spans in by_source.items())
 
 
-def _collect(cluster) -> tuple[dict[str, int], dict[str, list[Span]]]:
+def _collect(cluster) -> TimelineResult:
     counters: dict[str, int] = {}
-    spans: dict[str, list[Span]] = {}
     for node in cluster.nodes:
         for k, v in node.driver.counters.as_dict().items():
             counters[k] = counters.get(k, 0) + v
-        spans[node.driver.board] = node.driver.spans.to_list()
-    return counters, spans
+    return TimelineResult(cluster.spans.marks(), counters,
+                          cluster.spans.spans())
 
 
 def run_rendezvous_timeline(mode: PinningMode,
@@ -83,8 +77,7 @@ def run_rendezvous_timeline(mode: PinningMode,
 
     done = env.all_of([env.process(sender()), env.process(receiver())])
     env.run(until=done)
-    counters, spans = _collect(cluster)
-    return TimelineResult(list(cluster.tracer.records), counters, spans)
+    return _collect(cluster)
 
 
 def run_decoupled_timeline(nbytes: int = 2 * MIB) -> TimelineResult:
@@ -101,7 +94,6 @@ def run_decoupled_timeline(nbytes: int = 2 * MIB) -> TimelineResult:
     s, r = cluster.lib(0), cluster.lib(1)
     sp, rp = cluster.nodes[0].procs[0], cluster.nodes[1].procs[0]
     rbuf = rp.malloc(nbytes)
-    tracer = cluster.tracer
 
     def one_send(sbuf, tag):
         req = yield from s.isend(sbuf, nbytes, r.board, r.endpoint_id, tag)
@@ -114,13 +106,13 @@ def run_decoupled_timeline(nbytes: int = 2 * MIB) -> TimelineResult:
     def sender():
         sbuf = sp.malloc(nbytes)
         sp.write(sbuf, b"1" * nbytes)
-        tracer.record(env.now, "app", "malloc", va=sbuf)
+        cluster.spans.mark(env.now, "app", "malloc", va=sbuf)
         yield from one_send(sbuf, 1)  # declare + pin (cache miss)
         yield from one_send(sbuf, 2)  # cache hit, already pinned
-        tracer.record(env.now, "app", "free", va=sbuf)
+        cluster.spans.mark(env.now, "app", "free", va=sbuf)
         sp.free(sbuf)  # munmap -> MMU notifier -> unpin
         sbuf2 = sp.malloc(nbytes)  # same size: allocator reuses the VA
-        tracer.record(env.now, "app", "malloc", va=sbuf2, reused=sbuf2 == sbuf)
+        cluster.spans.mark(env.now, "app", "malloc", va=sbuf2, reused=sbuf2 == sbuf)
         sp.write(sbuf2, b"3" * nbytes)
         yield from one_send(sbuf2, 3)  # repin on demand
 
@@ -130,5 +122,4 @@ def run_decoupled_timeline(nbytes: int = 2 * MIB) -> TimelineResult:
 
     done = env.all_of([env.process(sender()), env.process(receiver())])
     env.run(until=done)
-    counters, spans = _collect(cluster)
-    return TimelineResult(list(cluster.tracer.records), counters, spans)
+    return _collect(cluster)

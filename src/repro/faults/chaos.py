@@ -267,10 +267,10 @@ def run_chaos(seed: int, steps: int, mode: PinningMode | None = None,
     for node in cluster.nodes:
         counts = sorted(node.driver.counters.as_dict().items())
         digest.update(f"{node.host.name} {counts}\n".encode())
-    for rec in cluster.tracer.records:
+    for mark in cluster.spans.marks():
         digest.update(
-            f"{rec.time}|{rec.source}|{rec.event}|"
-            f"{sorted(rec.detail.items())}\n".encode()
+            f"{mark.start_ns}|{mark.source}|{mark.name}|"
+            f"{sorted(mark.attrs.items())}\n".encode()
         )
 
     return ChaosResult(

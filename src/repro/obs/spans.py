@@ -8,10 +8,13 @@ One rendezvous transfer becomes a small tree of timed spans::
       pull[1]                       [ 900 ..  61_800 ns]
       notify                        [88_000 .. 92_000 ns]
 
-replacing the hand-reconstructed timelines that experiments previously
-pieced together from flat trace records.  Spans live in a bounded ring
+The same stream holds *marks*: point events (``send_rndv``,
+``recv_pinned``, ...) that open and close at one instant, in the order
+they were recorded.  One tracker serves a whole cluster, so span ids are
+unique per cluster and marks from every host interleave in execution
+order.  Entries live in one bounded ring
 (:class:`repro.obs.ring.RingBuffer`), so long traced runs stay at constant
-memory; the tracker counts evictions so a truncated tree is detectable.
+memory; the tracker counts evictions so a truncated stream is detectable.
 
 Timestamps are supplied by the caller (simulated nanoseconds) — the tracker
 never reads a wall clock, keeping simulation determinism intact.
@@ -29,7 +32,12 @@ __all__ = ["Span", "SpanTracker", "render_span_tree"]
 
 @dataclass
 class Span:
-    """One timed phase; ``end_ns`` is None while the phase is open."""
+    """One timed phase; ``end_ns`` is None while the phase is open.
+
+    ``mark`` flags a point event.  Duration cannot tell the two apart: a
+    phase (a ``pin`` that found its pages resident) may close at the
+    instant it opened.
+    """
 
     id: int
     name: str
@@ -37,6 +45,8 @@ class Span:
     parent_id: int | None = None
     end_ns: int | None = None
     attrs: dict[str, Any] = field(default_factory=dict)
+    source: str = ""
+    mark: bool = False
 
     @property
     def open(self) -> bool:
@@ -58,16 +68,21 @@ _NULL_SPAN = Span(id=-1, name="", start_ns=0)
 
 
 class SpanTracker:
-    """Collects spans into a bounded ring; renders them as a tree."""
+    """Collects spans and marks into one ring; renders spans as a tree.
 
-    def __init__(self, capacity: int | None = 4096, enabled: bool = True):
+    ``capacity`` bounds the whole stream, marks and spans together (oldest
+    evicted first); ``None`` keeps every entry.
+    """
+
+    def __init__(self, capacity: int | None = None, enabled: bool = True):
         self.enabled = enabled
         self._ring = RingBuffer(capacity)
         self._next_id = 0
 
     # -- recording ----------------------------------------------------------
     def begin(self, name: str, time_ns: int,
-              parent: "Span | int | None" = None, **attrs: Any) -> Span:
+              parent: "Span | int | None" = None, source: str = "",
+              **attrs: Any) -> Span:
         if not self.enabled:
             return _NULL_SPAN
         parent_id = parent.id if isinstance(parent, Span) else parent
@@ -75,9 +90,17 @@ class SpanTracker:
             parent_id = None  # parent recorded while tracking was off
         self._next_id += 1
         span = Span(id=self._next_id, name=name, start_ns=time_ns,
-                    parent_id=parent_id, attrs=dict(attrs))
+                    parent_id=parent_id, attrs=attrs, source=source)
         self._ring.append(span)
         return span
+
+    def mark(self, time_ns: int, source: str, name: str, **attrs: Any) -> None:
+        """Record a point event at ``time_ns``."""
+        if self.enabled:
+            self._next_id += 1
+            self._ring.append(Span(id=self._next_id, name=name,
+                                   start_ns=time_ns, end_ns=time_ns,
+                                   attrs=attrs, source=source, mark=True))
 
     def end(self, span: Span, time_ns: int, **attrs: Any) -> None:
         if not self.enabled or span.id < 0 or span.end_ns is not None:
@@ -92,7 +115,16 @@ class SpanTracker:
         return self._ring.dropped
 
     def to_list(self) -> list[Span]:
+        """The whole retained stream, marks and spans, oldest first."""
         return self._ring.to_list()
+
+    def marks(self) -> list[Span]:
+        """Retained marks in record order."""
+        return [s for s in self._ring.to_list() if s.mark]
+
+    def spans(self) -> list[Span]:
+        """Retained spans (not marks) in start order."""
+        return [s for s in self._ring.to_list() if not s.mark]
 
     def clear(self) -> None:
         self._ring.clear()
@@ -105,16 +137,17 @@ class SpanTracker:
 
     def roots(self) -> list[Span]:
         """Spans with no (retained) parent, in start order."""
-        retained = {s.id for s in self._ring}
-        return [s for s in self._ring
+        spans = self.spans()
+        retained = {s.id for s in spans}
+        return [s for s in spans
                 if s.parent_id is None or s.parent_id not in retained]
 
     def children(self, span: Span) -> list[Span]:
-        return [s for s in self._ring if s.parent_id == span.id]
+        return [s for s in self.spans() if s.parent_id == span.id]
 
     def render_tree(self) -> str:
         """Indented text rendering of every span tree, oldest root first."""
-        return render_span_tree(self._ring, dropped=self.dropped)
+        return render_span_tree(self.spans(), dropped=self.dropped)
 
 
 def render_span_tree(spans, dropped: int = 0) -> str:

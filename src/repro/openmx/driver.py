@@ -50,7 +50,7 @@ from repro.openmx.wire import (
     PullRequest,
     Rndv,
 )
-from repro.sim import Environment, Event, Store, Tracer
+from repro.sim import Environment, Event, Store
 
 __all__ = ["DriverEndpoint", "OpenMXDriver"]
 
@@ -252,9 +252,8 @@ class OpenMXDriver:
     """One host's Open-MX driver instance."""
 
     def __init__(self, kernel: Kernel, config: OpenMXConfig,
-                 tracer: Tracer | None = None,
-                 metrics: MetricRegistry | None = None,
-                 span_capacity: int | None = 4096):
+                 spans: SpanTracker | None = None,
+                 metrics: MetricRegistry | None = None):
         self.kernel = kernel
         self.env: Environment = kernel.env
         self.config = config
@@ -262,14 +261,13 @@ class OpenMXDriver:
         # Observability: each protocol count is this driver's own cell of an
         # ``omx_*`` registry counter (per-driver reads like
         # ``driver.counters["overlap_miss_recv"]`` stay exact when clusters
-        # share a registry); spans record one tree per rendezvous when
+        # share a registry); ``spans`` (one stream shared by the cluster's
+        # drivers) records protocol marks and one tree per rendezvous when
         # tracing is on.
         self.metrics = metrics if metrics is not None else kernel.metrics
         host_name = kernel.host.name
         self.counters = Counters(self.metrics, prefix="omx_", host=host_name)
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.spans = SpanTracker(capacity=span_capacity,
-                                 enabled=self.tracer.enabled)
+        self.spans = spans if spans is not None else SpanTracker(enabled=False)
         mode = config.pinning_mode.value
         pin_wait = self.metrics.histogram(
             "omx_pin_wait_ns",
@@ -415,8 +413,9 @@ class OpenMXDriver:
         region = ep.regions[rid]
         seq = ep.next_seq()
         state = _SendState(seq, region, dst_board, dst_endpoint)
-        state.span = self.spans.begin("rndv", self.env.now, side="send",
-                                      seq=seq, bytes=region.total_length)
+        state.span = self.spans.begin("rndv", self.env.now, source=self.board,
+                                      side="send", seq=seq,
+                                      bytes=region.total_length)
         state.done_event = self.env.event()
         state.last_activity_ns = self.env.now
         ep.sends[seq] = state
@@ -557,7 +556,7 @@ class OpenMXDriver:
         """
         start = self.env.now
         pin_span = self.spans.begin("pin", start, parent=parent,
-                                    pages=region.npages)
+                                    source=self.board, pages=region.npages)
         ok = yield from self.pin_mgr.acquire_pinned(ctx, region)
         attempt = 0
         while (not ok and attempt < self.config.pin_retry_max
@@ -610,8 +609,9 @@ class OpenMXDriver:
         state.last_request_ns = [-1] * nchunks
         state.nblocks = (nchunks + block_chunks - 1) // block_chunks
         state.done_event = self.env.event()
-        state.span = self.spans.begin("rndv", self.env.now, side="recv",
-                                      handle=handle, bytes=rndv.msg_length)
+        state.span = self.spans.begin("rndv", self.env.now, source=self.board,
+                                      side="recv", handle=handle,
+                                      bytes=rndv.msg_length)
         ep.pulls[handle] = state
         self.pin_mgr.comm_started(region)
 
@@ -676,7 +676,7 @@ class OpenMXDriver:
         if self.spans.enabled and block not in state.block_spans:
             state.block_spans[block] = self.spans.begin(
                 f"pull[{block}]", self.env.now, parent=state.span,
-                offset=offset, length=length,
+                source=self.board, offset=offset, length=length,
             )
         pkt = PullRequest(
             src_board=self.board, src_endpoint=ep.id,
@@ -797,10 +797,10 @@ class OpenMXDriver:
           ``env.now`` before charging.  ``Notify``/``Liback`` are excluded:
           they complete library events whose wakeup instants must not move.
 
-        Tracing records pre-charge timestamps, so fusion is off whenever
-        the tracer or span tracker observes (all chaos/digest runs).
+        Marks and spans record pre-charge timestamps, so fusion is off
+        whenever the cluster's trace stream records (all chaos/digest runs).
         """
-        if self.tracer.enabled or self.spans.enabled:
+        if self.spans.enabled:
             return False
         pkt = frame.payload
         if isinstance(pkt, (EagerFrag, Rndv)):
@@ -984,7 +984,7 @@ class OpenMXDriver:
         copy_span = self.spans.begin(
             "copy", self.env.now,
             parent=block_span if block_span is not None else state.span,
-            offset=pkt.offset, bytes=len(pkt.data),
+            source=self.board, offset=pkt.offset, bytes=len(pkt.data),
         )
         if state.bounce is not None:
             # Copy-through degradation: land in the kernel bounce buffer;
@@ -1081,7 +1081,8 @@ class OpenMXDriver:
             dst_endpoint=state.src_endpoint, handle=state.handle,
             sender_region=state.sender_region, seq=state.sender_seq,
         )
-        nspan = self.spans.begin("notify", self.env.now, parent=state.span)
+        nspan = self.spans.begin("notify", self.env.now, parent=state.span,
+                                 source=self.board)
         yield from self._xmit(ctx, state.src_board, notify)
         self.spans.end(nspan, self.env.now)
         self.trace(ep, "notify_sent", handle=state.handle)
@@ -1137,4 +1138,7 @@ class OpenMXDriver:
         )
 
     def trace(self, ep: DriverEndpoint, event: str, **detail) -> None:
-        self.tracer.record(self.env.now, f"{self.board}/ep{ep.id}", event, **detail)
+        """Mark ``event`` on the trace stream, sourced ``{board}/ep{id}``."""
+        if self.spans.enabled:
+            self.spans.mark(self.env.now, f"{self.board}/ep{ep.id}", event,
+                            **detail)

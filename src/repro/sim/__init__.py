@@ -11,7 +11,7 @@ from .engine import (
     Timeout,
 )
 from .resources import Request, Resource, Store
-from .trace import TraceRecord, Tracer, summarize
+from .trace import summarize
 
 __all__ = [
     "AllOf",
@@ -25,7 +25,5 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "summarize",
 ]

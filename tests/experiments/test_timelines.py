@@ -25,8 +25,8 @@ def test_figure5_overlapped_rendezvous_order():
     assert t.first_time("send_rndv") < t.first_time("send_pinned")
     # ...and pull requests are already flowing before the receiver's pin is
     # done (no recv_pinned event precedes the first pull_request).
-    pulls = [r.time for r in t.records if r.event == "pull_request"]
-    pinned = [r.time for r in t.records if r.event == "recv_pinned"]
+    pulls = [m.start_ns for m in t.marks if m.name == "pull_request"]
+    pinned = [m.start_ns for m in t.marks if m.name == "recv_pinned"]
     assert pulls and (not pinned or pulls[0] < pinned[0])
     # And no packets were lost to overlap misses under this regular load.
     assert t.counters.get("overlap_miss_send", 0) == 0
@@ -53,12 +53,12 @@ def test_figure3_decoupled_cache_lifecycle():
     # Three pins total: first use (x2 sides) + the repin after realloc.
     assert c["region_pinned"] == 3
     # The app's free and the following malloc reused the same VA.
-    mallocs = [r for r in t.records if r.event == "malloc"]
-    assert mallocs[-1].detail.get("reused") is True
+    mallocs = [m for m in t.marks if m.name == "malloc"]
+    assert mallocs[-1].attrs.get("reused") is True
 
 
 def test_timeline_events_are_time_ordered():
     t = run_rendezvous_timeline(PinningMode.CACHE)
-    times = [r.time for r in t.records]
+    times = [m.start_ns for m in t.marks]
     assert times == sorted(times)
     assert "declare_region" in t.events()

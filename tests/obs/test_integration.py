@@ -5,9 +5,12 @@ and tracing must stay bounded while every pinning mode still works."""
 import pytest
 
 from repro.cluster import build_cluster
+from repro.hw.nic import EthernetFrame
 from repro.kernel.context import AcquiringContext
+from repro.kernel.ethernet import ETH_P_OMX
 from repro.obs.metrics import MetricRegistry
 from repro.openmx import OpenMXConfig, PinningMode
+from repro.openmx.wire import Rndv
 from repro.util.units import MIB
 
 
@@ -134,28 +137,89 @@ def test_pinned_pages_gauge_returns_to_zero_after_uncached_transfer():
         assert gauge.labels(host=host).value == 0, host
 
 
-@pytest.mark.parametrize("mode", list(PinningMode))
-def test_every_mode_runs_with_bounded_tracing_and_spans(mode):
-    registry = MetricRegistry()
+def traced_transfer(mode, trace_capacity):
     cluster = build_cluster(
         config=OpenMXConfig(pinning_mode=mode),
-        metrics=registry,
-        trace=True, trace_capacity=256,
+        metrics=MetricRegistry(),
+        trace=True, trace_capacity=trace_capacity,
     )
     transfer(cluster, 2 * MIB)
-    assert cluster.tracer.capacity == 256
-    assert len(cluster.tracer) <= 256
+    return cluster
+
+
+@pytest.mark.parametrize("mode", list(PinningMode))
+def test_every_mode_records_closed_rndv_trees(mode):
+    cluster = traced_transfer(mode, None)
+    assert cluster.spans.dropped == 0
+    by_source = {}
+    for span in cluster.spans.spans():
+        by_source.setdefault(span.source, []).append(span)
     # Spans recorded a closed rndv tree on both sides.
     for node in cluster.nodes[:2]:
-        spans = node.driver.spans.to_list()
+        spans = by_source[node.driver.board]
         roots = [s for s in spans if s.name == "rndv"]
         assert roots, f"no rndv span on {node.host.name}"
         assert all(not s.open for s in roots)
         assert any(s.name == "pin" for s in spans)
-    recv_spans = cluster.nodes[1].driver.spans.to_list()
+    recv_spans = by_source[cluster.nodes[1].driver.board]
     assert any(s.name.startswith("pull[") for s in recv_spans)
     assert any(s.name == "notify" for s in recv_spans)
     assert any(s.name == "copy" for s in recv_spans)
+
+
+@pytest.mark.parametrize("mode", list(PinningMode))
+def test_every_mode_runs_with_bounded_tracing_and_spans(mode):
+    full = traced_transfer(mode, None).spans.to_list()
+    bounded = traced_transfer(mode, 256).spans
+    assert len(full) > 256
+    # The capacity bounds the whole stream, marks and spans together: the
+    # bounded run keeps exactly the newest 256 entries of the full one.
+    assert len(bounded) == 256
+    assert bounded.dropped == len(full) - 256
+
+    def keys(entries):
+        return [(s.mark, s.name, s.start_ns, s.source) for s in entries]
+
+    assert keys(bounded.to_list()) == keys(full[-256:])
+
+
+def test_marks_from_two_hosts_at_one_instant_keep_execution_order():
+    # The chaos digest folds marks in record order; hosts must interleave
+    # as they ran, not grouped or sorted by source.
+    cluster = build_cluster(trace=True)
+    lib0, lib1 = cluster.lib(0), cluster.lib(1)
+    lib1.driver.trace(lib1.ep, "b1")
+    lib0.driver.trace(lib0.ep, "a1")
+    lib1.driver.trace(lib1.ep, "b2")
+    marks = cluster.spans.marks()
+    assert [(m.start_ns, m.source, m.name) for m in marks] == [
+        (0, f"{lib1.board}/ep0", "b1"),
+        (0, f"{lib0.board}/ep0", "a1"),
+        (0, f"{lib1.board}/ep0", "b2"),
+    ]
+
+
+def test_span_ids_are_unique_across_a_clusters_drivers():
+    cluster = traced_transfer(PinningMode.OVERLAP, None)
+    assert all(node.driver.spans is cluster.spans for node in cluster.nodes)
+    assert len({s.source for s in cluster.spans.spans()}) == 2
+    ids = [s.id for s in cluster.spans.to_list()]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_trace_switch_gates_recording_and_bh_fusion(trace):
+    cluster = build_cluster(trace=trace)
+    transfer(cluster, 1 * MIB)
+    assert (len(cluster.spans) > 0) is trace
+    driver = cluster.nodes[1].driver
+    rndv = Rndv(src_board=cluster.lib(0).board, src_endpoint=0,
+                dst_endpoint=0)
+    frame = EthernetFrame(src=rndv.src_board, dst=driver.board,
+                          ethertype=ETH_P_OMX, payload=rndv,
+                          payload_bytes=rndv.wire_payload_bytes)
+    # Marks record pre-charge timestamps, so tracing turns fusion off.
+    assert driver._rx_fusable(frame) is not trace
 
 
 def test_disabled_registry_keeps_protocol_counters_exact():

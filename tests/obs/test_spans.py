@@ -32,11 +32,29 @@ def test_disabled_tracker_returns_null_span():
     s = t.begin("x", 0)
     assert s.id < 0
     t.end(s, 10)  # no-op, no crash
+    t.mark(0, "src", "evt")
     assert len(t) == 0
     # A child begun later under a null parent becomes a root.
     t.enabled = True
     child = t.begin("y", 1, parent=s)
     assert child.parent_id is None
+
+
+def test_marks_share_the_ring_but_stay_out_of_the_trees():
+    t = SpanTracker()
+    t.mark(5, "a/ep0", "send_rndv", seq=1)
+    pin = t.begin("pin", 5, source="a")
+    t.end(pin, 5)  # a phase may close at the instant it opened
+    t.mark(5, "b/ep0", "recv_pinned", handle=2)
+    assert len(t) == 3
+    assert len({s.id for s in t}) == 3
+    first, second = t.marks()
+    assert (first.start_ns, first.end_ns, first.source, first.name,
+            first.attrs) == (5, 5, "a/ep0", "send_rndv", {"seq": 1})
+    assert second.name == "recv_pinned"
+    assert t.spans() == [pin] and not pin.mark and pin.duration_ns == 0
+    assert t.roots() == [pin]
+    assert "send_rndv" not in t.render_tree()
 
 
 def test_bounded_ring_evicts_old_spans_and_counts_them():

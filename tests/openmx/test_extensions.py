@@ -30,6 +30,11 @@ def transfer(cluster, nbytes, blocking=True, tag=1):
     assert rp.read(rbuf, nbytes) == data
 
 
+def first(cluster, name):
+    """Time of the first ``name`` mark on the cluster's trace stream."""
+    return next(m.start_ns for m in cluster.spans.marks() if m.name == name)
+
+
 def test_sync_prefix_pins_pages_before_rndv():
     cluster = build_cluster(
         config=OpenMXConfig(pinning_mode=PinningMode.OVERLAP,
@@ -40,8 +45,7 @@ def test_sync_prefix_pins_pages_before_rndv():
     counters = cluster.nodes[0].driver.counters
     assert counters["prefix_pinned"] >= 1
     # The rndv still leaves before the FULL pin completes (still overlapped).
-    tr = cluster.tracer
-    assert tr.first("send_rndv").time < tr.first("send_pinned").time
+    assert first(cluster, "send_rndv") < first(cluster, "send_pinned")
 
 
 def test_sync_prefix_delivers_correctly_for_tiny_regions():
@@ -89,9 +93,8 @@ def test_adaptive_overlap_nonblocking_pins_synchronously():
         trace=True,
     )
     transfer(cluster, 2 * MIB, blocking=False)
-    tr = cluster.tracer
     # Non-blocking + adaptive: the pin completes BEFORE the rndv (Figure 2).
-    assert tr.first("send_pinned").time < tr.first("send_rndv").time
+    assert first(cluster, "send_pinned") < first(cluster, "send_rndv")
 
 
 def test_adaptive_overlap_blocking_still_overlaps():
@@ -101,8 +104,7 @@ def test_adaptive_overlap_blocking_still_overlaps():
         trace=True,
     )
     transfer(cluster, 2 * MIB, blocking=True)
-    tr = cluster.tracer
-    assert tr.first("send_rndv").time < tr.first("send_pinned").time
+    assert first(cluster, "send_rndv") < first(cluster, "send_pinned")
 
 
 def test_mpi_blocking_calls_mark_requests_blocking():
@@ -128,9 +130,8 @@ def test_mpi_blocking_calls_mark_requests_blocking():
 
     done = env.all_of([env.process(rank0()), env.process(rank1())])
     env.run(until=done)
-    tr = cluster.tracer
     # MPI_Send/Recv are blocking: the adaptive policy keeps them overlapped.
-    assert tr.first("send_rndv").time < tr.first("send_pinned").time
+    assert first(cluster, "send_rndv") < first(cluster, "send_pinned")
 
 
 def test_sync_prefix_reduces_misses_under_pressure():

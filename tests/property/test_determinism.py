@@ -32,8 +32,10 @@ def run_once(mode, nbytes, nmsgs, trace):
         sorted(cluster.nodes[n].driver.counters.as_dict().items())
         for n in range(2)
     )
-    trace_sig = tuple((rec.time, rec.source, rec.event)
-                      for rec in cluster.tracer.records)
+    spans = cluster.spans
+    trace_sig = (tuple((m.start_ns, m.source, m.name) for m in spans.marks()),
+                 tuple((s.start_ns, s.end_ns, s.source, s.name)
+                       for s in spans.spans()))
     return env.now, counters, trace_sig
 
 
