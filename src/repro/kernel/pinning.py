@@ -210,7 +210,7 @@ class PinService:
         self._drain_waiters()
         timer = env.timeout(max(max_wait_ns, 0))
         t_start = env.now
-        yield env.any_of((event, timer))
+        yield env.race(event, timer)
         self._m_queue_wait.observe(env.now - t_start)
         if waiter.granted:
             timer.cancel()

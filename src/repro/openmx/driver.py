@@ -365,9 +365,9 @@ class OpenMXDriver:
         while True:
             delay = self.config.resend_delay_ns(rounds, key=state.seq)
             timer = self.env.timeout(delay)
-            result = yield self.env.any_of([state.acked, timer])
+            result = yield self.env.race(state.acked, timer)
             timer.cancel()  # recycle the loser; no-op if it fired
-            if state.acked in result:
+            if result is state.acked:
                 return
             if state.seq not in ep.eager_tx:
                 return
@@ -515,9 +515,9 @@ class OpenMXDriver:
         while not state.done:
             delay = self.config.resend_delay_ns(dead_rounds, key=state.seq)
             timer = self.env.timeout(delay)
-            result = yield self.env.any_of([state.done_event, timer])
+            result = yield self.env.race(state.done_event, timer)
             timer.cancel()  # recycle the loser; no-op if it fired
-            if state.done or state.done_event in result:
+            if state.done or result is state.done_event:
                 return
             if state.last_activity_ns == marker:
                 dead_rounds += 1
@@ -756,9 +756,9 @@ class OpenMXDriver:
         while not state.done:
             delay = self.config.resend_delay_ns(dead_rounds, key=state.handle)
             timer = self.env.timeout(delay)
-            result = yield self.env.any_of([state.done_event, timer])
+            result = yield self.env.race(state.done_event, timer)
             timer.cancel()  # recycle the loser; no-op if it fired
-            if state.done or state.done_event in result:
+            if state.done or result is state.done_event:
                 return
             if state.bytes_received == state.progress_marker:
                 dead_rounds += 1

@@ -351,7 +351,7 @@ class OmxLib:
             with claim(PRIO_USER) as r:
                 yield r
                 timer = env.timeout(slice_ns)
-                yield env.any_of([doorbell, timer])
+                yield env.race(doorbell, timer)
                 timer.cancel()  # recycle the loser; no-op if it fired
             if req is None:
                 return None

@@ -7,6 +7,7 @@ from .engine import (
     Event,
     Interrupt,
     Process,
+    Race,
     SimulationError,
     Timeout,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
+    "Race",
     "Request",
     "Resource",
     "SimulationError",

@@ -32,6 +32,13 @@ Every scenario is deterministic, so one timed round gives an exact event
 count and an exact simulated end state; wall time is the only noise, which
 ``--repeat`` (best-of) tames.
 
+``timer_churn`` and ``poll_spin`` race with ``env.any_of`` although the
+protocol layers race with the two-event ``env.race``: ``--ab-rev`` runs this
+checkout's scenario code against an older revision's ``src/``, which may
+predate ``race``, so the scenarios keep to the API every revision has.  The
+library's switch to ``race`` therefore shows only end to end
+(``python3 -m benchmarks.e2e compare``).
+
 Usage::
 
     python -m repro.sim.bench                     # full scale, 3 repeats
@@ -103,7 +110,11 @@ def _clock_probe(env: Environment) -> Probe:
 
 
 def _timer_churn(env: Environment, rounds: int, procs: int = 16) -> Probe:
-    """The retransmit idiom: ack at +10 ns races a timer at +1000 ns."""
+    """The retransmit idiom: ack at +10 ns races a timer at +1000 ns.
+
+    The race is an ``any_of`` so that ``--ab-rev`` can run this scenario
+    against revisions that predate ``env.race``.
+    """
 
     def worker():
         for _ in range(rounds):
@@ -228,6 +239,10 @@ def _poll_spin(env: Environment, rounds: int) -> Probe:
     rings the doorbell, which ends the spinner's next slice at once.  The
     slice timers are lone level-1 wheel entries, so the wheel's
     single-expiry cascade is exercised as hard as the core claims.
+
+    ``OmxLib._spin`` races with ``env.race``; this scenario keeps the
+    ``any_of`` race so that ``--ab-rev`` can run it against revisions that
+    predate ``race``, and the library's race shows only end to end.
     """
     from repro.hw.cpu import PRIO_BH, PRIO_USER
     from repro.sim.resources import Resource

@@ -87,6 +87,7 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
+    "Race",
     "SimulationError",
     "Timeout",
 ]
@@ -492,6 +493,80 @@ class AnyOf(Condition):
         self._detach_pending()
 
 
+class Race(Event):
+    """Fires with whichever of two events is processed first.
+
+    The two-member form of :class:`AnyOf` that every protocol timer race
+    uses (a doorbell or an ack against its timer): the value is the
+    winning event itself, not a ``{event: value}`` dict, and a failing
+    winner fails the race.  Attach, detach and dispatch follow ``AnyOf``
+    step for step — the race triggers into the ready FIFO from the
+    winner's dispatch, detaches from the loser (defusing it when nobody
+    else watches it), and decides at once when a member is already
+    processed at construction — so swapping one for the other changes no
+    event order and no event count.
+    """
+
+    __slots__ = ("_a", "_b")
+
+    def __init__(self, env: "Environment", a: Event, b: Event):
+        # Built once per poll slice: fields are set flat, as in Timeout.
+        if a.env is not env or b.env is not env:
+            raise SimulationError("all events must share one environment")
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._scheduled = False
+        self._waiters = 0
+        self._defused = False
+        self._cancelled = False
+        self._a = a
+        self._b = b
+        check = self._check
+        cbs = a.callbacks
+        if cbs is None:
+            # Decided at construction: never attach to the other member,
+            # just defuse it if it is still pending.
+            check(a)
+            if b.callbacks is not None:
+                b._defused = True
+            return
+        cbs.append(check)
+        a._waiters += 1
+        cbs = b.callbacks
+        if cbs is None:
+            check(b)
+        else:
+            cbs.append(check)
+            b._waiters += 1
+
+    def _check(self, event: Event) -> None:
+        if self._value is not _PENDING:
+            return
+        if event._ok:
+            self._ok = True
+            self._value = event
+        else:
+            event._defused = True
+            self._ok = False
+            self._value = event._value
+        self._scheduled = True
+        self.env._ready.append(self)
+        loser = self._b if event is self._a else self._a
+        cbs = loser.callbacks
+        if cbs is None:
+            return
+        try:
+            cbs.remove(self._check)
+        except ValueError:
+            return  # never attached: decided at construction
+        loser._waiters -= 1
+        if not cbs and not loser._waiters:
+            # Nobody else watches the loser; swallow a late failure.
+            loser._defused = True
+
+
 class Environment:
     """Holds the clock and the timer-wheel event core; executes the simulation.
 
@@ -627,6 +702,9 @@ class Environment:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
+
+    def race(self, a: Event, b: Event) -> Race:
+        return Race(self, a, b)
 
     # -- scheduling -----------------------------------------------------------
     def _insert(self, event: Event, when: int) -> None:

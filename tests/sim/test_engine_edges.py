@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, SimulationError
+from repro.sim import Environment, Event, Interrupt, Race, SimulationError
+from repro.sim import engine
 
 
 def test_allof_fails_fast_on_first_failure():
@@ -221,6 +222,99 @@ def test_anyof_loser_can_be_cancelled_after_detach():
     env.run()
     assert env.now == 1000  # dead entry still pops: clock is unchanged
     assert env.timeouts_recycled == 1
+
+
+def test_race_is_exported():
+    assert "Race" in engine.__all__
+    assert Race is engine.Race
+    env = Environment()
+    assert isinstance(env.race(env.event(), env.timeout(1)), Race)
+
+
+def test_race_failing_member_fails_the_race():
+    env = Environment()
+    member = env.event()
+    timer = env.timeout(50)
+    caught = []
+
+    def failer():
+        yield env.timeout(10)
+        member.fail(RuntimeError("member failed"))
+
+    def waiter():
+        try:
+            yield env.race(member, timer)
+        except RuntimeError as exc:
+            caught.append((env.now, str(exc)))
+        timer.cancel()
+
+    env.process(failer())
+    env.process(waiter())
+    env.run()
+    assert caught == [(10, "member failed")]
+    assert member._defused  # delivered to the yielder, so handled
+
+
+def test_race_unwatched_loser_failure_is_swallowed():
+    env = Environment()
+    loser = env.event()
+    env.run(until=env.race(loser, env.timeout(1)))
+    assert loser._waiters == 0 and loser.callbacks == [] and loser._defused
+    loser.fail(RuntimeError("late"))
+    env.run()  # nobody watches it: the late failure crashes nothing
+
+
+def test_race_watched_loser_failure_reaches_its_watcher():
+    env = Environment()
+    loser = env.event()
+
+    def watcher():
+        yield loser
+
+    watch = env.process(watcher())
+    env.run(until=env.race(loser, env.timeout(1)))
+    # The race detached, but the watcher still waits: no defuse.
+    assert loser._waiters == 1 and not loser._defused
+    loser.fail(RuntimeError("late"))
+    with pytest.raises(RuntimeError, match="late"):
+        env.run()
+    assert not watch.ok
+
+
+def test_race_members_must_share_one_environment():
+    env, other = Environment(), Environment()
+    mine, theirs = env.event(), other.event()
+    with pytest.raises(SimulationError, match="one environment"):
+        env.race(mine, theirs)
+    with pytest.raises(SimulationError, match="one environment"):
+        env.race(theirs, mine)
+    assert mine._waiters == 0 and mine.callbacks == []
+
+
+def test_race_losing_timer_can_be_cancelled():
+    env = Environment()
+    doorbell = env.event()
+    timer = env.timeout(5_000)
+    doorbell.succeed()
+    assert env.run(until=env.race(doorbell, timer)) is doorbell
+    assert timer.cancel() is True  # detach left it unclaimed
+    env.run()
+    assert env.now == 5_000  # the dead entry still pops
+    assert env.timeouts_recycled == 1
+    assert env.timeout(3) is timer and env.timeouts_reused == 1
+
+
+def test_race_with_processed_member_decides_at_once():
+    env = Environment()
+    done = env.event()
+    done.succeed()
+    env.run()
+    pending = env.event()
+    race = env.race(done, pending)
+    assert race.triggered and race.value is done
+    # Never attached to the other member, only defused it.
+    assert pending.callbacks == [] and pending._waiters == 0
+    assert pending._defused
 
 
 def test_purge_cancelled_removes_dead_heap_entries():
