@@ -54,9 +54,9 @@ def merge_worker_registries(registries: Sequence[MetricRegistry],
     of which worker finished first.  Counters sum; gauges follow their
     declared per-metric merge policy (``last``/``sum``/``max``, see
     :class:`repro.obs.metrics.Gauge`), which is what lets per-engine
-    gauges like ``sim_wheel_pending`` and ``sim_events_per_sec`` aggregate
-    across the workers of one run instead of the last worker overwriting
-    every other engine's value.
+    gauges like ``sim_wheel_pending`` aggregate across the workers of one
+    run instead of the last worker overwriting every other engine's
+    value.
     """
     ambient = current_registry() if into is None else into
     if ambient is None:

@@ -109,6 +109,11 @@ class OmxLib:
         self._posted: list[OmxRequest] = []
         self._unexpected: list[_UnexpectedEager | _UnexpectedRndv] = []
         self._send_waiting: dict[int, OmxRequest] = {}
+        # A large send can complete while its submit syscall is still
+        # pinning (an overlapped rndv leaves mid-syscall, Figure 5), and
+        # another wait on this lib may drain its SendLargeDone before the
+        # seq is registered: keep it here for _send to apply.
+        self._send_done_early: dict[int, SendLargeDone] = {}
         self._recv_waiting: dict[int, OmxRequest] = {}
         # Eager sends complete locally (MX semantics), but the driver's
         # bounded retransmit loop can still fail them later; track the
@@ -163,8 +168,11 @@ class OmxLib:
         req.region_id = rid
         return rid
 
-    def _release_region(self, ctx: ExecContext, req: OmxRequest) -> Generator:
-        """After completion: uncached modes undeclare the per-comm region."""
+    def _complete(self, ctx: ExecContext, req: OmxRequest,
+                  status: str) -> Generator:
+        """Finish a large request; uncached modes undeclare its region."""
+        req.done = True
+        req.status = status
         if req.region_id is not None and not req._cached_region:
             if req.region_id in self.ep.regions:
                 yield from self._destroy_region(ctx, req.region_id)
@@ -181,9 +189,32 @@ class OmxLib:
         """
         req = OmxRequest(kind="send", va=va, length=length,
                          match_info=match_info, blocking=blocking)
-        ctx = self.proc.user_context()
-        if length <= self.config.eager_max:
-            data = self.proc.aspace.read(va, length) if length else b""
+        # Segment rejects length 0: an empty message is an eager send of
+        # no segments.
+        segs = (Segment(va, length),) if length else ()
+        return self._send(req, segs, dst_board, dst_endpoint, match_info)
+
+    def isendv(self, segments: list[tuple[int, int]], dst_board: str,
+               dst_endpoint: int, match_info: int,
+               blocking: bool = False) -> Generator:
+        """Process: vectorial send — one region over several (va, length)
+        segments (Section 3.2: "regions may be vectorial"; the whole
+        segment list crosses into the kernel once, at declaration)."""
+        segs = tuple(Segment(va, length) for va, length in segments)
+        req = OmxRequest(kind="send", va=segs[0].va,
+                         length=sum(s.length for s in segs),
+                         match_info=match_info, blocking=blocking)
+        return self._send(req, segs, dst_board, dst_endpoint, match_info)
+
+    def _send(self, req: OmxRequest, segs: tuple[Segment, ...],
+              dst_board: str, dst_endpoint: int,
+              match_info: int) -> Generator:
+        """The tail of :meth:`isend`/:meth:`isendv`: eager below
+        ``eager_max``, else a rendezvous over a (cached) region."""
+        if req.length <= self.config.eager_max:
+            data = b"".join(
+                self.proc.aspace.read(s.va, s.length) for s in segs
+            )
 
             def body(sctx):
                 seq = yield from self.driver.send_eager(
@@ -197,50 +228,9 @@ class OmxLib:
             req.status = "ok"
             self._eager_sent[seq] = req
             return req
-        yield from self._get_region(ctx, va, length, req)
-
-        def body(sctx):
-            seq = yield from self.driver.submit_send_large(
-                sctx, self.ep, req.region_id, dst_board, dst_endpoint,
-                match_info, blocking=req.blocking,
-            )
-            return seq
-
-        try:
-            seq = yield from self.proc.syscall(body)
-        finally:
-            self._unlease_region(req.region_id)
-        self._send_waiting[seq] = req
-        return req
-
-    def isendv(self, segments: list[tuple[int, int]], dst_board: str,
-               dst_endpoint: int, match_info: int,
-               blocking: bool = False) -> Generator:
-        """Process: vectorial send — one region over several (va, length)
-        segments (Section 3.2: "regions may be vectorial"; the whole
-        segment list crosses into the kernel once, at declaration)."""
-        segs = tuple(Segment(va, length) for va, length in segments)
-        total = sum(s.length for s in segs)
-        req = OmxRequest(kind="send", va=segs[0].va, length=total,
-                         match_info=match_info, blocking=blocking)
         ctx = self.proc.user_context()
-        if total <= self.config.eager_max:
-            data = b"".join(
-                self.proc.aspace.read(s.va, s.length) for s in segs
-            )
-
-            def body(sctx):
-                seq = yield from self.driver.send_eager(
-                    sctx, self.ep, dst_board, dst_endpoint, match_info, data
-                )
-                return seq
-
-            seq = yield from self.proc.syscall(body)
-            req.done = True
-            req.status = "ok"
-            self._eager_sent[seq] = req
-            return req
-        yield from self._get_region(ctx, segs[0].va, total, req, segments=segs)
+        yield from self._get_region(ctx, req.va, req.length, req,
+                                    segments=segs)
 
         def body(sctx):
             seq = yield from self.driver.submit_send_large(
@@ -253,7 +243,11 @@ class OmxLib:
             seq = yield from self.proc.syscall(body)
         finally:
             self._unlease_region(req.region_id)
-        self._send_waiting[seq] = req
+        done = self._send_done_early.pop(seq, None)
+        if done is None:
+            self._send_waiting[seq] = req
+        else:
+            yield from self._complete(ctx, req, done.status)
         return req
 
     def irecv(self, va: int, length: int, match_info: int,
@@ -429,16 +423,14 @@ class OmxLib:
                 yield from self._start_pull(req, ev.rndv)
         elif isinstance(ev, SendLargeDone):
             req = self._send_waiting.pop(ev.seq, None)
-            if req is not None:
-                req.done = True
-                req.status = ev.status
-                yield from self._release_region(ctx, req)
+            if req is None:
+                self._send_done_early[ev.seq] = ev
+            else:
+                yield from self._complete(ctx, req, ev.status)
         elif isinstance(ev, RecvLargeDone):
             req = self._recv_waiting.pop(ev.handle, None)
             if req is not None:
-                req.done = True
-                req.status = ev.status
-                yield from self._release_region(ctx, req)
+                yield from self._complete(ctx, req, ev.status)
         elif isinstance(ev, EagerSendFailed):
             req = self._eager_sent.pop(ev.seq, None)
             if req is not None:

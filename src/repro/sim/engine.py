@@ -65,11 +65,14 @@ Ordering is provably bit-identical to the old global heap:
   Timeout object is recycled through a free-list so the next
   ``env.timeout()`` costs a field reset instead of an allocation.
 
-``run()`` keeps the dispatch body inlined per stop condition, and
-``Environment(debug=True)`` swaps in a checked loop that verifies waiter
-accounting (``_waiters`` vs attached waiter callbacks) and wheel-slot
-ordering on every dispatch — the torture/chaos harnesses use it to catch
-detach-accounting bugs under batch-fire.
+The engine has two dispatch bodies: ``run()``'s inlined loop, which
+serves every stop condition (a stop event ends it from a hook appended as
+the event's last callback; a deadline is checked once per tick), and
+``step()``.  ``Environment(debug=True)`` runs ``run()``'s stop handling
+around ``step()``, which verifies waiter accounting (``_waiters`` vs
+attached waiter callbacks) and wheel-slot ordering on every dispatch — the
+torture/chaos harnesses use it to catch detach-accounting bugs under
+batch-fire.
 """
 
 from __future__ import annotations
@@ -126,6 +129,29 @@ class Interrupt(Exception):
 
 # Event lifecycle markers.
 _PENDING = object()
+
+# Deadline of a run() that has none: later than any simulated time.
+_NO_DEADLINE = 1 << 63
+
+
+class _StopRun(Exception):
+    """Raised by :func:`_stop_run` to end ``run(until=event)``."""
+
+
+def _stop_run(event: "Event") -> None:
+    """The stop hook: ``run(until=event)`` appends it to the event's
+    callbacks, so dispatching the event ends the run with no per-event
+    check in the loop (SimPy's ``StopSimulation`` works the same way)."""
+    raise _StopRun
+
+
+def _only_stop_hook(callbacks: list) -> bool:
+    """True when ``callbacks`` holds nothing but the stop hook.
+
+    The hook must stay invisible: code that asks "does anyone else watch
+    this event?" treats such a list as empty.
+    """
+    return len(callbacks) == 1 and callbacks[0] is _stop_run
 
 
 class Event:
@@ -255,10 +281,12 @@ class Timeout(Event):
         cbs = self.callbacks
         if cbs is None:
             return False
-        if cbs or self._waiters:
+        if (cbs and not _only_stop_hook(cbs)) or self._waiters:
             raise SimulationError(
                 "cannot cancel a timeout that is still being waited on"
             )
+        if cbs:
+            cbs.clear()  # the stop hook: a cancelled timer never fires
         self._cancelled = True
         return True
 
@@ -450,7 +478,7 @@ class Condition(Event):
             except ValueError:
                 continue
             ev._waiters -= 1
-            if not cbs and not ev._waiters:
+            if not ev._waiters and (not cbs or _only_stop_hook(cbs)):
                 # Nobody else watches this member; swallow a late failure
                 # exactly as the dead _check callback used to.
                 ev._defused = True
@@ -562,7 +590,7 @@ class Race(Event):
         except ValueError:
             return  # never attached: decided at construction
         loser._waiters -= 1
-        if not cbs and not loser._waiters:
+        if not loser._waiters and (not cbs or _only_stop_hook(cbs)):
             # Nobody else watches the loser; swallow a late failure.
             loser._defused = True
 
@@ -570,9 +598,9 @@ class Race(Event):
 class Environment:
     """Holds the clock and the timer-wheel event core; executes the simulation.
 
-    ``debug=True`` swaps the inlined dispatch loops for a checked loop that
-    verifies waiter accounting and wheel-slot ordering on every event —
-    slower, but it turns silent detach-accounting corruption into a
+    ``debug=True`` dispatches through :meth:`step`, which verifies waiter
+    accounting and wheel-slot ordering on every event — slower, but it
+    turns silent detach-accounting corruption into a
     :class:`SimulationError` at the exact dispatch that violates it.
     """
 
@@ -744,6 +772,59 @@ class Environment:
             self._ready.append(event)
 
     # -- wheel mechanics ------------------------------------------------------
+    # Each move of entries down the wheel is written once, in the three
+    # helpers below; _cascade (the next expiry) and _resync (the clock's
+    # window after a deadline jump) differ only in which slot they move.
+
+    def _promote(self) -> int:
+        """File the overflow heap's earliest 2^24 window into (empty)
+        level 2; returns the new level-2 occupancy."""
+        heap = self._overflow
+        shift = 3 * _WHEEL_BITS
+        prefix = heap[0][0] >> shift
+        l2 = self._l2
+        occ2 = 0
+        while heap and heap[0][0] >> shift == prefix:
+            _, _, ev = heappop(heap)
+            s = (ev._when >> (2 * _WHEEL_BITS)) & _WHEEL_MASK
+            l2[s].append(ev)
+            occ2 |= 1 << s
+        self._occ2 = occ2
+        self.wheel_promotions += 1
+        return occ2
+
+    def _file_l2(self, bit: int) -> int:
+        """File the level-2 slot ``bit`` into (empty) level 1; returns the
+        new level-1 occupancy."""
+        self._occ2 ^= bit
+        slot = self._l2[bit.bit_length() - 1]
+        l1 = self._l1
+        occ1 = 0
+        for ev in slot:
+            s = (ev._when >> _WHEEL_BITS) & _WHEEL_MASK
+            l1[s].append(ev)
+            occ1 |= 1 << s
+        slot.clear()
+        self._occ1 = occ1
+        self.wheel_cascades += 1
+        return occ1
+
+    def _file_l1(self, bit: int) -> int:
+        """File the level-1 slot ``bit`` into (empty) level 0; returns the
+        new level-0 occupancy."""
+        self._occ1 ^= bit
+        slot = self._l1[bit.bit_length() - 1]
+        l0 = self._l0
+        occ0 = 0
+        for ev in slot:
+            s = ev._when & _WHEEL_MASK
+            l0[s].append(ev)
+            occ0 |= 1 << s
+        slot.clear()
+        self._occ0 = occ0
+        self.wheel_cascades += 1
+        return occ0
+
     def _cascade(self) -> list[Event] | None:
         """Bring the next expiry down from the higher containers.
 
@@ -765,55 +846,23 @@ class Environment:
         if not occ1:
             occ2 = self._occ2
             if not occ2:
-                heap = self._overflow
-                if not heap:
+                if not self._overflow:
                     return None
-                # Promote the earliest far-future window into level 2.
-                shift = 3 * _WHEEL_BITS
-                prefix = heap[0][0] >> shift
-                l2 = self._l2
-                while heap and heap[0][0] >> shift == prefix:
-                    _, _, ev = heappop(heap)
-                    s = (ev._when >> (2 * _WHEEL_BITS)) & _WHEEL_MASK
-                    l2[s].append(ev)
-                    occ2 |= 1 << s
-                self.wheel_promotions += 1
-            # Cascade the earliest level-2 slot into (empty) level 1.
-            bit = occ2 & -occ2
-            self._occ2 = occ2 ^ bit
-            slot = self._l2[bit.bit_length() - 1]
-            l1 = self._l1
-            for ev in slot:
-                s = (ev._when >> _WHEEL_BITS) & _WHEEL_MASK
-                l1[s].append(ev)
-                occ1 |= 1 << s
-            slot.clear()
-            self.wheel_cascades += 1
-        # Cascade the earliest level-1 slot into (empty) level 0.
+                occ2 = self._promote()
+            occ1 = self._file_l2(occ2 & -occ2)
         bit = occ1 & -occ1
-        self._occ1 = occ1 ^ bit
         slot = self._l1[bit.bit_length() - 1]
-        self.wheel_cascades += 1
         if len(slot) > 1:
-            # A slot whose entries all share one expiry is one tick
-            # already: it is staged as is, in insertion order, without
-            # being filed into level 0 and popped back out.
             when = slot[0]._when
             for ev in slot:
                 if ev._when != when:
-                    break
-            else:
-                return slot
-            l0 = self._l0
-            occ0 = 0
-            for ev in slot:
-                s = ev._when & _WHEEL_MASK
-                l0[s].append(ev)
-                occ0 |= 1 << s
-            slot.clear()
-            bit = occ0 & -occ0
-            self._occ0 = occ0 ^ bit
-            return l0[bit.bit_length() - 1]
+                    occ0 = self._file_l1(bit)
+                    bit = occ0 & -occ0
+                    self._occ0 = occ0 ^ bit
+                    return self._l0[bit.bit_length() - 1]
+        # One expiry: the slot is one tick already, staged as is.
+        self._occ1 = occ1 ^ bit
+        self.wheel_cascades += 1
         return slot
 
     def _advance_tick(self) -> bool:
@@ -855,48 +904,15 @@ class Environment:
         shift = 3 * _WHEEL_BITS
         if heap and heap[0][0] >> shift == now >> shift:
             assert not self._occ2, "overflow promotion into occupied level 2"
-            occ2 = 0
-            prefix = now >> shift
-            l2 = self._l2
-            while heap and heap[0][0] >> shift == prefix:
-                _, _, ev = heappop(heap)
-                s = (ev._when >> (2 * _WHEEL_BITS)) & _WHEEL_MASK
-                l2[s].append(ev)
-                occ2 |= 1 << s
-            self._occ2 = occ2
-            self.wheel_promotions += 1
-        occ2 = self._occ2
-        if occ2:
-            bit = 1 << ((now >> (2 * _WHEEL_BITS)) & _WHEEL_MASK)
-            if occ2 & bit:
-                assert not self._occ1, "cascade into occupied level 1"
-                slot = self._l2[bit.bit_length() - 1]
-                l1 = self._l1
-                occ1 = 0
-                for ev in slot:
-                    s = (ev._when >> _WHEEL_BITS) & _WHEEL_MASK
-                    l1[s].append(ev)
-                    occ1 |= 1 << s
-                slot.clear()
-                self._occ2 = occ2 ^ bit
-                self._occ1 = occ1
-                self.wheel_cascades += 1
-        occ1 = self._occ1
-        if occ1:
-            bit = 1 << ((now >> _WHEEL_BITS) & _WHEEL_MASK)
-            if occ1 & bit:
-                assert not self._occ0, "cascade into occupied level 0"
-                slot = self._l1[bit.bit_length() - 1]
-                l0 = self._l0
-                occ0 = 0
-                for ev in slot:
-                    s = ev._when & _WHEEL_MASK
-                    l0[s].append(ev)
-                    occ0 |= 1 << s
-                slot.clear()
-                self._occ1 = occ1 ^ bit
-                self._occ0 = occ0
-                self.wheel_cascades += 1
+            self._promote()
+        bit = 1 << ((now >> (2 * _WHEEL_BITS)) & _WHEEL_MASK)
+        if self._occ2 & bit:
+            assert not self._occ1, "cascade into occupied level 1"
+            self._file_l2(bit)
+        bit = 1 << ((now >> _WHEEL_BITS) & _WHEEL_MASK)
+        if self._occ1 & bit:
+            assert not self._occ0, "cascade into occupied level 0"
+            self._file_l1(bit)
 
     def _next_time(self) -> int | None:
         """Earliest pending expiry without mutating any wheel state."""
@@ -993,10 +1009,6 @@ class Environment:
             return self._now
         return self._next_time()
 
-    def peek(self) -> int | None:
-        """Time of the next scheduled event, or None if the queue is empty."""
-        return self.next_event_time()
-
     def purge_cancelled(self) -> int:
         """Drop cancelled, waiter-less timeouts from the pending set.
 
@@ -1053,8 +1065,9 @@ class Environment:
     def step(self) -> None:
         """Process exactly one event.
 
-        Mirrors one iteration of the inlined ``run()`` loop — keep the two
-        dispatch bodies in sync.
+        One of the engine's two dispatch bodies, with ``run()``'s inlined
+        loop: keep them in sync.  ``Environment(debug=True)`` runs every
+        event through this one, which checks waiter accounting first.
         """
         ready = self._ready
         if not ready and not self._advance_tick():
@@ -1092,9 +1105,17 @@ class Environment:
         if self._active:
             raise SimulationError("run() is not reentrant")
         stop_event: Event | None = None
+        stop_cbs: list | None = None
         deadline: int | None = None
         if isinstance(until, Event):
             stop_event = until
+            if until.callbacks is not None and not until._cancelled:
+                # The stop hook goes last, so callbacks attached before
+                # run() see the event first; see the except clause below
+                # for those attached after.  A cancelled timer gets none:
+                # it is recycled when it pops, as if nobody watched it.
+                stop_cbs = until.callbacks
+                stop_cbs.append(_stop_run)
         elif until is not None:
             deadline = int(until)
             if deadline < self._now:
@@ -1109,9 +1130,11 @@ class Environment:
         cascades_start = self.wheel_cascades
         promotions_start = self.wheel_promotions
         # Hot loop: everything it touches per event is a local; the
-        # pop/dispatch body is inlined (three specialized copies, one per
-        # stop condition) and flushed into the instance counters once, in
-        # the finally block.  Keep the dispatch bodies in sync with step().
+        # pop/dispatch body is inlined once for every stop condition and
+        # flushed into the instance counters once, in the finally block.
+        # The stop event ends the loop through its hook and the deadline
+        # is checked once per tick, so the per-event path tests neither.
+        # Keep the dispatch body in sync with step().
         r = self._ready
         rpop = r.popleft
         rextend = r.extend
@@ -1119,96 +1142,15 @@ class Environment:
         l0 = self._l0
         pool = self._timeout_pool
         pool_cap = _TIMEOUT_POOL_CAP
+        limit = _NO_DEADLINE if deadline is None else deadline
         processed = 0
         recycled = 0
         ticks = 0
         try:
-            if self._debug:
-                processed, recycled = self._run_checked(stop_event, deadline)
-            elif stop_event is not None:
-                while True:
-                    while r:
-                        if stop_event.callbacks is None:
-                            break
-                        event = rpop()
-                        processed += 1
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        if callbacks:
-                            if len(callbacks) == 1:
-                                callbacks[0](event)
-                            else:
-                                for cb in callbacks:
-                                    cb(event)
-                        elif event._cancelled:
-                            event.callbacks = callbacks
-                            recycled += 1
-                            if len(pool) < pool_cap:
-                                pool.append(event)
-                        elif not event._ok and not event._defused:
-                            raise event._value
-                    else:
-                        if stop_event.callbacks is None:
-                            break
-                        # Inline level-0 tick (the overwhelmingly common
-                        # case); cascades fall back to _advance_tick.
-                        occ = self._occ0
-                        if occ:
-                            bit = occ & -occ
-                            self._occ0 = occ ^ bit
-                            slot = l0[bit.bit_length() - 1]
-                            self._now = slot[0]._when
-                            ticks += 1
-                            rextend(slot)
-                            slot.clear()
-                        elif not advance():
-                            break
-                        continue
-                    break
-            elif deadline is not None:
-                while True:
-                    while r:
-                        event = rpop()
-                        processed += 1
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        if callbacks:
-                            if len(callbacks) == 1:
-                                callbacks[0](event)
-                            else:
-                                for cb in callbacks:
-                                    cb(event)
-                        elif event._cancelled:
-                            event.callbacks = callbacks
-                            recycled += 1
-                            if len(pool) < pool_cap:
-                                pool.append(event)
-                        elif not event._ok and not event._defused:
-                            raise event._value
-                    # Inline level-0 tick with the deadline check folded in.
-                    occ = self._occ0
-                    if occ:
-                        bit = occ & -occ
-                        slot = l0[bit.bit_length() - 1]
-                        nxt = slot[0]._when
-                        if nxt > deadline:
-                            self._now = deadline
-                            self._resync()
-                            break
-                        self._occ0 = occ ^ bit
-                        self._now = nxt
-                        ticks += 1
-                        rextend(slot)
-                        slot.clear()
-                    else:
-                        nxt = self._next_time()
-                        if nxt is None:
-                            break
-                        if nxt > deadline:
-                            self._now = deadline
-                            self._resync()
-                            break
-                        advance()
+            if stop_event is not None and stop_event.callbacks is None:
+                pass  # already processed: return its value at once
+            elif self._debug:
+                self._run_checked(deadline)
             else:
                 while True:
                     while r:
@@ -1229,18 +1171,45 @@ class Environment:
                                 pool.append(event)
                         elif not event._ok and not event._defused:
                             raise event._value
+                    # Inline level-0 tick (the overwhelmingly common case);
+                    # cascades fall back to _advance_tick.
                     occ = self._occ0
                     if occ:
                         bit = occ & -occ
-                        self._occ0 = occ ^ bit
                         slot = l0[bit.bit_length() - 1]
-                        self._now = slot[0]._when
+                        nxt = slot[0]._when
+                        if nxt > limit:
+                            self._now = deadline
+                            self._resync()
+                            break
+                        self._occ0 = occ ^ bit
+                        self._now = nxt
                         ticks += 1
                         rextend(slot)
                         slot.clear()
-                    elif not advance():
-                        break
+                    else:
+                        if deadline is not None:
+                            nxt = self._next_time()
+                            if nxt is None:
+                                break
+                            if nxt > deadline:
+                                self._now = deadline
+                                self._resync()
+                                break
+                        if not advance():
+                            break
+        except _StopRun:
+            # The stop event is being dispatched and its hook cut the
+            # callback loop short: run what was attached after the hook,
+            # in order, as the dispatch would have.
+            for cb in stop_cbs[stop_cbs.index(_stop_run) + 1:]:
+                cb(stop_event)
         finally:
+            if stop_cbs is not None and stop_event.callbacks is not None:
+                # The stop event never fired: take the hook back off
+                # (unless a cancel() already did).
+                if _stop_run in stop_cbs:
+                    stop_cbs.remove(_stop_run)
             self._active = False
             self.events_processed += processed
             self.timeouts_recycled += recycled
@@ -1249,17 +1218,15 @@ class Environment:
             self.wall_time_s += wall
             if self.metrics is not None:
                 m = self.metrics
-                c_events = m.counter(
-                    "sim_events_processed",
-                    "events executed by the simulation engine")
-                c_events.inc(self.events_processed - events_start)
+                m.counter("sim_events_processed",
+                          "events executed by the simulation engine").inc(
+                    self.events_processed - events_start)
                 m.counter("sim_time_ns",
                           "simulated nanoseconds elapsed across run() calls").inc(
                     self._now - now_start)
-                c_wall = m.counter(
-                    "sim_wall_time_us",
-                    "host wall-clock microseconds spent inside run()")
-                c_wall.inc(int(wall * 1e6))
+                m.counter("sim_wall_time_us",
+                          "host wall-clock microseconds spent inside run()"
+                          ).inc(int(wall * 1e6))
                 m.counter("sim_wheel_ticks",
                           "distinct expiries batch-fired by the timer "
                           "wheel").inc(self.wheel_ticks - ticks_start)
@@ -1269,22 +1236,13 @@ class Environment:
                 m.counter("sim_wheel_promotions",
                           "overflow-heap windows promoted into the wheel"
                           ).inc(self.wheel_promotions - promotions_start)
-                # Both gauges carry merge="sum": when worker registries
-                # from a multi-environment run (parallel fan-out, PDES
-                # shards) are folded together, per-engine pending counts
-                # and throughputs add up instead of the last worker
-                # overwriting every other engine's value.
+                # merge="sum": when worker registries from a
+                # multi-environment run (parallel fan-out, PDES shards) are
+                # folded together, per-engine pending counts add up instead
+                # of the last worker overwriting every other engine's value.
                 m.gauge("sim_wheel_pending",
                         "entries pending across ready/wheel/overflow at "
                         "run() exit", merge="sum").set(self._pending_count())
-                # Derived engine throughput so `python -m repro.obs` renders
-                # events/sec next to the protocol metrics.
-                wall_us = c_wall.value
-                if wall_us:
-                    m.gauge("sim_events_per_sec",
-                            "derived gauge: sim_events_processed / "
-                            "sim_wall_time_us", merge="sum").set(
-                        c_events.value / (wall_us / 1e6))
         if stop_event is not None:
             if not stop_event.triggered:
                 raise SimulationError(
@@ -1297,48 +1255,22 @@ class Environment:
             self._now = max(self._now, deadline)
         return None
 
-    def _run_checked(self, stop_event: Event | None,
-                     deadline: int | None) -> tuple[int, int]:
-        """Debug-mode dispatch loop: one generic body with invariant checks.
+    def _run_checked(self, deadline: int | None) -> None:
+        """Debug-mode loop: ``run()``'s deadline handling around ``step()``.
 
-        Semantically identical to the three specialized loops in
-        :meth:`run` (same stop conditions, same dispatch body), but every
-        event with callbacks is verified with :meth:`_check_waiters` and
-        every fired slot with :meth:`_check_slot` before dispatch.
+        ``step()`` verifies every dispatch with :meth:`_check_waiters` and
+        :meth:`_advance_tick` every fired slot with :meth:`_check_slot`;
+        the stop event ends the run through its hook, as in :meth:`run`.
         """
-        r = self._ready
-        pool = self._timeout_pool
-        processed = 0
-        recycled = 0
+        ready = self._ready
+        step = self.step
         while True:
-            if stop_event is not None and stop_event.callbacks is None:
-                break
-            if not r:
+            if not ready:
                 nxt = self._next_time()
                 if nxt is None:
-                    break
+                    return
                 if deadline is not None and nxt > deadline:
                     self._now = deadline
                     self._resync()
-                    break
-                self._advance_tick()
-            event = r.popleft()
-            processed += 1
-            callbacks = event.callbacks
-            if callbacks:
-                self._check_waiters(event, callbacks)
-            event.callbacks = None
-            if callbacks:
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for cb in callbacks:
-                        cb(event)
-            elif event._cancelled:
-                event.callbacks = callbacks
-                recycled += 1
-                if len(pool) < _TIMEOUT_POOL_CAP:
-                    pool.append(event)
-            elif not event._ok and not event._defused:
-                raise event._value
-        return processed, recycled
+                    return
+            step()

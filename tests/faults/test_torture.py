@@ -43,6 +43,17 @@ def test_explicit_mode_override_is_clean(mode):
     assert result.mode == mode.value
 
 
+def test_send_completion_drained_before_its_submit_returns_is_kept():
+    """Seed 9074 (overlap-cache): a large send's rndv leaves mid-syscall
+    and the whole transfer finishes while ``submit_send_large`` is still
+    pinning, so another wait on the same lib drains its ``SendLargeDone``
+    before ``isend`` registers the seq.  Dropping it left the sender's
+    wait spinning forever (a liveness violation)."""
+    result = run_torture(9074, steps=10)
+    assert result.clean, [str(v) for v in result.violations]
+    assert result.finished
+
+
 # -- determinism --------------------------------------------------------------
 
 def test_same_seed_same_digest():

@@ -263,7 +263,7 @@ def test_gauge_merge_policy_sum_and_max():
     """Regression: multi-environment merges used to overwrite every gauge.
 
     With N worker registries each carrying per-engine gauges (e.g.
-    ``sim_wheel_pending``, ``sim_events_per_sec``), folding them into the
+    ``sim_wheel_pending``), folding them into the
     ambient registry kept only the *last* worker's value.  Per-metric
     merge policies fix that: ``sum`` aggregates, ``max`` keeps the
     high-water mark, and the default ``last`` stays backward compatible.
@@ -333,7 +333,6 @@ def test_engine_gauges_sum_across_merged_environments():
         pendings.append(worker.get("sim_wheel_pending").value)
         ambient.merge(worker)
     assert ambient.get("sim_wheel_pending").value == sum(pendings)
-    assert ambient.get("sim_events_per_sec").value > 0
 
 
 # -- histogram merge across shard workers -------------------------------------

@@ -30,7 +30,7 @@ PINNED = ROOT / "benchmarks" / "metrics_quick.json"
 DOCS = ROOT / "docs" / "observability.md"
 
 #: Families measured in host seconds; they differ on every run.
-WALL_CLOCK = ("sim_wall_time_us", "sim_events_per_sec", "pdes_barrier_wait_us")
+WALL_CLOCK = ("sim_wall_time_us", "pdes_barrier_wait_us")
 
 #: Families outside the pinned run: the torture suite's private registry.
 UNPINNED = ("torture_recovery_ns",)

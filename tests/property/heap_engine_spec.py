@@ -9,7 +9,7 @@ scheduling contract the wheel must keep, in the plainest form:
 * ``events_processed`` counts every pop, including cancelled timers, which
   still pop at their original expiry and simply run no callbacks;
 * ``run(until=t)`` stops before any event later than ``t`` and leaves the
-  clock at ``t``; ``peek()`` is the time of the next pending event.
+  clock at ``t``; ``next_event_time()`` is the time of the next pending event.
 
 It deliberately imports nothing from :mod:`repro.sim`, so a bug there
 cannot leak into the reference.  Only what the property tests drive is
@@ -103,7 +103,7 @@ class Environment:
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, event))
 
-    def peek(self) -> int | None:
+    def next_event_time(self) -> int | None:
         return self._queue[0][0] if self._queue else None
 
     def run(self, until: int | None = None) -> None:

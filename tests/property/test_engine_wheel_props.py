@@ -97,7 +97,7 @@ def _run_trace(env_cls, trace, chunks=None):
         # between pending expiries forces a clock jump (and, on the wheel,
         # a resync). Finish with a bare run for whatever remains.
         for chunk in chunks:
-            if env.peek() is None:
+            if env.next_event_time() is None:
                 break
             env.run(until=env.now + chunk)
         env.run()

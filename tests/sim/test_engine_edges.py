@@ -72,14 +72,14 @@ def test_run_is_not_reentrant():
     env.run()
 
 
-def test_peek_and_step():
+def test_next_event_time_and_step():
     env = Environment()
     env.timeout(5)
     env.timeout(20)
-    assert env.peek() == 5
+    assert env.next_event_time() == 5
     env.step()
     assert env.now == 5
-    assert env.peek() == 20
+    assert env.next_event_time() == 20
 
 
 def test_event_value_before_trigger_raises():
@@ -350,3 +350,173 @@ def test_purge_cancelled_keeps_live_and_waited_on_entries():
 def test_purge_cancelled_on_empty_queue():
     env = Environment()
     assert env.purge_cancelled() == 0
+
+
+# -- run(until=event): the stop event's contract ---------------------------
+# Each test runs both the inlined loop and the debug loop.
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_stop_event_callbacks_added_during_run_still_fire(debug):
+    env = Environment(debug=debug)
+    stop = env.event()
+    order = []
+    stop.callbacks.append(lambda ev: order.append("before run"))
+
+    def waiter():
+        value = yield stop
+        order.append(("waiter", value))
+
+    def trigger():
+        yield env.timeout(5)
+        env.process(waiter())
+        yield env.timeout(1)
+        stop.callbacks.append(lambda ev: order.append("during run"))
+        stop.succeed("done")
+
+    env.process(trigger())
+    assert env.run(until=stop) == "done"
+    assert order == ["before run", ("waiter", "done"), "during run"]
+    assert stop.processed and env.now == 6
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_same_tick_events_behind_the_stop_event_stay_pending(debug):
+    env = Environment(debug=debug)
+    stop = env.event()
+    fired = []
+
+    def trigger():
+        yield env.timeout(5)
+        stop.succeed(1)
+        behind = env.event()
+        behind.callbacks.append(lambda ev: fired.append(env.now))
+        behind.succeed()
+
+    env.process(trigger())
+    assert env.run(until=stop) == 1
+    assert fired == [] and env.now == 5
+    assert env.next_event_time() == 5
+    env.run()
+    assert fired == [5]
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_processed_stop_event_returns_at_once(debug):
+    env = Environment(debug=debug)
+    stop = env.event()
+    stop.succeed("early")
+    env.run()
+    env.timeout(10)
+    processed = env.events_processed
+    assert env.run(until=stop) == "early"
+    assert env.events_processed == processed and env.now == 0
+    assert env.next_event_time() == 10
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_drained_run_leaves_the_stop_event_as_it_was(debug):
+    env = Environment(debug=debug)
+    stop = env.event()
+    watch = lambda ev: None  # noqa: E731
+    stop.callbacks.append(watch)
+    env.timeout(3)
+    with pytest.raises(SimulationError, match="ran out of events"):
+        env.run(until=stop)
+    assert stop.callbacks == [watch] and stop._waiters == 0
+    assert env.now == 3
+
+    def trigger():
+        yield env.timeout(4)
+        stop.succeed("late")
+
+    env.process(trigger())
+    assert env.run(until=stop) == "late"
+    assert env.now == 7
+
+
+@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("watched", [False, True])
+def test_failing_stop_event_raises(debug, watched):
+    env = Environment(debug=debug)
+    stop = env.event()
+    caught = []
+
+    def watcher():
+        try:
+            yield stop
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    def trigger():
+        yield env.timeout(2)
+        stop.fail(ValueError("boom"))
+
+    if watched:
+        env.process(watcher())
+    env.process(trigger())
+    with pytest.raises(ValueError, match="boom"):
+        env.run(until=stop)
+    assert caught == (["boom"] if watched else [])
+    assert env.now == 2
+
+
+def _losing_stop_event(debug: bool, use_run: bool, n_way: bool):
+    """A stop event that loses a two-member race, seen one tick after."""
+    env = Environment(debug=debug)
+    stop = env.event()
+    timer = env.timeout(5)
+    if n_way:
+        race = env.any_of([timer, stop])
+    else:
+        race = env.race(timer, stop)
+    seen = []
+
+    def trigger():
+        yield env.timeout(6)
+        seen.append((stop._waiters, stop._defused))
+        stop.succeed("s")
+
+    env.process(trigger())
+    if use_run:
+        value = env.run(until=stop)
+    else:
+        env.run()
+        value = stop.value
+    return value, seen, race.processed, env.now
+
+
+@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("n_way", [False, True])
+def test_stop_event_that_loses_a_race_is_defused_as_without_run(debug, n_way):
+    with_run = _losing_stop_event(debug, True, n_way)
+    assert with_run == _losing_stop_event(debug, False, n_way)
+    value, seen, race_done, now = with_run
+    assert value == "s" and race_done and now == 6
+    assert seen == [(0, True)]
+
+
+@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("purge", [False, True])
+@pytest.mark.parametrize("before_run", [False, True])
+def test_cancelled_stop_timer_is_recycled_as_without_run(debug, purge,
+                                                         before_run):
+    env = Environment(debug=debug)
+    stop = env.timeout(10, value="t")
+
+    def cancel():
+        assert stop.cancel() is True
+        if purge:
+            assert env.purge_cancelled() == 1
+
+    def canceller():
+        yield env.timeout(1)
+        if not before_run:
+            cancel()
+        yield env.timeout(20)
+
+    if before_run:
+        cancel()
+    env.process(canceller())
+    assert env.run(until=stop) == "t"
+    assert env.now == 21
+    assert env.timeouts_recycled == (0 if purge else 1)

@@ -139,19 +139,19 @@ def test_step_on_empty_queue_raises_after_wheel_drain():
     assert env.now == 70_003
 
 
-def test_peek_reaches_across_levels():
+def test_next_event_time_reaches_across_levels():
     env = Environment()
-    assert env.peek() is None
+    assert env.next_event_time() is None
     far = env.timeout(20_000_000)  # overflow heap
-    assert env.peek() == 20_000_000
+    assert env.next_event_time() == 20_000_000
     mid = env.timeout(1_000_000)  # level 2
-    assert env.peek() == 1_000_000
+    assert env.next_event_time() == 1_000_000
     env.timeout(70_000)  # level 1
-    assert env.peek() == 70_000
+    assert env.next_event_time() == 70_000
     env.timeout(3)  # level 0
-    assert env.peek() == 3
+    assert env.next_event_time() == 3
     env.timeout(0)  # ready FIFO
-    assert env.peek() == 0
+    assert env.next_event_time() == 0
     for t in (far, mid):
         t.cancel()
     env.run()
