@@ -1,6 +1,4 @@
-"""repro.faults — seeded fault injection, invariant checking, chaos runs.
-
-Three pieces:
+"""repro.faults — seeded fault injection, invariant checking, soak runs.
 
 * :mod:`repro.faults.models` — composable RNG-seeded fault models: network
   loss (independent and Gilbert–Elliott bursty), reordering, duplication,
@@ -8,9 +6,13 @@ Three pieces:
   slow-pin jitter);
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, a declarative seed-derived
   bundle of the above, applied to a cluster in one call;
-* :mod:`repro.faults.invariants` + :mod:`repro.faults.chaos` — the protocol
-  invariant checker (liveness, integrity, pin accounting) and the seeded
-  chaos harness (``python -m repro.faults.chaos --seed N --steps M``).
+* :mod:`repro.faults.invariants` — the protocol invariant checker
+  (liveness, integrity, pin accounting, leaked frames, notifiers);
+* :mod:`repro.faults.chaos` and :mod:`repro.faults.torture` — the two
+  seeded soaks, network storms and pin-path attacks, on one shared soak
+  machinery in ``chaos`` (``python -m repro.faults.chaos --seed N``);
+* :mod:`repro.faults.shrink` — the ``--until-failure`` hunt that shrinks a
+  violating seed to a short repro command.
 """
 
 from repro.faults.invariants import InvariantChecker, Violation

@@ -22,6 +22,9 @@ CLI::
 :func:`repro.experiments.parallel.parallel_map`; results print in seed
 order either way, so serial and parallel output are byte-identical (each
 seed is an independent simulation — the determinism tests pin this).
+
+It also holds what :mod:`repro.faults.torture` shares: buffers, VM ops,
+the pair transfer, the end-of-run audit, the result mixin and the CLI.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.cluster.builder import build_cluster
 from repro.faults.invariants import InvariantChecker
@@ -45,11 +48,24 @@ __all__ = ["ChaosResult", "run_chaos"]
 # Message-size ladder: two eager classes, three rendezvous classes.
 SIZES = (2_000, 16_000, 48 * KIB, 160_000, 512 * KIB)
 POOL_BUFFERS = 3  # communication buffers per node, reused round-robin
-STEP_BUDGET_NS = 100 * MILLISECOND  # worst-case per step with give-ups
+PAIR_BUDGET_NS = 100 * MILLISECOND  # per-transfer give-up budget
+
+
+class SoakResult:
+    """``clean`` and ``as_dict`` for a soak's result dataclass, whose own
+    fields (``violations`` among them) give the JSON keys in order."""
+
+    @property
+    def clean(self) -> bool:
+        return not self.violations
+
+    def as_dict(self) -> dict:
+        return {**asdict(self),
+                "violations": [str(v) for v in self.violations]}
 
 
 @dataclass
-class ChaosResult:
+class ChaosResult(SoakResult):
     seed: int
     steps: int
     mode: str
@@ -61,24 +77,6 @@ class ChaosResult:
     violations: list = field(default_factory=list)
     digest: str = ""
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "steps": self.steps,
-            "mode": self.mode,
-            "finished": self.finished,
-            "elapsed_ns": self.elapsed_ns,
-            "transfers_ok": self.transfers_ok,
-            "transfers_degraded": self.transfers_degraded,
-            "injections": dict(self.injections),
-            "violations": [str(v) for v in self.violations],
-            "digest": self.digest,
-        }
-
 
 def _pattern(nbytes: int, salt: int) -> bytes:
     """Cheap per-transfer byte pattern, distinct across salts."""
@@ -88,10 +86,112 @@ def _pattern(nbytes: int, salt: int) -> bytes:
 
 @dataclass
 class _Buffer:
-    node: int
     va: int
     size: int
-    busy: bool = False
+    busy: int = 0  # refcount: overlapping sends share one buffer
+
+
+def vm_op(proc, buf: _Buffer, op: int) -> None:
+    """VM pressure on ``buf``: 0 swap-out, 1 COW-duplicate, 2 migrate (all
+    payload-safe: they keep contents and skip or copy pinned frames), 3
+    free + same-size malloc, the classic address-reuse pattern that stale
+    pinning caches corrupt on (idle buffers only)."""
+    if op == 0:
+        proc.aspace.swap_out(buf.va, buf.size)
+    elif op == 1:
+        proc.aspace.cow_duplicate(buf.va, buf.size)
+    elif op == 2:
+        proc.aspace.migrate(buf.va, buf.size)
+    else:
+        proc.free(buf.va)
+        buf.va = proc.malloc(buf.size)
+
+
+def close_and_audit(cluster, checker: InvariantChecker, completed: list,
+                    prefix: str) -> None:
+    """The end-of-run oracle on a drained cluster: every request terminal
+    and every endpoint quiescent, then close every endpoint, drain, and
+    audit pin accounting."""
+    for label, req in completed:
+        checker.check_request_terminal(req, label)
+    for n, lib in enumerate(cluster.all_libs()):
+        checker.check_endpoint_quiescent(lib, f"lib{n}")
+    # Quiescent cross-checks before teardown: every pin reference must
+    # be reachable from a live region, every notifier chain must mirror
+    # the open endpoints.
+    checker.check_frame_leaks()
+    checker.check_notifier_registrations()
+    env = cluster.env
+
+    def teardown():
+        for lib in cluster.all_libs():
+            yield from lib.close()
+
+    env.run(until=env.process(teardown(), name=f"{prefix}.teardown"))
+    env.run()
+    checker.check_pin_accounting()
+    checker.check_frame_leaks()
+    checker.check_notifier_registrations()
+
+
+def pair_transfer(cluster, checker: InvariantChecker, completed: list,
+                  prefix: str, label: str, src: tuple[int, int],
+                  dst: tuple[int, int], sbuf: _Buffer, soff: int,
+                  rbuf: _Buffer, nbytes: int, tag: int,
+                  data: bytes | None = None, salt: int = 0):
+    """Send ``nbytes`` from ``sbuf.va + soff`` on ``src`` (node, proc) to
+    ``rbuf`` on ``dst`` as process ``<prefix>.t<tag>``.  ``data`` is the
+    payload already in the send buffer; when None, ``_pattern(nbytes,
+    salt)`` is written there first.  Both requests land in ``completed``."""
+    sl, rl = cluster.lib(*src), cluster.lib(*dst)
+    rp = cluster.nodes[dst[0]].procs[dst[1]]
+    env = cluster.env
+    sbuf.busy += 1
+    rbuf.busy += 1
+    if data is None:
+        data = _pattern(nbytes, salt)
+        cluster.nodes[src[0]].procs[src[1]].write(sbuf.va + soff, data)
+    pair: dict[str, object] = {}
+
+    def sender():
+        req = yield from sl.isend(sbuf.va + soff, nbytes, rl.board,
+                                  rl.endpoint_id, tag)
+        pair["send"] = req
+        yield from sl.wait(req)
+        completed.append((f"send {label}", req))
+
+    def receiver():
+        req = yield from rl.irecv(rbuf.va, nbytes, tag)
+        pair["recv"] = req
+        yield from rl.wait(req)
+        completed.append((f"recv {label}", req))
+        if req.status == "ok":
+            checker.check_payload(rp, rbuf.va, data, f"recv {label}")
+
+    def transfer():
+        both = env.all_of([env.process(sender(), name=f"{prefix}.s{tag}"),
+                           env.process(receiver(), name=f"{prefix}.r{tag}")])
+        budget = env.timeout(PAIR_BUDGET_NS)
+        yield env.race(both, budget)
+        if not both.triggered:
+            # Pair-level recovery: MX keeps no connection state, so a
+            # sender that gave up never tells the receiver.  Drain the
+            # sender's event queue (an eager failure arrives after the
+            # request already completed locally), then — if and only if
+            # the send failed terminally — cancel the orphaned unmatched
+            # recv.  Anything else still stuck here is a real liveness
+            # bug and rides to the global deadline.
+            yield from sl.progress()
+            sreq, rreq = pair.get("send"), pair.get("recv")
+            if (sreq is not None and sreq.done and sreq.status != "ok"
+                    and rreq is not None):
+                rl.cancel(rreq)
+            yield both
+        budget.cancel()  # recycle the budget timer if unspent
+        sbuf.busy -= 1
+        rbuf.busy -= 1
+
+    return env.process(transfer(), name=f"{prefix}.t{tag}")
 
 
 def run_chaos(seed: int, steps: int, mode: PinningMode | None = None,
@@ -114,68 +214,11 @@ def run_chaos(seed: int, steps: int, mode: PinningMode | None = None,
     checker = InvariantChecker(cluster)
     env = cluster.env
 
-    pools: list[list[_Buffer]] = []
-    for n, node in enumerate(cluster.nodes):
-        proc = node.procs[0]
-        pools.append([
-            _Buffer(n, proc.malloc(max(SIZES)), max(SIZES))
-            for _ in range(POOL_BUFFERS)
-        ])
+    pools = [[_Buffer(node.procs[0].malloc(max(SIZES)), max(SIZES))
+              for _ in range(POOL_BUFFERS)] for node in cluster.nodes]
 
     completed: list[tuple[str, object]] = []  # (label, request)
     state = {"done": False, "step": 0}
-
-    def one_transfer(step: int, idx: int, src: int, dst: int,
-                     nbytes: int, tag: int):
-        sbuf = pools[src][(step + idx) % POOL_BUFFERS]
-        rbuf = pools[dst][(step + idx) % POOL_BUFFERS]
-        sbuf.busy = rbuf.busy = True
-        sl, rl = cluster.lib(src), cluster.lib(dst)
-        sp = cluster.nodes[src].procs[0]
-        rp = cluster.nodes[dst].procs[0]
-        data = _pattern(nbytes, step * 31 + seed)
-        sp.write(sbuf.va, data)
-        label = f"step{step}.{idx} {src}->{dst} {nbytes}B tag{tag}"
-        pair: dict[str, object] = {}
-
-        def sender():
-            req = yield from sl.isend(sbuf.va, nbytes, rl.board,
-                                      rl.endpoint_id, tag)
-            pair["send"] = req
-            yield from sl.wait(req)
-            completed.append((f"send {label}", req))
-
-        def receiver():
-            req = yield from rl.irecv(rbuf.va, nbytes, tag)
-            pair["recv"] = req
-            yield from rl.wait(req)
-            completed.append((f"recv {label}", req))
-            if req.status == "ok":
-                checker.check_payload(rp, rbuf.va, data, f"recv {label}")
-
-        def transfer():
-            both = env.all_of([env.process(sender(), name=f"chaos.s{tag}"),
-                               env.process(receiver(), name=f"chaos.r{tag}")])
-            budget = env.timeout(STEP_BUDGET_NS)
-            yield env.any_of([both, budget])
-            if not both.triggered:
-                # Pair-level recovery: MX keeps no connection state, so a
-                # sender that gave up never tells the receiver.  Drain the
-                # sender's event queue (an eager failure arrives after the
-                # request already completed locally), then — if and only if
-                # the send failed terminally — cancel the orphaned unmatched
-                # recv.  Anything else still stuck here is a real liveness
-                # bug and rides to the global deadline.
-                yield from sl.progress()
-                sreq, rreq = pair.get("send"), pair.get("recv")
-                if (sreq is not None and sreq.done and sreq.status != "ok"
-                        and rreq is not None):
-                    rl.cancel(rreq)
-                yield both
-            budget.cancel()  # recycle the 100 ms budget timer if unspent
-            sbuf.busy = rbuf.busy = False
-
-        return env.process(transfer(), name=f"chaos.t{tag}")
 
     def workload():
         for step in range(steps):
@@ -188,7 +231,12 @@ def run_chaos(seed: int, steps: int, mode: PinningMode | None = None,
             for idx, (a, b) in enumerate(batch):
                 nbytes = rng.choice(SIZES)
                 tag = step * 4 + idx + 1
-                procs.append(one_transfer(step, idx, a, b, nbytes, tag))
+                slot = (step + idx) % POOL_BUFFERS
+                procs.append(pair_transfer(
+                    cluster, checker, completed, "chaos",
+                    f"step{step}.{idx} {a}->{b} {nbytes}B tag{tag}",
+                    (a, 0), (b, 0), pools[a][slot], 0, pools[b][slot],
+                    nbytes, tag, salt=step * 31 + seed))
             yield env.all_of(procs)
         state["done"] = True
 
@@ -202,30 +250,16 @@ def run_chaos(seed: int, steps: int, mode: PinningMode | None = None,
                 return
             node = vp_rng.randrange(2)
             buf = pools[node][vp_rng.randrange(POOL_BUFFERS)]
-            proc = cluster.nodes[node].procs[0]
-            if buf.busy:
-                # Mid-transfer: swap-out is always legal — it fires the MMU
-                # notifiers (cancelling/deferring pins) but skips pinned
-                # frames, so in-flight data survives.
-                proc.aspace.swap_out(buf.va, buf.size)
-            else:
-                op = vp_rng.randrange(4)
-                if op == 0:
-                    proc.aspace.swap_out(buf.va, buf.size)
-                elif op == 1:
-                    proc.aspace.cow_duplicate(buf.va, buf.size)
-                elif op == 2:
-                    proc.aspace.migrate(buf.va, buf.size)
-                else:
-                    # free + same-size malloc: the classic address-reuse
-                    # pattern that stale pinning caches corrupt on.
-                    proc.free(buf.va)
-                    buf.va = proc.malloc(buf.size)
+            # Mid-transfer: swap-out is always legal — it fires the MMU
+            # notifiers (cancelling/deferring pins) but skips pinned
+            # frames, so in-flight data survives.
+            vm_op(cluster.nodes[node].procs[0], buf,
+                  0 if buf.busy else vp_rng.randrange(4))
 
     done_ev = env.process(workload(), name="chaos.workload")
     env.process(vm_pressure(), name="chaos.vm")
-    deadline = steps * 2 * STEP_BUDGET_NS + 500 * MILLISECOND
-    env.run(until=env.any_of([done_ev, env.timeout(deadline)]))
+    deadline = steps * 2 * PAIR_BUDGET_NS + 500 * MILLISECOND
+    env.run(until=env.race(done_ev, env.timeout(deadline)))
     checker.check_workload_finished(
         state["done"],
         f"workload stuck at step {state['step']}/{steps} after "
@@ -236,25 +270,7 @@ def run_chaos(seed: int, steps: int, mode: PinningMode | None = None,
         # Drain remaining timers (bounded by design), then tear down and
         # audit the pin accounting.
         env.run()
-        for req_label, req in completed:
-            checker.check_request_terminal(req, req_label)
-        for n, lib in enumerate(cluster.all_libs()):
-            checker.check_endpoint_quiescent(lib, f"node{n}")
-        # Quiescent cross-checks before teardown: every pin reference must
-        # be reachable from a live region, every notifier chain must mirror
-        # the open endpoints.
-        checker.check_frame_leaks()
-        checker.check_notifier_registrations()
-
-        def teardown():
-            for lib in cluster.all_libs():
-                yield from lib.close()
-
-        env.run(until=env.process(teardown(), name="chaos.teardown"))
-        env.run()
-        checker.check_pin_accounting()
-        checker.check_frame_leaks()
-        checker.check_notifier_registrations()
+        close_and_audit(cluster, checker, completed, "chaos")
 
     ok = sum(1 for _, r in completed if r.status == "ok")
     degraded = sum(1 for _, r in completed
@@ -282,17 +298,17 @@ def run_chaos(seed: int, steps: int, mode: PinningMode | None = None,
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faults.chaos",
-        description="Seeded chaos runs with protocol invariant checking.",
-    )
+def soak_parser(prog: str, description: str,
+                steps: int) -> argparse.ArgumentParser:
+    """The CLI a seeded soak shares; ``steps`` is its ``--steps`` default."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument("--seed", type=int, default=0,
                         help="single seed to run (default 0)")
-    parser.add_argument("--seeds", type=int, nargs=2, metavar=("LO", "HI"),
-                        help="run every seed in [LO, HI)")
-    parser.add_argument("--steps", type=int, default=20,
-                        help="workload steps per seed (default 20)")
+    parser.add_argument("--seeds", type=int, nargs="+", metavar="N",
+                        help="run seeds 0..N-1; with two ints LO HI, "
+                             "every seed in [LO, HI)")
+    parser.add_argument("--steps", type=int, default=steps,
+                        help=f"steps per seed (default {steps})")
     parser.add_argument("--mode", choices=[m.value for m in PinningMode],
                         help="pin mode (default: rotates by seed)")
     parser.add_argument("--json", action="store_true",
@@ -306,6 +322,61 @@ def main(argv: list[str] | None = None) -> int:
                              "command")
     parser.add_argument("--max-seeds", type=int, default=None,
                         help="with --until-failure: give up after N seeds")
+    return parser
+
+
+def run_soak(parser: argparse.ArgumentParser, args: argparse.Namespace,
+             run, summary) -> int:
+    """Drive ``run(seed, steps, mode=...)`` from ``soak_parser`` args:
+    hunt with ``--until-failure``, else fan the seeds out and print one
+    JSON object or one ``summary(result)`` line per seed; exit 1 if any
+    seed violated an invariant.  An empty seed range or a ``--steps`` or
+    ``--max-seeds`` below 1 is a usage error (exit 2)."""
+    if args.seeds and (len(args.seeds) > 2 or not range(*args.seeds)):
+        parser.error(f"--seeds {' '.join(map(str, args.seeds))}: want N "
+                     f"or LO HI naming at least one seed")
+    if args.steps < 1 or (args.max_seeds is not None and args.max_seeds < 1):
+        parser.error("--steps and --max-seeds must be at least 1")
+    mode = PinningMode(args.mode) if args.mode else None
+    if args.until_failure:
+        from repro.faults.shrink import hunt_until_failure
+
+        mode_flag = f" --mode {args.mode}" if args.mode else ""
+        found = hunt_until_failure(
+            lambda seed, steps: run(seed, steps, mode=mode),
+            args.seed, args.steps, max_seeds=args.max_seeds,
+            repro_command=lambda s, st: (
+                f"{parser.prog} --seed {s} --steps {st}{mode_flag}"),
+        )
+        return 1 if found is not None else 0
+
+    from repro.experiments.parallel import parallel_map
+
+    seeds = range(*args.seeds) if args.seeds else [args.seed]
+    results = parallel_map(
+        [(run, {"seed": seed, "steps": args.steps, "mode": mode})
+         for seed in seeds], jobs=args.jobs)
+    for result in results:
+        if args.json:
+            print(json.dumps(result.as_dict()))
+        else:
+            verdict = "CLEAN" if result.clean else "VIOLATIONS"
+            print(f"seed={result.seed:4d} mode={result.mode:13s} "
+                  f"{summary(result)} {verdict}")
+            for v in result.violations:
+                print(f"    {v}")
+    failures = sum(not result.clean for result in results)
+    if failures:
+        print(f"{failures}/{len(results)} seed(s) violated invariants",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = soak_parser(
+        "python -m repro.faults.chaos",
+        "Seeded chaos runs with protocol invariant checking.", steps=20)
     parser.add_argument("--shards", default=None, metavar="N",
                         help="sharded chaos gate: run the full-stack "
                              "openmx_shard clean+chaos scenario serially and "
@@ -313,77 +384,32 @@ def main(argv: list[str] | None = None) -> int:
                              "cores) with --seed as the fault seed; exit 1 "
                              "unless the end states are byte-identical")
     args = parser.parse_args(argv)
+    if args.shards is None:
+        return run_soak(parser, args, run_chaos, lambda r: (
+            f"ok={r.transfers_ok:3d} degraded={r.transfers_degraded:2d} "
+            f"injected={sum(r.injections.values()):5d}"))
 
-    seeds = range(*args.seeds) if args.seeds else [args.seed]
-    mode = PinningMode(args.mode) if args.mode else None
+    # The classic 2-node chaos workload drives its faults from one
+    # global RNG, which cannot shard byte-identically by construction;
+    # the sharded gate instead uses the pure-fault-plan full-stack
+    # scenario, where chaos verdicts are shard-independent.
+    from repro.sim.openmx_shard import openmx_sim_state
+    from repro.sim.pdes import resolve_shards
 
-    if args.shards is not None:
-        # The classic 2-node chaos workload drives its faults from one
-        # global RNG, which cannot shard byte-identically by construction;
-        # the sharded gate instead uses the pure-fault-plan full-stack
-        # scenario, where chaos verdicts are shard-independent.
-        from repro.sim.openmx_shard import openmx_sim_state
-        from repro.sim.pdes import resolve_shards
-
-        shards = resolve_shards(args.shards)
-        states = {}
-        for n in sorted({1, shards}):
-            state = openmx_sim_state(quick=True, chaos_seed=args.seed,
-                                     shards=n)
-            del state["shards"]  # the only field allowed to differ
-            states[n] = state
-        base = states[1]
-        for n, state in states.items():
-            verdict = "identical" if state == base else "DIVERGED"
-            print(f"openmx_shard chaos seed={args.seed} shards={n}: "
-                  f"clean digest {state['clean']['digest'][:16]}..., "
-                  f"chaos digest {state['chaos']['digest'][:16]}... "
-                  f"[{verdict} vs serial]")
-        if any(state != base for state in states.values()):
+    base = None
+    for n in sorted({1, resolve_shards(args.shards)}):
+        state = openmx_sim_state(quick=True, chaos_seed=args.seed, shards=n)
+        del state["shards"]  # the only field allowed to differ
+        base = base or state
+        verdict = "identical" if state == base else "DIVERGED"
+        print(f"openmx_shard chaos seed={args.seed} shards={n}: "
+              f"clean digest {state['clean']['digest'][:16]}..., "
+              f"chaos digest {state['chaos']['digest'][:16]}... "
+              f"[{verdict} vs serial]")
+        if state != base:
             print("sharded chaos end state diverged from serial",
                   file=sys.stderr)
             return 1
-        return 0
-
-    if args.until_failure:
-        from repro.faults.shrink import hunt_until_failure
-
-        mode_flag = f" --mode {args.mode}" if args.mode else ""
-        found = hunt_until_failure(
-            lambda seed, steps: run_chaos(seed, steps, mode=mode),
-            args.seed, args.steps, max_seeds=args.max_seeds,
-            repro_command=lambda s, st: (
-                f"python -m repro.faults.chaos --seed {s} --steps {st}"
-                + mode_flag),
-        )
-        return 1 if found is not None else 0
-
-    from repro.experiments.parallel import parallel_map
-
-    results = parallel_map(
-        [(run_chaos, {"seed": seed, "steps": args.steps, "mode": mode})
-         for seed in seeds],
-        jobs=args.jobs,
-    )
-    failures = 0
-    for result in results:
-        if args.json:
-            print(json.dumps(result.as_dict()))
-        else:
-            verdict = "CLEAN" if result.clean else "VIOLATIONS"
-            print(f"seed={result.seed:4d} mode={result.mode:13s} "
-                  f"ok={result.transfers_ok:3d} "
-                  f"degraded={result.transfers_degraded:2d} "
-                  f"injected={sum(result.injections.values()):5d} "
-                  f"{verdict}")
-            for v in result.violations:
-                print(f"    {v}")
-        if not result.clean:
-            failures += 1
-    if failures:
-        print(f"{failures}/{len(list(seeds))} seed(s) violated invariants",
-              file=sys.stderr)
-        return 1
     return 0
 
 

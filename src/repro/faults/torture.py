@@ -33,6 +33,10 @@ after the last request completes) and fallback rate are recorded via
 Everything is a pure function of ``(seed, steps)``; the run digest must be
 byte-identical across repeats (CI gates on this).
 
+Transfers, VM ops, the end-of-run audit, the result's ``clean``/``as_dict``
+and the CLI come from :mod:`repro.faults.chaos`; this module owns the
+episodes, their RNG draws and the digest.
+
 CLI::
 
     python -m repro.faults.torture --seeds 25 --steps 400
@@ -42,7 +46,6 @@ CLI::
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import random
@@ -50,6 +53,17 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.cluster.builder import build_cluster
+from repro.faults.chaos import (
+    PAIR_BUDGET_NS,
+    SoakResult,
+    _Buffer,
+    _pattern,
+    close_and_audit,
+    pair_transfer,
+    run_soak,
+    soak_parser,
+    vm_op,
+)
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.hw.memory import OutOfMemory
@@ -69,7 +83,6 @@ MAX_CHILDREN = 4  # live fork children per process
 # Pinned-page budget per host: less than half of what a budget storm asks
 # for (6 concurrent 128-page regions per host), so exhaustion is the norm.
 PIN_BUDGET_PAGES = 192
-PAIR_BUDGET_NS = 100 * MILLISECOND  # per-transfer give-up budget
 EPISODE_BUDGET_NS = 4 * PAIR_BUDGET_NS  # hard liveness deadline per episode
 
 EPISODES = ("burst", "fork_storm", "realloc_thrash", "overlap_pair",
@@ -77,7 +90,7 @@ EPISODES = ("burst", "fork_storm", "realloc_thrash", "overlap_pair",
 
 
 @dataclass
-class TortureResult:
+class TortureResult(SoakResult):
     seed: int
     steps: int
     mode: str
@@ -94,42 +107,6 @@ class TortureResult:
     injections: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
     digest: str = ""
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "steps": self.steps,
-            "mode": self.mode,
-            "queue": self.queue,
-            "validate": self.validate,
-            "finished": self.finished,
-            "elapsed_ns": self.elapsed_ns,
-            "transfers_ok": self.transfers_ok,
-            "transfers_degraded": self.transfers_degraded,
-            "episode_counts": dict(self.episode_counts),
-            "stats": dict(self.stats),
-            "recovery_ns": dict(self.recovery_ns),
-            "fallback_rate": self.fallback_rate,
-            "injections": dict(self.injections),
-            "violations": [str(v) for v in self.violations],
-            "digest": self.digest,
-        }
-
-
-def _pattern(nbytes: int, salt: int) -> bytes:
-    block = bytes((i + salt) % 256 for i in range(256))
-    return (block * (nbytes // 256 + 1))[:nbytes]
-
-
-@dataclass
-class _Buffer:
-    va: int
-    size: int
-    busy: int = 0  # refcount: overlapping sends share one buffer
 
 
 def _torture_plan(seed: int) -> FaultPlan:
@@ -197,55 +174,13 @@ def run_torture(seed: int, steps: int,
     episode_counts = {name: 0 for name in EPISODES}
     episode_log: list[str] = []
 
-    # -- transfer machinery (chaos-style, with pair-level recovery) --------
+    # -- transfer machinery (chaos's pair transfer) -------------------------
     def spawn_transfer(label: str, src: tuple[int, int], dst: tuple[int, int],
                        sbuf: _Buffer, soff: int, rbuf: _Buffer,
                        nbytes: int, tag: int, data: bytes | None = None):
-        sl = cluster.lib(*src)
-        rl = cluster.lib(*dst)
-        rp = cluster.nodes[dst[0]].procs[dst[1]]
-        sbuf.busy += 1
-        rbuf.busy += 1
-        if data is None:
-            data = _pattern(nbytes, tag * 131 + seed)
-            cluster.nodes[src[0]].procs[src[1]].write(sbuf.va + soff, data)
-        pair: dict[str, object] = {}
-
-        def sender():
-            req = yield from sl.isend(sbuf.va + soff, nbytes, rl.board,
-                                      rl.endpoint_id, tag)
-            pair["send"] = req
-            yield from sl.wait(req)
-            completed.append((f"send {label}", req))
-
-        def receiver():
-            req = yield from rl.irecv(rbuf.va, nbytes, tag)
-            pair["recv"] = req
-            yield from rl.wait(req)
-            completed.append((f"recv {label}", req))
-            if req.status == "ok":
-                checker.check_payload(rp, rbuf.va, data, f"recv {label}")
-
-        def transfer():
-            both = env.all_of([env.process(sender(), name=f"tor.s{tag}"),
-                               env.process(receiver(), name=f"tor.r{tag}")])
-            budget = env.timeout(PAIR_BUDGET_NS)
-            yield env.any_of([both, budget])
-            if not both.triggered:
-                # MX keeps no connection state: a sender that gave up never
-                # tells the receiver.  Drain the sender's events, then cancel
-                # the orphaned unmatched recv iff the send failed terminally.
-                yield from sl.progress()
-                sreq, rreq = pair.get("send"), pair.get("recv")
-                if (sreq is not None and sreq.done and sreq.status != "ok"
-                        and rreq is not None):
-                    rl.cancel(rreq)
-                yield both
-            budget.cancel()
-            sbuf.busy -= 1
-            rbuf.busy -= 1
-
-        return env.process(transfer(), name=f"tor.t{tag}")
+        return pair_transfer(cluster, checker, completed, "tor", label, src,
+                             dst, sbuf, soff, rbuf, nbytes, tag, data,
+                             salt=tag * 131 + seed)
 
     def pick_pair(prng) -> tuple[tuple[int, int], tuple[int, int]]:
         src_n = prng.randrange(nhosts)
@@ -256,21 +191,11 @@ def run_torture(seed: int, steps: int,
         bufs = [b for b in pools[node_i][proc_i] if b.busy == 0]
         return prng.choice(bufs) if bufs else None
 
-    def vm_op(node_i: int, proc_i: int, buf: _Buffer, prng) -> None:
-        """One VM-pressure event.  Busy buffers get only payload-safe ops
-        (swap/COW/migrate preserve contents and skip or copy pinned frames);
-        idle buffers additionally get the free+malloc reuse pattern."""
-        proc = cluster.nodes[node_i].procs[proc_i]
+    def churn(node_i: int, proc_i: int, buf: _Buffer, prng) -> None:
+        """One ``vm_op``: a busy buffer gets only the payload-safe ones."""
         op = prng.randrange(4 if buf.busy == 0 else 3)
-        if op == 0:
-            proc.aspace.swap_out(buf.va, buf.size)
-        elif op == 1:
-            proc.aspace.cow_duplicate(buf.va, buf.size)
-        elif op == 2:
-            proc.aspace.migrate(buf.va, buf.size)
-        else:
-            proc.free(buf.va)
-            buf.va = proc.malloc(buf.size)
+        vm_op(cluster.nodes[node_i].procs[proc_i], buf, op)
+        if op == 3:
             stats["reallocs"] += 1
         stats["vm_ops"] += 1
 
@@ -321,7 +246,7 @@ def run_torture(seed: int, steps: int,
             node_i = prng.randrange(nhosts)
             proc_i = prng.randrange(PROCS_PER_HOST)
             buf = pools[node_i][proc_i][prng.randrange(POOL_BUFFERS)]
-            vm_op(node_i, proc_i, buf, prng)
+            churn(node_i, proc_i, buf, prng)
         if procs:
             yield env.all_of(procs)
 
@@ -360,9 +285,9 @@ def run_torture(seed: int, steps: int,
         rbuf = idle_buffer(*dst, prng)
         if rbuf is not None and idle:
             nbytes = prng.choice(SIZES)
-            yield from _wait_one(spawn_transfer(
+            yield env.all_of([spawn_transfer(
                 f"step{step}.0 {src}->{dst} {nbytes}B realloc",
-                src, dst, idle[0], 0, rbuf, nbytes, step * 16 + 1))
+                src, dst, idle[0], 0, rbuf, nbytes, step * 16 + 1)])
 
     def ep_overlap_pair(step: int, prng):
         """Two overlapping slices of one buffer to two receivers: two
@@ -416,11 +341,8 @@ def run_torture(seed: int, steps: int,
             node_i = prng.randrange(nhosts)
             proc_i = prng.randrange(PROCS_PER_HOST)
             buf = pools[node_i][proc_i][prng.randrange(POOL_BUFFERS)]
-            vm_op(node_i, proc_i, buf, prng)
+            churn(node_i, proc_i, buf, prng)
             yield env.timeout(5_000 + prng.randrange(20_000))
-
-    def _wait_one(proc):
-        yield env.all_of([proc])
 
     episode_fns = {"burst": ep_burst, "fork_storm": ep_fork_storm,
                    "realloc_thrash": ep_realloc_thrash,
@@ -447,7 +369,7 @@ def run_torture(seed: int, steps: int,
         ep_start = env.now
         ep = env.process(episode_fns[name](step, rng), name=f"tor.ep{step}")
         deadline = env.timeout(EPISODE_BUDGET_NS)
-        env.run(until=env.any_of([ep, deadline]))
+        env.run(until=env.race(ep, deadline))
         if not ep.triggered:
             checker.check_workload_finished(
                 False, f"episode {step} ({name}) stuck after "
@@ -466,24 +388,11 @@ def run_torture(seed: int, steps: int,
             break
 
     if finished:
-        for label, req in completed:
-            checker.check_request_terminal(req, label)
-        for n, lib in enumerate(cluster.all_libs()):
-            checker.check_endpoint_quiescent(lib, f"lib{n}")
         for kids in children.values():
             for child in kids:
                 child.aspace.destroy()
                 stats["children_destroyed"] += 1
-
-        def teardown():
-            for lib in cluster.all_libs():
-                yield from lib.close()
-
-        env.run(until=env.process(teardown(), name="tor.teardown"))
-        env.run()
-        checker.check_pin_accounting()
-        checker.check_frame_leaks()
-        checker.check_notifier_registrations()
+        close_and_audit(cluster, checker, completed, "tor")
 
     ok = sum(1 for _, r in completed if r.status == "ok")
     degraded = sum(1 for _, r in completed if r.done and r.status != "ok")
@@ -542,77 +451,16 @@ def run_torture(seed: int, steps: int,
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faults.torture",
-        description="Adversarial pin-path torture runs with a per-episode "
-                    "recovery oracle.",
-    )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="single seed to run (default 0)")
-    parser.add_argument("--seeds", type=int, metavar="N",
-                        help="run seeds 0..N-1")
-    parser.add_argument("--steps", type=int, default=60,
-                        help="episodes per seed (default 60)")
-    parser.add_argument("--mode", choices=[m.value for m in PinningMode],
-                        help="pin mode (default: rotates by seed)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit one JSON object per seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the seed fan-out")
-    parser.add_argument("--until-failure", action="store_true",
-                        help="run seeds upward from --seed until one "
-                             "violates, then shrink it and print a repro "
-                             "command")
-    parser.add_argument("--max-seeds", type=int, default=None,
-                        help="with --until-failure: give up after N seeds")
-    args = parser.parse_args(argv)
-    mode = PinningMode(args.mode) if args.mode else None
-
-    if args.until_failure:
-        from repro.faults.shrink import hunt_until_failure
-
-        def runner(seed: int, steps: int):
-            return run_torture(seed, steps, mode=mode)
-
-        mode_flag = f" --mode {args.mode}" if args.mode else ""
-        found = hunt_until_failure(
-            runner, args.seed, args.steps, max_seeds=args.max_seeds,
-            repro_command=lambda s, st: (
-                f"python -m repro.faults.torture --seed {s} --steps {st}"
-                + mode_flag),
-        )
-        return 1 if found is not None else 0
-
-    seeds = range(args.seeds) if args.seeds is not None else [args.seed]
-    from repro.experiments.parallel import parallel_map
-
-    results = parallel_map(
-        [(run_torture, {"seed": seed, "steps": args.steps, "mode": mode})
-         for seed in seeds],
-        jobs=args.jobs,
-    )
-    failures = 0
-    for result in results:
-        if args.json:
-            print(json.dumps(result.as_dict()))
-        else:
-            verdict = "CLEAN" if result.clean else "VIOLATIONS"
-            print(f"seed={result.seed:4d} mode={result.mode:13s} "
-                  f"queue={'on ' if result.queue else 'off'} "
-                  f"ok={result.transfers_ok:3d} "
-                  f"degraded={result.transfers_degraded:3d} "
-                  f"fallback={result.fallback_rate:6.3f} "
-                  f"recovery_p99={result.recovery_ns.get('p99', 0):>9.0f}ns "
-                  f"{verdict}")
-            for v in result.violations:
-                print(f"    {v}")
-        if not result.clean:
-            failures += 1
-    if failures:
-        print(f"{failures}/{len(results)} seed(s) violated invariants",
-              file=sys.stderr)
-        return 1
-    return 0
+    parser = soak_parser(
+        "python -m repro.faults.torture",
+        "Adversarial pin-path torture runs with a per-episode recovery "
+        "oracle.", steps=60)
+    return run_soak(parser, parser.parse_args(argv), run_torture,
+                    lambda r: (
+        f"queue={'on ' if r.queue else 'off'} ok={r.transfers_ok:3d} "
+        f"degraded={r.transfers_degraded:3d} "
+        f"fallback={r.fallback_rate:6.3f} "
+        f"recovery_p99={r.recovery_ns.get('p99', 0):>9.0f}ns"))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """The chaos harness: invariants hold over many seeds, runs are
-deterministic, and the CLI drives it all."""
+deterministic, and the soak CLI (shared with torture) drives it all."""
 
 import json
 
+import pytest
+
 from repro.faults.chaos import main, run_chaos
+from repro.faults.torture import main as torture_main
 from repro.openmx import PinningMode
 
 
@@ -52,8 +55,15 @@ def test_soak_fifty_seeds_no_violations():
     assert modes_seen == {m.value for m in PinningMode}
 
 
-def test_cli_json_output_and_exit_code(capsys):
-    rc = main(["--seeds", "0", "2", "--steps", "2", "--json"])
+# Both soaks share one CLI (``soak_parser`` + ``run_soak``); every CLI
+# test runs against each harness's ``main``.
+MAINS = [pytest.param(main, id="chaos"),
+         pytest.param(torture_main, id="torture")]
+
+
+@pytest.mark.parametrize("cli", MAINS)
+def test_cli_json_output_and_exit_code(cli, capsys):
+    rc = cli(["--seeds", "0", "2", "--steps", "2", "--json"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
@@ -63,8 +73,44 @@ def test_cli_json_output_and_exit_code(capsys):
         assert payload["violations"] == []
 
 
-def test_cli_plain_output(capsys):
-    rc = main(["--seed", "5", "--steps", "2"])
+@pytest.mark.parametrize("cli", MAINS)
+def test_cli_plain_output(cli, capsys):
+    rc = cli(["--seed", "5", "--steps", "2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "seed=   5" in out and "CLEAN" in out
+
+
+@pytest.mark.parametrize("cli", MAINS)
+def test_cli_seeds_n_equals_seeds_zero_n(cli, capsys):
+    assert cli(["--seeds", "3", "--steps", "2"]) == 0
+    short = capsys.readouterr().out
+    assert cli(["--seeds", "0", "3", "--steps", "2"]) == 0
+    assert capsys.readouterr().out == short
+    assert [line[:9] for line in short.splitlines()] == [
+        "seed=   0", "seed=   1", "seed=   2"]
+
+
+@pytest.mark.parametrize("cli", MAINS)
+def test_cli_until_failure_gives_up_after_max_seeds(cli, capsys):
+    assert cli(["--until-failure", "--max-seeds", "1", "--steps", "2"]) == 0
+    assert "no failure in 1 seed(s) starting at 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cli", MAINS)
+@pytest.mark.parametrize("argv", [
+    ["--seeds", "5", "2"],
+    ["--seeds", "0", "0"],
+    ["--seeds", "0"],
+    ["--seeds", "1", "2", "3"],
+    ["--steps", "0"],
+    ["--steps", "-2"],
+    ["--until-failure", "--max-seeds", "0"],
+], ids=" ".join)
+def test_cli_bad_input_is_a_usage_error(cli, argv, capsys):
+    """A soak that would test nothing (or crash) exits 2 before running."""
+    with pytest.raises(SystemExit) as exc:
+        cli(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err

@@ -2,9 +2,9 @@
 
 These tests pin the PR's central contract: ``--jobs N`` and ``--cache``
 never change any simulated result — not a digest, not a metric total, not
-a byte of JSON.  They also pin eight golden chaos digests so an engine
-"optimization" that perturbs event ordering fails loudly here instead of
-silently shifting every downstream number.
+a byte of JSON.  They also pin eight golden chaos digests and four golden
+torture digests so an engine "optimization" that perturbs event ordering
+fails loudly here instead of silently shifting every downstream number.
 """
 
 import os
@@ -21,6 +21,7 @@ from repro.experiments.cache import ResultCache, code_fingerprint
 from repro.experiments.parallel import parallel_map, run_task
 from repro.experiments.runner import to_jsonable
 from repro.faults.chaos import run_chaos
+from repro.faults.torture import run_torture
 from repro.obs.metrics import MetricRegistry, current_registry, use_registry
 from repro.openmx.config import PinningMode
 
@@ -48,6 +49,20 @@ GOLDEN = [
 ]
 
 
+# Golden torture digests: seeds 0-3 at steps=10, mode rotating by seed.
+# Same rule as GOLDEN: a change that moves one changed simulated behavior.
+TORTURE_GOLDEN = [
+    (0, "pin-per-comm",
+     "a9ef224136bdd37e861690ca0552c32d3304e7fc9943cc674e9c328e6ea333c7"),
+    (1, "permanent",
+     "4519b8a6b7e1ef02c82ccdee79c12ba8fdb777484fa5937e686d221eb8f92e9a"),
+    (2, "cache",
+     "183286b47147f2f5964bc19f9ddf2e28c507f1cfb30efde7fccc5656147408b5"),
+    (3, "overlap",
+     "393c9fc0843019d135e5197ab6267a3dc8d668eb30ecfbd9f4bc6127bbd7d6a0"),
+]
+
+
 def _chaos_tasks(seeds, steps=6):
     return [(run_chaos, {"seed": s, "steps": steps, "mode": None})
             for s in seeds]
@@ -56,6 +71,14 @@ def _chaos_tasks(seeds, steps=6):
 @pytest.mark.parametrize("seed,mode,digest", GOLDEN[:4])
 def test_golden_chaos_digests(seed, mode, digest):
     result = run_chaos(seed=seed, steps=6)
+    assert result.clean
+    assert result.mode == mode
+    assert result.digest == digest
+
+
+@pytest.mark.parametrize("seed,mode,digest", TORTURE_GOLDEN)
+def test_golden_torture_digests(seed, mode, digest):
+    result = run_torture(seed, steps=10)
     assert result.clean
     assert result.mode == mode
     assert result.digest == digest
