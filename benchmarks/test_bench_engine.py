@@ -4,22 +4,15 @@ Unlike the experiment benchmarks this one also carries correctness
 assertions: the Timeout free-list must actually engage on the retransmit
 idiom, every engine scenario must dispatch exactly the events the seed
 heap engine dispatched (the optimization contract — speed may change,
-simulated behavior may not), and the ``--ab-rev`` harness must refuse to
-compare runs whose simulated end states differ.
+simulated behavior may not), and the end-state gate must name every key
+on which two end states differ.
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.sim.bench import SCENARIOS, gate_end_states, run_scenario, sim_state
 
 from benchmarks.conftest import full_sweep
-
-ROOT = Path(__file__).resolve().parents[1]
 
 # Quick-scale event counts of the engine scenarios, on which the seed heap
 # engine and the timer-wheel engine agreed when the seed engine was retired.
@@ -95,29 +88,6 @@ def test_poll_spin_quick_end_state_matches_recorded():
     assert run_scenario("poll_spin", quick=True, repeat=1)["events"] == \
         POLL_SPIN_QUICK_STATE["events"]
     assert sim_state("poll_spin", quick=True)["state"] == POLL_SPIN_QUICK_STATE
-
-
-def _bench(*args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, "-m", "repro.sim.bench", *args],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=300)
-
-
-def test_ab_rev_head_reports_equal_end_states():
-    out = _bench("--quick", "--repeat", "1", "--ab-rev", "HEAD",
-                 "event_pingpong", "datapath_pull")
-    assert out.returncode == 0, out.stderr
-    assert "end states equal on both sides in all 2 scenario(s)" in out.stdout
-    print()
-    print(out.stdout)
-
-
-def test_ab_rev_unknown_revision_is_named_without_traceback():
-    out = _bench("--quick", "--ab-rev", "no-such-rev", "event_pingpong")
-    assert out.returncode != 0
-    assert "'no-such-rev'" in out.stderr
-    assert "Traceback" not in out.stderr
 
 
 def test_end_state_gate_names_the_differing_key():

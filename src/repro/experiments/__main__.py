@@ -67,16 +67,9 @@ def _jobs(value: str) -> int:
     return jobs
 
 
-def _shards(value: str) -> int:
-    from repro.sim.pdes import resolve_shards
-
-    try:
-        return resolve_shards(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
+    from repro.sim.pdes import shards_arg
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.")
@@ -92,7 +85,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
                              "(render: python -m repro.obs PATH)")
     parser.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                         help="fan sweep points out across N worker processes")
-    parser.add_argument("--shards", type=_shards, metavar="N|auto",
+    parser.add_argument("--shards", type=shards_arg, metavar="N|auto",
                         help="also measure overlap misses on the "
                              "PDES-sharded full stack ('auto' caps at the "
                              "host's cores)")

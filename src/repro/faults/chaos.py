@@ -374,10 +374,12 @@ def run_soak(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.sim.pdes import shards_arg
+
     parser = soak_parser(
         "python -m repro.faults.chaos",
         "Seeded chaos runs with protocol invariant checking.", steps=20)
-    parser.add_argument("--shards", default=None, metavar="N",
+    parser.add_argument("--shards", type=shards_arg, metavar="N",
                         help="sharded chaos gate: run the full-stack "
                              "openmx_shard clean+chaos scenario serially and "
                              "at N PDES shards ('auto' caps at the host's "
@@ -394,10 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     # the sharded gate instead uses the pure-fault-plan full-stack
     # scenario, where chaos verdicts are shard-independent.
     from repro.sim.openmx_shard import openmx_sim_state
-    from repro.sim.pdes import resolve_shards
 
     base = None
-    for n in sorted({1, resolve_shards(args.shards)}):
+    for n in sorted({1, args.shards}):
         state = openmx_sim_state(quick=True, chaos_seed=args.seed, shards=n)
         del state["shards"]  # the only field allowed to differ
         base = base or state

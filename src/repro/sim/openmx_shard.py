@@ -442,11 +442,14 @@ def run_openmx_ab(quick: bool = False, shards: int = 4, repeat: int = 2,
                   seed: int = 2009, lookahead_ns: int | None = None) -> dict:
     """Interleaved serial-vs-sharded A/B over the full Open-MX stack.
 
-    Aborts the process on the first end-state divergence.  Also runs the
-    sharded scenario once per partition strategy (block / stripe /
-    affinity) — every strategy must land on the same digest, and the
-    report shows how much cross-shard traffic affinity placement saves.
+    Aborts the process on the first end-state divergence, naming the
+    differing keys.  Also runs the sharded scenario once per partition
+    strategy (block / stripe / affinity) — every strategy must land on the
+    serial end state, and the report shows how much cross-shard traffic
+    affinity placement saves.
     """
+    from repro.sim.bench import gate_end_states
+
     params = openmx_params(quick=quick, seed=seed)
     serial_best = float("inf")
     sharded_best = float("inf")
@@ -456,11 +459,8 @@ def run_openmx_ab(quick: bool = False, shards: int = 4, repeat: int = 2,
         a = run_openmx(params, 1, mode="inline", lookahead_ns=lookahead_ns)
         b = run_openmx(params, shards, mode="fork",
                        lookahead_ns=lookahead_ns)
-        if a["state"] != b["state"]:
-            raise SystemExit(
-                "openmx_shard A/B divergence: serial digest "
-                f"{a['state']['digest']} != sharded ({shards}) digest "
-                f"{b['state']['digest']}")
+        key = f"serial_vs_{shards}_shards"
+        gate_end_states({key: a["state"]}, {key: b["state"]})
         golden = a["state"]
         serial_best = min(serial_best, a["stats"]["wall_s"])
         if b["stats"]["wall_s"] < sharded_best:
@@ -471,10 +471,8 @@ def run_openmx_ab(quick: bool = False, shards: int = 4, repeat: int = 2,
     for strat in ("block", "stripe", "affinity"):
         out = run_openmx(params, shards, mode="fork",
                          lookahead_ns=lookahead_ns, strategy=strat)
-        if out["state"] != golden:
-            raise SystemExit(
-                f"openmx_shard strategy {strat!r} diverged from the serial "
-                f"end state: {out['state']['digest']} != {golden['digest']}")
+        key = f"serial_vs_{strat}"
+        gate_end_states({key: golden}, {key: out["state"]})
         strategies[strat] = out["stats"]["cross_shard_frames"]
 
     host_cores = host_core_count()

@@ -63,6 +63,7 @@ __all__ = [
     "SeededFaultPlan",
     "host_core_count",
     "resolve_shards",
+    "shards_arg",
     "run_partitioned",
 ]
 
@@ -433,3 +434,14 @@ def resolve_shards(spec: int | str, default: int = 4) -> int:
     if value <= 0:
         raise ValueError(f"shard count must be positive, got {value}")
     return value
+
+
+def shards_arg(value: str) -> int:
+    """:func:`resolve_shards` as an argparse ``type``, shared by every CLI
+    with a ``--shards`` option: a bad value is a usage error (exit 2)."""
+    try:
+        return resolve_shards(value)
+    except ValueError as exc:
+        import argparse  # only a CLI gets here; keep it off module load
+
+        raise argparse.ArgumentTypeError(str(exc)) from None

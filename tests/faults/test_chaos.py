@@ -114,3 +114,13 @@ def test_cli_bad_input_is_a_usage_error(cli, argv, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize("shards", ["abc", "0"])
+def test_cli_bad_shards_is_a_usage_error(shards, capsys):
+    """Chaos alone takes --shards; a bad count exits 2 before running."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--shards", shards, "--seed", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--shards" in captured.err

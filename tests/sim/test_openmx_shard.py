@@ -1,6 +1,6 @@
 """Full-stack Open-MX under the PDES coordinator: byte-identity across
-shard counts, partition strategies, builder sub-cluster construction, and
-the shard-count resolution helpers."""
+shard counts, partition strategies, builder sub-cluster construction, the
+``--ab-openmx`` end-state gate, and the shard-count resolution helpers."""
 
 import pytest
 
@@ -13,6 +13,7 @@ from repro.sim.openmx_shard import (
     make_plan,
     openmx_params,
     run_openmx,
+    run_openmx_ab,
     schedule,
     traffic_matrix,
 )
@@ -168,6 +169,31 @@ def test_openmx_shard_end_state_is_partition_independent_shape():
     assert set(state) == {"now_ns", "events", "hosts", "fabric"}
     assert set(state["fabric"]) == {"carried", "dropped", "duplicated",
                                     "delayed", "delivered"}
+
+
+# -- the --ab-openmx end-state gate -------------------------------------------
+
+@pytest.mark.parametrize("diverges, key", [
+    (lambda shards, strategy: shards > 1, "serial_vs_4_shards.events"),
+    (lambda shards, strategy: strategy == "stripe", "serial_vs_stripe.events"),
+], ids=["sharded", "strategy"])
+def test_ab_divergence_names_the_differing_key(monkeypatch, diverges, key):
+    def fake_run(params, shards, *, mode=None, lookahead_ns=None,
+                 strategy="block"):
+        state = {"now_ns": 7, "events": 100, "digest": "d"}
+        if diverges(shards, strategy):
+            state["events"] += 1
+        return {"state": state,
+                "stats": {"wall_s": 1.0, "critical_path_s": 0.5,
+                          "windows": 3, "cross_shard_frames": 2,
+                          "barrier_idle_s": 0.1}}
+
+    monkeypatch.setattr("repro.sim.openmx_shard.run_openmx", fake_run)
+    with pytest.raises(SystemExit) as exc:
+        run_openmx_ab(quick=True, shards=4, repeat=1)
+    message = str(exc.value)
+    assert f"{key}: base=100 current=101" in message
+    assert "digest" not in message and "now_ns" not in message
 
 
 # -- shard-count resolution (--shards auto) -----------------------------------
