@@ -2,8 +2,8 @@
 
 The contract under test: the coalesced TX pump / fabric batch / fused-BH
 stack must simulate *exactly* the same world as the per-frame seed stack
-it replaced while dispatching fewer heap events — and anything a fault
-injector can touch must fall back to the historical per-frame slow path,
+it replaced while dispatching fewer heap events — and frames a fault
+injector or RX ring pressure touches ride the same batched fabric path,
 again without moving a single timestamp or counter.  The seed stack is
 retired; what it proved on these fixed inputs is recorded below.
 """
@@ -28,13 +28,13 @@ FULL_STATE_SHA256 = (
 
 
 def _run(rounds=3, rig=None):
-    """Build + run the datapath scenario; return (end state, probe)."""
+    """Build + run the datapath scenario; return its end state."""
     env = Environment()
     probe = _datapath_pull(env, rounds)
     if rig is not None:
         rig(probe)
     env.run()
-    return probe(), probe
+    return probe()
 
 
 def test_fewer_events_than_seed_stack_same_end_state(run_once):
@@ -53,32 +53,31 @@ def test_fewer_events_than_seed_stack_same_end_state(run_once):
     print(f"datapath_pull: {reduction:.1%} fewer events than the seed stack")
 
 
-def test_clean_run_takes_fabric_fast_path():
-    state, probe = _run()
-    assert probe.fabric.frames_batched == state["frames_carried"] > 0
+def test_clean_run_carries_every_frame():
+    state = _run()
+    assert state["frames_carried"] == state["tx_frames"] > 0
+    assert state["frames_dropped"] == 0
 
 
-def test_injector_forces_slow_path_identical_results():
+def test_no_opinion_injector_identical_results():
     # A fault injector with no opinion on any frame must not change a
-    # thing — except which fabric path runs.
+    # thing.
     class NoOpinion:
         def on_frame(self, frame, now):
             return None
 
-    clean_state, _ = _run()
-    slow_state, probe = _run(
+    clean_state = _run()
+    injected_state = _run(
         rig=lambda p: p.fabric.add_fault_injector(NoOpinion()))
-    assert probe.fabric.frames_batched == 0
-    assert slow_state == clean_state
+    assert injected_state == clean_state
 
 
-def test_ring_pressure_forces_per_frame_delivery_identical_results():
-    # Phantom RX pressure small enough to cause no drops: delivery must
-    # leave the batching path yet land every frame at the same instants.
-    clean_state, _ = _run()
-    pressured_state, probe = _run(
+def test_ring_pressure_without_drops_identical_results():
+    # Phantom RX pressure small enough to cause no drops must land every
+    # frame at the same instants.
+    clean_state = _run()
+    pressured_state = _run(
         rig=lambda p: setattr(p.rx_nic, "ring_pressure", 1))
-    assert probe.fabric.frames_batched == 0
     assert pressured_state == clean_state
     assert pressured_state["rx_ring_drops"] == 0
 
@@ -109,11 +108,10 @@ SEED_FAULTED_STATE = {
 
 
 def test_faulted_run_matches_seed_stack_bit_for_bit():
-    # Duplicates and injected delay take the per-frame slow path; the
-    # resulting world must be the one the seed stack simulated.
-    cur_state, probe = _run(
+    # Duplicates and injected delay share the batched delivery timers;
+    # the resulting world must be the one the seed stack simulated.
+    cur_state = _run(
         rig=lambda p: p.fabric.add_fault_injector(_DupDelay()))
-    assert probe.fabric.frames_batched == 0
     assert cur_state == SEED_FAULTED_STATE
     # The injector really fired: duplicates inflate RX over TX.
     assert cur_state["rx_frames"] > cur_state["tx_frames"]
@@ -124,5 +122,5 @@ def test_quick_sim_state_matches_committed_reference():
     # the simulation is deterministic, so equality is the bar, not 2%.
     committed = json.loads(
         Path(__file__).with_name("datapath_sim_quick.json").read_text())
-    state, _ = _run(rounds=QUICK_ROUNDS)
+    state = _run(rounds=QUICK_ROUNDS)
     assert state == committed["state"]

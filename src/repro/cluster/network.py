@@ -1,11 +1,12 @@
 """The Ethernet fabric connecting NICs.
 
 A :class:`Fabric` is a full-duplex switch: every attached NIC can reach every
-other by address.  Each direction of each port pair has an independent
-propagation+switching latency, plus a chain of pluggable *fault injectors*
-(loss, duplication, reordering — see :mod:`repro.faults.models`) for
-robustness tests: the MXoE protocol must survive drops — they are its
-overlap-miss recovery mechanism.
+other by address.  It is each attached NIC's link (``nic.attach_link``): a
+NIC hands it every frame that leaves its wire through :meth:`Fabric.carry`.
+Every frame crosses the switch with one constant propagation+switching
+latency, plus a chain of pluggable *fault injectors* (loss, duplication,
+reordering — see :mod:`repro.faults.models`) for robustness tests: the MXoE
+protocol must survive drops — they are its overlap-miss recovery mechanism.
 
 A fault injector is any object with ``on_frame(frame, now) -> FrameVerdict |
 None``; ``None`` means "no opinion, deliver normally".  Injectors are
@@ -34,19 +35,15 @@ class FrameVerdict:
     extra_delay_ns: int = 0
 
 
-class _Port:
-    """Link-side endpoint bound to one NIC."""
-
-    def __init__(self, fabric: "Fabric", nic: Nic):
-        self.fabric = fabric
-        self.nic = nic
-
-    def carry(self, frame: EthernetFrame) -> None:
-        self.fabric._carry(self.nic, frame)
-
-
 class Fabric:
-    """A cut-through switch with per-hop latency and injectable faults."""
+    """A cut-through switch with per-hop latency and injectable faults.
+
+    Every frame takes one path: the injector chain (empty on a clean run)
+    decides whether it is dropped, how many copies go out and how much extra
+    delay they take; the copies then join a shared delivery timer keyed by
+    (carry instant, extra delay).  All copies on one timer arrive at the same
+    instant, so one heap event delivers them, in carry order.
+    """
 
     def __init__(self, env: Environment, latency_ns: int = 1_000,
                  metrics: MetricRegistry | None = None):
@@ -54,13 +51,9 @@ class Fabric:
         self.latency_ns = latency_ns
         self._nics: dict[str, Nic] = {}
         self.fault_injectors: list = []
-        # Fast-path delivery batch: frames carried at the same instant with
-        # nothing injected share one timer (constant latency => identical
-        # arrival instants).  ``frames_batched`` counts fast-path frames so
-        # tests can prove which path a run took.
-        self._batch: list[tuple[Nic, EthernetFrame]] | None = None
+        # The current carry instant's delivery batches, by extra delay.
+        self._batches: dict[int, list[tuple[Nic, EthernetFrame]]] = {}
         self._batch_at = -1
-        self.frames_batched = 0
         registry = resolve_registry(metrics)
         self.metrics = registry
         # Counts: this fabric's own registry cells (read as ``.value``);
@@ -80,14 +73,11 @@ class Fabric:
         if nic.address in self._nics:
             raise ValueError(f"duplicate NIC address {nic.address}")
         self._nics[nic.address] = nic
-        nic.attach_link(_Port(self, nic))
+        nic.attach_link(self)
 
     # -- fault injection -----------------------------------------------------
     def add_fault_injector(self, injector) -> None:
         self.fault_injectors.append(injector)
-
-    def clear_fault_injectors(self) -> None:
-        self.fault_injectors.clear()
 
     # -- forwarding ----------------------------------------------------------
     @property
@@ -101,58 +91,8 @@ class Fabric:
             cell = self._dropped[reason] = self._m_dropped.cell(reason=reason)
         cell.value += 1
 
-    def _carry(self, src_nic: Nic, frame: EthernetFrame) -> None:
-        if not self.fault_injectors:
-            # Fast path: nothing can drop, duplicate, or delay this frame.
-            dst = self._nics.get(frame.dst)
-            if dst is None:
-                self._drop("no_route")
-                return
-            self.frames_carried.value += 1
-            if dst.ring_pressure == 0:
-                self._carry_fast(dst, frame)
-            else:
-                # Phantom RX pressure is a fault-injection knob: keep the
-                # per-frame delivery process so faulted runs stay
-                # bit-for-bit on the historical path.
-                self.env.process(self._deliver_one(dst, frame, 0),
-                                 name="fabric.deliver")
-            return
-        self._carry_slow(src_nic, frame)
-
-    def _carry_fast(self, dst: Nic, frame: EthernetFrame) -> None:
-        """Deliver via a shared timer: one heap event per carry *instant*.
-
-        The fabric latency is constant on this path, so every frame carried
-        at the same instant arrives at the same instant; flushing them from
-        one timer in carry order reproduces exactly the delivery order the
-        per-frame processes produced.
-        """
-        self.frames_batched += 1
-        batch = self._batch
-        if batch is not None and self._batch_at == self.env.now:
-            batch.append((dst, frame))
-            return
-        batch = [(dst, frame)]
-        self._batch = batch
-        self._batch_at = self.env.now
-        timer = self.env.timeout(self.latency_ns)
-        timer.callbacks.append(lambda _ev, b=batch: self._flush_batch(b))
-
-    def _flush_batch(self, batch: list[tuple[Nic, EthernetFrame]]) -> None:
-        if batch is self._batch:
-            self._batch = None
-            self._batch_at = -1
-        for dst, frame in batch:
-            dst.deliver(frame)
-
-    def _carry_slow(self, src_nic: Nic, frame: EthernetFrame) -> None:
-        """Per-frame path: the historical code, byte-for-byte behavior.
-
-        Taken whenever anything interesting can happen to the frame — any
-        attached fault injector — so faulted runs produce the same digests
-        they always did.
-        """
+    def carry(self, frame: EthernetFrame) -> None:
+        """Forward one frame that just left a NIC's wire."""
         copies = 1
         extra_delay = 0
         for injector in self.fault_injectors:
@@ -170,17 +110,31 @@ class Fabric:
             self._drop("no_route")
             return
         self.frames_carried.value += 1
-        if copies > 1:
-            self._m_duplicated.inc(copies - 1)
         if extra_delay > 0:
             self._m_delayed.inc()
-        for _ in range(copies):
-            self.env.process(self._deliver_one(dst, frame, extra_delay),
-                             name="fabric.deliver")
+        now = self.env.now
+        if self._batch_at != now:
+            self._batches = {}
+            self._batch_at = now
+        batch = self._batches.get(extra_delay)
+        if batch is None:
+            batch = self._batches[extra_delay] = []
+            timer = self.env.timeout(self.latency_ns + extra_delay)
+            timer.callbacks.append(
+                lambda _ev, k=extra_delay, b=batch: self._flush(k, b))
+        batch.append((dst, frame))
+        if copies > 1:
+            self._m_duplicated.inc(copies - 1)
+            batch.extend([(dst, frame)] * (copies - 1))
 
-    def _deliver_one(self, dst: Nic, frame: EthernetFrame, extra_delay: int):
-        yield self.env.timeout(self.latency_ns + extra_delay)
-        dst.deliver(frame)
+    def _flush(self, extra_delay: int,
+               batch: list[tuple[Nic, EthernetFrame]]) -> None:
+        if self._batches.get(extra_delay) is batch:
+            # A zero-delay timer fires within its own carry instant: a later
+            # carry at that instant must start a new batch.
+            del self._batches[extra_delay]
+        for dst, frame in batch:
+            dst.deliver(frame)
 
     def addresses(self) -> list[str]:
         return list(self._nics)
@@ -298,14 +252,15 @@ class ShardEtherFabric:
         if host in self._nics:
             raise ValueError(f"duplicate NIC for host {host}")
         self._nics[host] = nic
-        nic.attach_link(_Port(self, nic))
+        nic.attach_link(self)
 
     def address_of(self, host_id: int) -> str:
         """NIC address of any global host — local or remote."""
         return self._addr_of[host_id]
 
     # -- forwarding ----------------------------------------------------------
-    def _carry(self, src_nic: Nic, frame: EthernetFrame) -> None:
+    def carry(self, frame: EthernetFrame) -> None:
+        """Forward one frame that just left a shard-local NIC's wire."""
         src = self._host_of[frame.src]
         dst = self._host_of.get(frame.dst)
         if dst is None:

@@ -319,16 +319,12 @@ class PinService:
         addr: int,
         npages: int,
         priority: int = PRIO_KERNEL,
-        on_page=None,
-        sliced: bool = False,
     ) -> Generator:
         """Process: pin ``npages`` starting at the page containing ``addr``.
 
-        Returns the list of pinned frames in page order.  ``on_page(i, frame)``
-        is invoked after each page is pinned (watermark advancement).  With
-        ``sliced=True`` the core is re-acquired between pages so that
-        higher-priority work (bottom halves) can interleave — this is the
-        behaviour that makes overlap-misses possible under interrupt load.
+        Returns the list of pinned frames in page order.  The historical
+        path charges the base cost, then re-acquires the core once per
+        page; the fused path below charges the same total in one span.
 
         On failure, every page pinned so far is unpinned (time charged) and
         :class:`PinError` propagates to the caller.
@@ -350,17 +346,17 @@ class PinService:
         per_page = self.pin_per_page_ns(core)
 
         # Fast path: fuse the base + per-page charge ladder into one core
-        # span when its preemption points are provably unobservable —
-        # non-sliced, no per-page progress callback, no fault hook, an idle
-        # core with an empty queue (every intermediate re-acquisition would
-        # have been immediate at the same instant), and enough pin budget
-        # and free frames that no page can fail partway.  ``base`` and
-        # ``per_page`` are pre-truncated ints, so the fused total equals the
-        # historical per-page sum exactly: completion instant, latency
-        # histogram and every counter come out bit-identical.
+        # span when its preemption points are provably unobservable — no
+        # fault hook, an idle core with an empty queue (every intermediate
+        # re-acquisition would have been immediate at the same instant), and
+        # enough pin budget and free frames that no page can fail partway.
+        # ``base`` and ``per_page`` are pre-truncated ints, so the fused
+        # total equals the historical per-page sum exactly: completion
+        # instant, latency histogram and every counter come out
+        # bit-identical.
         memory = aspace.memory
-        if (not sliced and on_page is None and self.fault_hook is None
-                and not core.busy and core.queue_length == 0
+        if (self.fault_hook is None and not core.busy
+                and core.queue_length == 0
                 and memory.can_pin(npages + self._reserved)
                 and memory.free_frames >= npages):
             yield from core.execute(base + per_page * npages, priority)
@@ -383,28 +379,19 @@ class PinService:
             self._m_pin_latency.observe(core.env.now - t_start)
             return frames
 
-        def charge(cost: int):
-            if sliced:
-                yield from core.execute_sliced(cost, priority)
-            else:
-                yield from core.execute(cost, priority)
-
         try:
-            yield from charge(base)
+            yield from core.execute(base, priority)
             if self.fault_hook is not None:
                 extra = self.fault_hook.pin_delay_ns(npages)
                 if extra > 0:
-                    yield from charge(extra)
+                    yield from core.execute(extra, priority)
                 if self.fault_hook.pin_should_fail():
                     raise OutOfMemory("injected transient pin failure")
             for i in range(npages):
-                yield from charge(per_page)
-                frame = aspace.pin_page(start + i * PAGE_SIZE)
-                frames.append(frame)
+                yield from core.execute(per_page, priority)
+                frames.append(aspace.pin_page(start + i * PAGE_SIZE))
                 self.pages_pinned += 1
                 self._m_pinned_pages.inc()
-                if on_page is not None:
-                    on_page(i, frame)
         except (BadAddress, OutOfMemory) as exc:
             # Roll back partial pins, paying the unpin cost.
             if frames:

@@ -754,11 +754,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sim-json", metavar="PATH",
                         help="write the one named scenario's simulated end "
                              "state (exact, for the CI drift gates)")
+    names = [*SCENARIOS, "openmx_shard"]
     parser.add_argument("scenario", nargs="*",
-                        choices=[[], *SCENARIOS, "openmx_shard"],
                         help="subset of scenarios (default: all but "
-                             "openmx_shard, which runs at --shards shards)")
+                             "openmx_shard, which runs at --shards shards): "
+                             + ", ".join(names))
     args = parser.parse_args(argv)
+    # Checked here, not with ``choices``: argparse would test an empty
+    # ``nargs="*"`` list against the choices too.
+    unknown = [s for s in args.scenario if s not in names]
+    if unknown:
+        parser.error(f"unknown scenario(s) {', '.join(unknown)}; "
+                     f"choose from {', '.join(names)}")
     if args.repeat < 1:
         parser.error(f"--repeat must be at least 1, got {args.repeat}")
 
@@ -784,21 +791,21 @@ def main(argv: list[str] | None = None) -> int:
             print(f"(report saved to {args.json})")
         return 0
 
-    scenarios = list(args.scenario or [])
-    if "openmx_shard" in scenarios:
-        scenarios = [s for s in scenarios if s != "openmx_shard"]
-        report = run_openmx_shard(quick=args.quick, shards=args.shards,
-                                  repeat=args.repeat)
-        print(format_openmx_shard_report(report))
-        if not scenarios:
-            if args.json:
-                _write_json(args.json, report)
-                print(f"(report saved to {args.json})")
-            return 0
-
-    report = run_benchmarks(quick=args.quick, repeat=args.repeat,
-                            scenarios=scenarios or None)
-    print(format_report(report))
+    scenarios = [s for s in args.scenario if s != "openmx_shard"]
+    shard_report = None
+    if "openmx_shard" in args.scenario:
+        shard_report = run_openmx_shard(quick=args.quick, shards=args.shards,
+                                        repeat=args.repeat)
+        print(format_openmx_shard_report(shard_report))
+    if shard_report is not None and not scenarios:
+        report = shard_report
+    else:
+        report = run_benchmarks(quick=args.quick, repeat=args.repeat,
+                                scenarios=scenarios or None)
+        print(format_report(report))
+        if shard_report is not None:
+            # Mixed run: the shard report rides under its own key.
+            report["openmx_shard"] = shard_report
     if args.json:
         _write_json(args.json, report)
         print(f"(report saved to {args.json})")

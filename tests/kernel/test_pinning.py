@@ -78,23 +78,6 @@ def test_pin_zero_pages_rejected(rig):
     assert run(env, work())
 
 
-def test_on_page_callback_sees_monotonic_progress(rig):
-    env, core, aspace, pin = rig
-    va = aspace.mmap(8 * PAGE_SIZE)
-    seen = []
-
-    def work():
-        yield from pin.pin_user_pages(
-            core, aspace, va, 8, on_page=lambda i, f: seen.append((i, env.now))
-        )
-
-    run(env, work())
-    assert [i for i, _ in seen] == list(range(8))
-    times = [t for _, t in seen]
-    assert times == sorted(times)
-    assert times[0] < times[-1]  # pages arrive over time, not all at once
-
-
 def test_partial_pin_failure_rolls_back(rig):
     env, core, aspace, pin = rig
     # Map 4 pages, pin limit of 2 frames -> the pin of page 3 fails.
@@ -156,26 +139,6 @@ def test_without_notifier_munmap_leaves_pinned_orphans(rig):
     assert all(f.pinned for f in frames)
 
 
-def test_sliced_pinning_yields_to_high_priority_work(rig):
-    env, core, aspace, pin = rig
-    va = aspace.mmap(64 * PAGE_SIZE)
-    done = {}
-
-    def pinner():
-        yield from pin.pin_user_pages(core, aspace, va, 64, sliced=True)
-        done["pin"] = env.now
-
-    def bh():
-        yield env.timeout(500)
-        yield from core.execute(3_000, priority=0)
-        done["bh"] = env.now
-
-    env.process(pinner())
-    env.process(bh())
-    env.run()
-    assert done["bh"] < done["pin"]  # the BH got in even though pin started first
-
-
 def test_pin_fraction_validation():
     with pytest.raises(ValueError):
         PinService(0.0)
@@ -186,12 +149,27 @@ def test_pin_fraction_validation():
 # -- fused fast path ----------------------------------------------------------
 
 
-def _pin_once(npages, contend=False, **kwargs):
-    """Fresh rig, one pin call; returns (final now, fused_pins, nframes)."""
+class _ZeroHook:
+    """A fault hook that injects nothing: it only disables fusing."""
+
+    def pin_delay_ns(self, npages):
+        return 0
+
+    def pin_should_fail(self):
+        return False
+
+
+def _pin_once(npages, contend=False, per_page=False):
+    """Fresh rig, one pin call; returns (final now, fused_pins, nframes).
+
+    ``per_page`` forces the historical per-page loop through a zero-delay
+    fault hook."""
     env = Environment()
     core = CpuCore(env, XEON_E5460, "h0", 0)
     aspace = AddressSpace(PhysicalMemory(1024 * PAGE_SIZE), "p0")
     pin = PinService()
+    if per_page:
+        pin.fault_hook = _ZeroHook()
     va = aspace.mmap(npages * PAGE_SIZE)
 
     def rival():
@@ -201,7 +179,7 @@ def _pin_once(npages, contend=False, **kwargs):
         if contend:
             env.process(rival())
             yield env.timeout(0)  # let the rival claim the core first
-        frames = yield from pin.pin_user_pages(core, aspace, va, npages, **kwargs)
+        frames = yield from pin.pin_user_pages(core, aspace, va, npages)
         return frames
 
     frames = env.run(until=env.process(work()))
@@ -210,10 +188,10 @@ def _pin_once(npages, contend=False, **kwargs):
 
 def test_uncontended_pin_is_fused_with_identical_timing():
     # The fused single-charge path must land on exactly the same completion
-    # instant as the historical per-page charge ladder (forced here via an
-    # on_page callback, which disables fusing).
+    # instant as the historical per-page charge ladder (forced here via a
+    # zero-delay fault hook, which disables fusing).
     t_fused, fused, n = _pin_once(16)
-    t_slow, slow_fused, n_slow = _pin_once(16, on_page=lambda i, f: None)
+    t_slow, slow_fused, n_slow = _pin_once(16, per_page=True)
     assert fused == 1 and slow_fused == 0
     assert n == n_slow == 16
     assert t_fused == t_slow
@@ -225,28 +203,16 @@ def test_contended_core_disables_fusing_same_timing():
     # must not change the outcome when it stands down.
     t, fused, n = _pin_once(8, contend=True)
     assert fused == 0 and n == 8
-    t2, fused2, _ = _pin_once(8, contend=True, on_page=lambda i, f: None)
+    t2, fused2, _ = _pin_once(8, contend=True, per_page=True)
     assert fused2 == 0 and t2 == t
 
 
-def test_sliced_pin_never_fused():
-    _, fused, n = _pin_once(4, sliced=True)
-    assert fused == 0 and n == 4
-
-
 def test_fault_hook_disables_fusing():
-    class Hook:
-        def pin_delay_ns(self, npages):
-            return 0
-
-        def pin_should_fail(self):
-            return False
-
     env = Environment()
     core = CpuCore(env, XEON_E5460, "h0", 0)
     aspace = AddressSpace(PhysicalMemory(64 * PAGE_SIZE), "p0")
     pin = PinService()
-    pin.fault_hook = Hook()
+    pin.fault_hook = _ZeroHook()
     va = aspace.mmap(2 * PAGE_SIZE)
 
     def work():

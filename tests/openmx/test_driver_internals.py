@@ -81,17 +81,17 @@ def test_duplicate_pull_reply_ignored():
     sp.write(sbuf, data)
 
     # Duplicate every 10th pull reply at the fabric.
-    original_carry = cluster.fabric._carry
+    original_carry = cluster.fabric.carry
     counter = {"n": 0}
 
-    def dup_carry(src_nic, frame):
-        original_carry(src_nic, frame)
+    def dup_carry(frame):
+        original_carry(frame)
         if isinstance(frame.payload, PullReply):
             counter["n"] += 1
             if counter["n"] % 10 == 0:
-                original_carry(src_nic, frame)
+                original_carry(frame)
 
-    cluster.fabric._carry = dup_carry
+    cluster.fabric.carry = dup_carry
 
     def sender():
         req = yield from s.isend(sbuf, n, r.board, r.endpoint_id, 1)

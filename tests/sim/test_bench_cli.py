@@ -1,5 +1,8 @@
 """The microbench CLI (``python -m repro.sim.bench``): bad input is an
-argparse usage error before any scenario runs."""
+argparse usage error before any scenario runs, and a run that mixes
+``openmx_shard`` with other scenarios writes both reports to ``--json``."""
+
+import json
 
 import pytest
 
@@ -33,3 +36,49 @@ def test_one_repeat_runs(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[1].startswith("event_pingpong")
     assert "TOTAL" in out
+
+
+def test_unknown_scenario_lists_the_valid_names(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "_time_once", _no_simulation)
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--quick", "event_pingpong", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err
+    for name in [*bench.SCENARIOS, "openmx_shard"]:
+        assert name in err
+
+
+def test_usage_line_has_no_empty_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{," not in out and "[scenario ...]" in out
+
+
+def _fake_time_once(name, rounds):
+    return 0.001, 10, dict.fromkeys(bench._ENGINE_COUNTERS, 0), {}
+
+
+def _fake_run_openmx(params, shards, strategy="block"):
+    stats = {"wall_s": 0.001, "shards": shards, "mode": "serial",
+             "strategy": strategy, "windows": 1, "advance_ns": 1,
+             "cross_shard_frames": 0, "critical_path_s": 0.001,
+             "barrier_idle_s": 0.0}
+    return {"stats": stats, "state": {"events": 7, "digest": "d1"}}
+
+
+def test_mixed_run_writes_both_reports(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "_time_once", _fake_time_once)
+    monkeypatch.setattr(openmx_shard, "run_openmx", _fake_run_openmx)
+    out = tmp_path / "mixed.json"
+    assert bench.main(["--quick", "--repeat", "1", "--json", str(out),
+                       "event_pingpong", "openmx_shard", "--shards", "1"]) == 0
+    report = json.loads(out.read_text())
+    assert list(report["scenarios"]) == ["event_pingpong"]
+    shard = report["openmx_shard"]
+    assert shard["schema"] == "repro.bench.openmx-shard-run/v1"
+    assert shard["shards"] == 1 and shard["events"] == 7
+    printed = capsys.readouterr().out
+    assert "openmx_shard (" in printed and "event_pingpong" in printed

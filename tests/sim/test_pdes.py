@@ -107,9 +107,9 @@ def test_shard_fabric_sorts_same_instant_arrivals_canonically():
     seen = _record(nics[0])
     # Host 2 carries before host 1, and host 1's seq 2 before its seq 1;
     # delivery must come back sorted by (src, seq, copy), not carry order.
-    fabric._carry(nics[2], _frame(2, 0, 1))
-    fabric._carry(nics[1], _frame(1, 0, 2))
-    fabric._carry(nics[1], _frame(1, 0, 1))
+    fabric.carry(_frame(2, 0, 1))
+    fabric.carry(_frame(1, 0, 2))
+    fabric.carry(_frame(1, 0, 1))
     env.run()
     a1, a2 = nic_address(1), nic_address(2)
     assert seen == [(LATENCY, a1, 1), (LATENCY, a1, 2), (LATENCY, a2, 1)]
@@ -119,9 +119,9 @@ def test_shard_fabric_sorts_same_instant_arrivals_canonically():
 
 
 def test_shard_fabric_routes_remote_hosts_to_egress():
-    env, fabric, nics = _shard(((0,), (1,)), 0)
+    _, fabric, _ = _shard(((0,), (1,)), 0)
     frame = _frame(0, 1, 1)
-    fabric._carry(nics[0], frame)
+    fabric.carry(frame)
     assert fabric.frames_cross_shard.value == 1 and fabric.frames_local.value == 0
     egress = fabric.take_egress()
     assert [(a, c.src, c.dst, c.seq, c.copy) for a, c in egress] == [
@@ -131,11 +131,11 @@ def test_shard_fabric_routes_remote_hosts_to_egress():
 
 
 def test_shard_fabric_ingress_merges_with_local_sends():
-    _, tx, tx_nics = _shard(((1,), (0, 2)), 0)
+    _, tx, _ = _shard(((1,), (0, 2)), 0)
     rx_env, rx, rx_nics = _shard(((1,), (0, 2)), 1)
     seen = _record(rx_nics[0])
-    tx._carry(tx_nics[1], _frame(1, 0, 1))   # remote: arrives via egress
-    rx._carry(rx_nics[2], _frame(2, 0, 1))   # local: same arrival instant
+    tx.carry(_frame(1, 0, 1))   # remote: arrives via egress
+    rx.carry(_frame(2, 0, 1))   # local: same arrival instant
     rx.ingress(tx.take_egress())
     rx_env.run()
     # Same (arrival, dst) batch, canonical (src, seq) order — and still
