@@ -11,7 +11,6 @@ host.
 import json
 from pathlib import Path
 
-from repro.sim.bench import run_openmx_shard
 from repro.sim.openmx_shard import (
     openmx_params,
     openmx_sim_state,
@@ -54,12 +53,13 @@ def test_openmx_every_shard_count_lands_on_one_digest():
 
 
 def test_openmx_critical_path_shrinks_with_shards():
-    quick = not full_sweep()
-    serial = run_openmx_shard(quick=quick, shards=1, repeat=1)
-    sharded = run_openmx_shard(quick=quick, shards=4, repeat=1)
-    assert sharded["digest"] == serial["digest"]
-    assert sharded["events"] == serial["events"]
-    assert sharded["critical_path_s"] < serial["critical_path_s"]
+    params = openmx_params(quick=not full_sweep())
+    serial = run_openmx(params, 1)
+    sharded = run_openmx(params, 4)
+    assert sharded["state"]["digest"] == serial["state"]["digest"]
+    assert sharded["state"]["events"] == serial["state"]["events"]
+    assert (sharded["stats"]["critical_path_s"]
+            < serial["stats"]["critical_path_s"])
 
 
 def test_openmx_committed_quick_state_matches_current_tree():

@@ -7,11 +7,6 @@ Usage::
     python -m repro.experiments table1          # one artifact only
     python -m repro.experiments --jobs 4        # fan sweep points out across
                                                 # 4 worker processes
-    python -m repro.experiments overlap_miss --shards 4
-                                                # also measure overlap misses
-                                                # on the PDES-sharded full
-                                                # stack ('auto' caps at the
-                                                # host's cores)
     python -m repro.experiments --cache         # reuse results cached by a
                                                 # prior run of identical code
     python -m repro.experiments --json out.json # also save machine-readable results
@@ -45,7 +40,6 @@ from repro.experiments.figures67 import (
 from repro.experiments.motivation import format_motivation, run_motivation
 from repro.experiments.overlap_miss import (
     run_miss_probability,
-    run_miss_probability_sharded,
     run_overloaded_core,
 )
 from repro.experiments.reuse_sweep import format_reuse_sweep, run_reuse_sweep
@@ -68,8 +62,6 @@ def _jobs(value: str) -> int:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    from repro.sim.pdes import shards_arg
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.")
@@ -85,10 +77,6 @@ def _parse(argv: list[str]) -> argparse.Namespace:
                              "(render: python -m repro.obs PATH)")
     parser.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                         help="fan sweep points out across N worker processes")
-    parser.add_argument("--shards", type=shards_arg, metavar="N|auto",
-                        help="also measure overlap misses on the "
-                             "PDES-sharded full stack ('auto' caps at the "
-                             "host's cores)")
     parser.add_argument("--cache", action="store_true",
                         help="reuse results cached by a prior run of "
                              "identical code")
@@ -123,8 +111,7 @@ def main(argv: list[str]) -> int:
     # the end covers the whole session's kernels, NICs and drivers.
     registry = MetricRegistry()
     with use_registry(registry):
-        _run_wanted(wanted, sizes, collected, jobs=args.jobs, cache=cache,
-                    shards=args.shards)
+        _run_wanted(wanted, sizes, collected, jobs=args.jobs, cache=cache)
     if cache is not None:
         # stderr, so a warm run's stdout is byte-identical to a cold one.
         print(f"(cache: {cache.hits} hit(s), {cache.misses} miss(es) "
@@ -142,7 +129,7 @@ def main(argv: list[str]) -> int:
 
 
 def _run_wanted(wanted: set[str], sizes, collected: dict[str, object],
-                jobs: int = 1, cache=None, shards: int | None = None) -> None:
+                jobs: int = 1, cache=None) -> None:
     from repro.experiments.parallel import parallel_map
 
     def one(fn, **kwargs):
@@ -188,17 +175,6 @@ def _run_wanted(wanted: set[str], sizes, collected: dict[str, object],
               f"{over.pin_wait_p50_ns / 1e3:.0f} us, p95 "
               f"{over.pin_wait_p95_ns / 1e3:.0f} us, p99 "
               f"{over.pin_wait_p99_ns / 1e3:.0f} us")
-        if shards is not None:
-            smiss = run_miss_probability_sharded(shards=shards)
-            collected["miss_probability_sharded"] = smiss
-            print(f"Section 4.3: overlap-miss on the PDES-sharded full "
-                  f"stack ({smiss.shards} shard(s), byte-identical to "
-                  f"serial)")
-            print(f"  {smiss.overlap_misses} misses / {smiss.data_packets} "
-                  f"data packets (rate {smiss.miss_rate:.2e}); pin-wait "
-                  f"p50 {smiss.pin_wait_p50_ns / 1e3:.0f} us, p95 "
-                  f"{smiss.pin_wait_p95_ns / 1e3:.0f} us, p99 "
-                  f"{smiss.pin_wait_p99_ns / 1e3:.0f} us")
         print()
     if "motivation" in wanted:
         collected["motivation"] = one(run_motivation)

@@ -26,9 +26,8 @@ from repro.sim.trace import summarize
 from repro.util.units import MIB, throughput_mib_s
 from repro.workloads import imb_pingpong
 
-__all__ = ["MissProbabilityResult", "OverloadResult", "ShardedMissResult",
-           "run_miss_probability", "run_miss_probability_sharded",
-           "run_overloaded_core"]
+__all__ = ["MissProbabilityResult", "OverloadResult",
+           "run_miss_probability", "run_overloaded_core"]
 
 # The competing flow: an unrelated protocol whose small packets cost the
 # bottom half real work (IP stack traversal + copies), like the "10G
@@ -64,69 +63,6 @@ def run_miss_probability(nbytes: int = 8 * MIB,
         misses += c["overlap_miss_recv"] + c["overlap_miss_send"]
     return MissProbabilityResult(packets, misses)
 
-
-@dataclass(frozen=True)
-class ShardedMissResult:
-    """Overlap-miss measurement taken on the PDES-sharded full stack."""
-
-    shards: int
-    data_packets: int
-    overlap_misses: int
-    digest: str
-    # Pin-wait tail aggregated across every shard's merged registry.
-    pin_wait_p50_ns: float = 0.0
-    pin_wait_p95_ns: float = 0.0
-    pin_wait_p99_ns: float = 0.0
-
-    @property
-    def miss_rate(self) -> float:
-        return (self.overlap_misses / self.data_packets
-                if self.data_packets else 0.0)
-
-
-def run_miss_probability_sharded(shards: int = 2,
-                                 quick: bool = True) -> ShardedMissResult:
-    """Overlap-miss probability on the 16-host sharded Open-MX scenario.
-
-    Runs the full-stack ``openmx_shard`` workload (OVERLAP pinning, pin
-    pressure) once serially and once across ``shards`` PDES workers, hard-
-    fails unless the end states are byte-identical, and reports the miss
-    counts summed over every host's driver plus the pin-wait tail from the
-    coordinator-merged metric registries — the sharded twin of
-    :func:`run_miss_probability`.
-    """
-    from repro.obs.metrics import MetricRegistry
-    from repro.sim.openmx_shard import openmx_params, run_openmx
-
-    params = openmx_params(quick=quick, pinning_mode=PinningMode.OVERLAP)
-    registry = MetricRegistry()
-    sharded = run_openmx(params, shards, registry=registry)
-    serial = run_openmx(params, 1)
-    if serial["state"] != sharded["state"]:
-        raise RuntimeError(
-            f"sharded ({shards}) overlap-miss run diverged from serial: "
-            f"{sharded['state']['digest']} != {serial['state']['digest']}")
-    packets = 0
-    misses = 0
-    for host in sharded["state"]["hosts"]:
-        c = host["driver"]
-        packets += c.get("pull_bytes", 0) // params.config().data_frame_payload
-        misses += c.get("overlap_miss_recv", 0) + c.get("overlap_miss_send", 0)
-    waits: list[float] = []
-    hist = registry.get("omx_pin_wait_ns")
-    if hist is not None:
-        for _labels, child in hist.children():
-            waits.extend(float(v) for v in child.raw_samples)
-    stats = summarize(waits)
-    return ShardedMissResult(
-        shards=shards,
-        data_packets=packets,
-        overlap_misses=misses,
-        digest=sharded["state"]["digest"],
-        pin_wait_p50_ns=stats["p50"],
-        pin_wait_p95_ns=stats["p95"],
-        pin_wait_p99_ns=stats["p99"],
-    )
 
 
 @dataclass(frozen=True)

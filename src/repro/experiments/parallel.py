@@ -49,9 +49,9 @@ def merge_worker_registries(registries: Sequence[MetricRegistry],
     """Fold worker registries into ``into`` (default: the ambient registry).
 
     The fold is **in sequence order** — submission order for
-    :func:`parallel_map`, shard order for the PDES coordinator
-    (:mod:`repro.sim.pdes`) — so aggregation is deterministic regardless
-    of which worker finished first.  Counters sum; gauges follow their
+    :func:`parallel_map`, shard order for the PDES coordinator — so
+    aggregation is deterministic regardless of which worker finished
+    first.  Counters sum; gauges follow their
     declared per-metric merge policy (``last``/``sum``/``max``, see
     :class:`repro.obs.metrics.Gauge`), which is what lets per-engine
     gauges like ``sim_wheel_pending`` aggregate across the workers of one

@@ -374,44 +374,12 @@ def run_soak(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.sim.pdes import shards_arg
-
     parser = soak_parser(
         "python -m repro.faults.chaos",
         "Seeded chaos runs with protocol invariant checking.", steps=20)
-    parser.add_argument("--shards", type=shards_arg, metavar="N",
-                        help="sharded chaos gate: run the full-stack "
-                             "openmx_shard clean+chaos scenario serially and "
-                             "at N PDES shards ('auto' caps at the host's "
-                             "cores) with --seed as the fault seed; exit 1 "
-                             "unless the end states are byte-identical")
-    args = parser.parse_args(argv)
-    if args.shards is None:
-        return run_soak(parser, args, run_chaos, lambda r: (
-            f"ok={r.transfers_ok:3d} degraded={r.transfers_degraded:2d} "
-            f"injected={sum(r.injections.values()):5d}"))
-
-    # The classic 2-node chaos workload drives its faults from one
-    # global RNG, which cannot shard byte-identically by construction;
-    # the sharded gate instead uses the pure-fault-plan full-stack
-    # scenario, where chaos verdicts are shard-independent.
-    from repro.sim.openmx_shard import openmx_sim_state
-
-    base = None
-    for n in sorted({1, args.shards}):
-        state = openmx_sim_state(quick=True, chaos_seed=args.seed, shards=n)
-        del state["shards"]  # the only field allowed to differ
-        base = base or state
-        verdict = "identical" if state == base else "DIVERGED"
-        print(f"openmx_shard chaos seed={args.seed} shards={n}: "
-              f"clean digest {state['clean']['digest'][:16]}..., "
-              f"chaos digest {state['chaos']['digest'][:16]}... "
-              f"[{verdict} vs serial]")
-        if state != base:
-            print("sharded chaos end state diverged from serial",
-                  file=sys.stderr)
-            return 1
-    return 0
+    return run_soak(parser, parser.parse_args(argv), run_chaos, lambda r: (
+        f"ok={r.transfers_ok:3d} degraded={r.transfers_degraded:2d} "
+        f"injected={sum(r.injections.values()):5d}"))
 
 
 if __name__ == "__main__":

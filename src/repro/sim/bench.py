@@ -39,6 +39,7 @@ Usage::
     python -m repro.sim.bench --quick             # CI smoke
     python -m repro.sim.bench --json BENCH_engine.json
     python -m repro.sim.bench --quick --sim-json state.json datapath_pull
+    python -m repro.sim.bench --quick --shards 4 --json pdes.json openmx_shard
 
 ``--sim-json PATH SCENARIO`` writes one scenario's simulated end state, the
 exact reference the CI drift gates diff against
@@ -48,8 +49,11 @@ exact reference the CI drift gates diff against
 scenario (:mod:`repro.sim.pdes`) on the **full Open-MX stack**: 16 hosts,
 each with a complete kernel/MMU-notifier/pin-service/driver/NIC stack,
 exchanging mixed eager/rendezvous traffic under pin pressure, sharded
-across worker processes.  ``--ab-openmx`` runs the serial-vs-sharded
-equality gate plus a block/stripe/affinity partition comparison;
+across worker processes.  Named as a scenario, it runs serial against
+``--shards`` forked workers plus a block/stripe/affinity partition
+comparison, every run gated on the serial end state; alone it writes the
+``BENCH_pdes.json`` layout to ``--json``, and with other scenarios it rides
+under the engine report's ``openmx_shard`` key.
 ``--sim-json PATH openmx_shard`` writes the end state at ``--shards``
 shards for the cross-shard-count CI diff.  ``--shards auto`` caps the
 default shard count at the host's usable cores (the wall speedup is
@@ -67,8 +71,7 @@ from typing import Any, Callable, NamedTuple
 from repro.sim.engine import Environment
 
 __all__ = ["SCENARIOS", "Scenario", "format_report", "gate_end_states",
-           "run_benchmarks", "run_openmx_shard", "run_scenario",
-           "sim_state"]
+           "run_benchmarks", "run_scenario", "sim_state"]
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -632,52 +635,6 @@ def gate_end_states(base: dict[str, Any], current: dict[str, Any]) -> None:
                          "reported:\n  " + "\n  ".join(diffs))
 
 
-def run_openmx_shard(quick: bool = False, shards: int = 4, repeat: int = 3,
-                     strategy: str = "block") -> dict[str, Any]:
-    """Run the full-stack ``openmx_shard`` scenario at one shard count."""
-    from repro.sim.openmx_shard import openmx_params, run_openmx
-
-    params = openmx_params(quick=quick)
-    best = None
-    for _ in range(repeat):
-        out = run_openmx(params, shards, strategy=strategy)
-        if best is None or out["stats"]["wall_s"] < best["stats"]["wall_s"]:
-            best = out
-    stats = best["stats"]
-    return {
-        "schema": "repro.bench.openmx-shard-run/v1",
-        "quick": quick,
-        "repeat": repeat,
-        "nhosts": params.nhosts,
-        "shards": stats["shards"],
-        "mode": stats["mode"],
-        "strategy": stats["strategy"],
-        "windows": stats["windows"],
-        "advance_ns": stats["advance_ns"],
-        "cross_shard_frames": stats["cross_shard_frames"],
-        "wall_s": round(stats["wall_s"], 6),
-        "critical_path_s": round(stats["critical_path_s"], 6),
-        "barrier_idle_s": round(stats["barrier_idle_s"], 6),
-        "events": best["state"]["events"],
-        "digest": best["state"]["digest"],
-    }
-
-
-def format_openmx_shard_report(report: dict[str, Any]) -> str:
-    return "\n".join([
-        f"openmx_shard ({report['nhosts']} hosts, {report['shards']} "
-        f"shard(s), {report['mode']}, {report['strategy']} partition, "
-        f"best of {report['repeat']}):",
-        f"  {report['events']:,} events in {report['wall_s']:.4f} s "
-        f"across {report['windows']} windows "
-        f"({report['advance_ns']:,} ns simulated)",
-        f"  {report['cross_shard_frames']} cross-shard frames, "
-        f"critical path {report['critical_path_s']:.4f} s, "
-        f"barrier idle {report['barrier_idle_s']:.4f} s",
-        f"  end-state digest {report['digest']}",
-    ])
-
-
 def format_openmx_ab_report(report: dict[str, Any]) -> str:
     strat = report["strategies"]
     lines = [
@@ -742,11 +699,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="timed repetitions per scenario, best-of (default 3)")
     parser.add_argument("--json", metavar="PATH",
                         help="write the machine-readable report here")
-    parser.add_argument("--ab-openmx", action="store_true",
-                        help="interleaved A/B of the full-stack openmx_shard "
-                             "scenario: serial vs --shards forked workers "
-                             "with an end-state equality gate, plus a "
-                             "block/stripe/affinity partition comparison")
     parser.add_argument("--shards", type=shards_arg, default="4",
                         help="PDES shard count for openmx_shard; "
                              "'auto' caps the default at the host's usable "
@@ -757,7 +709,8 @@ def main(argv: list[str] | None = None) -> int:
     names = [*SCENARIOS, "openmx_shard"]
     parser.add_argument("scenario", nargs="*",
                         help="subset of scenarios (default: all but "
-                             "openmx_shard, which runs at --shards shards): "
+                             "openmx_shard, which runs serial against "
+                             "--shards shards): "
                              + ", ".join(names))
     args = parser.parse_args(argv)
     # Checked here, not with ``choices``: argparse would test an empty
@@ -778,34 +731,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"({name} sim state saved to {args.sim_json})")
         return 0
 
-    if args.ab_openmx:
-        from repro.sim.openmx_shard import run_openmx_ab
-
-        report = run_openmx_ab(quick=args.quick, shards=args.shards,
-                               repeat=args.repeat)
-        print(format_openmx_ab_report(report))
-        if args.json:
-            # Same layout as the committed BENCH_pdes.json.
-            _write_json(args.json, {"schema": "repro.bench.pdes/v2",
-                                    "openmx_shard": report})
-            print(f"(report saved to {args.json})")
-        return 0
-
     scenarios = [s for s in args.scenario if s != "openmx_shard"]
-    shard_report = None
-    if "openmx_shard" in args.scenario:
-        shard_report = run_openmx_shard(quick=args.quick, shards=args.shards,
-                                        repeat=args.repeat)
-        print(format_openmx_shard_report(shard_report))
-    if shard_report is not None and not scenarios:
-        report = shard_report
-    else:
+    sharded = len(scenarios) < len(args.scenario)
+    # Alone, openmx_shard writes the committed BENCH_pdes.json layout; with
+    # other scenarios its report rides under the engine report's key.
+    report: dict[str, Any] = {"schema": "repro.bench.pdes/v2"}
+    if scenarios or not sharded:
         report = run_benchmarks(quick=args.quick, repeat=args.repeat,
                                 scenarios=scenarios or None)
         print(format_report(report))
-        if shard_report is not None:
-            # Mixed run: the shard report rides under its own key.
-            report["openmx_shard"] = shard_report
+    if sharded:
+        from repro.sim.openmx_shard import run_openmx_ab
+
+        report["openmx_shard"] = run_openmx_ab(
+            quick=args.quick, shards=args.shards, repeat=args.repeat)
+        print(format_openmx_ab_report(report["openmx_shard"]))
     if args.json:
         _write_json(args.json, report)
         print(f"(report saved to {args.json})")

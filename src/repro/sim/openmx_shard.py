@@ -402,9 +402,8 @@ def run_openmx(params: OpenmxParams, nshards: int, *,
 
 
 def openmx_params(quick: bool = False, seed: int = 2009,
-                  fault_seed: int | None = None, nhosts: int = 16,
-                  pinning_mode: PinningMode = PinningMode.OVERLAP_CACHE,
-                  ) -> OpenmxParams:
+                  fault_seed: int | None = None,
+                  nhosts: int = 16) -> OpenmxParams:
     """The canned ``openmx_shard`` shape used by the bench CLI and CI."""
     fault = None
     if fault_seed is not None:
@@ -414,7 +413,6 @@ def openmx_params(quick: bool = False, seed: int = 2009,
     return OpenmxParams(nhosts=nhosts,
                         rounds=6 if quick else 30,
                         seed=seed,
-                        pinning_mode=pinning_mode,
                         fault=fault)
 
 
@@ -440,7 +438,8 @@ def openmx_sim_state(quick: bool = False, shards: int = 1, seed: int = 2009,
 
 def run_openmx_ab(quick: bool = False, shards: int = 4, repeat: int = 2,
                   seed: int = 2009, lookahead_ns: int | None = None) -> dict:
-    """Interleaved serial-vs-sharded A/B over the full Open-MX stack.
+    """Interleaved serial-vs-sharded A/B over the full Open-MX stack: the
+    report of the microbench's ``openmx_shard`` scenario.
 
     Aborts the process on the first end-state divergence, naming the
     differing keys.  Also runs the sharded scenario once per partition
@@ -475,9 +474,11 @@ def run_openmx_ab(quick: bool = False, shards: int = 4, repeat: int = 2,
         gate_end_states({key: golden}, {key: out["state"]})
         strategies[strat] = out["stats"]["cross_shard_frames"]
 
+    def affinity_cut(reference: int) -> float:
+        # No frame crossed a shard under the reference: nothing to cut.
+        return 1.0 - strategies["affinity"] / reference if reference else 0.0
+
     host_cores = host_core_count()
-    block = strategies["block"] or 1
-    stripe = strategies["stripe"] or 1
     return {
         "schema": "repro.bench.openmx-shard/v1",
         "scenario": "openmx_shard",
@@ -497,8 +498,8 @@ def run_openmx_ab(quick: bool = False, shards: int = 4, repeat: int = 2,
         "cross_shard_frames": best_stats["cross_shard_frames"],
         "barrier_idle_s": best_stats["barrier_idle_s"],
         "strategies": strategies,
-        "affinity_cut_vs_block": 1.0 - strategies["affinity"] / block,
-        "affinity_cut_vs_stripe": 1.0 - strategies["affinity"] / stripe,
+        "affinity_cut_vs_block": affinity_cut(strategies["block"]),
+        "affinity_cut_vs_stripe": affinity_cut(strategies["stripe"]),
         "digest": golden["digest"],
         "events": golden["events"],
     }

@@ -437,8 +437,9 @@ def resolve_shards(spec: int | str, default: int = 4) -> int:
 
 
 def shards_arg(value: str) -> int:
-    """:func:`resolve_shards` as an argparse ``type``, shared by every CLI
-    with a ``--shards`` option: a bad value is a usage error (exit 2)."""
+    """:func:`resolve_shards` as the argparse ``type`` of the microbench's
+    ``--shards`` (``python -m repro.sim.bench``): a bad value is a usage
+    error (exit 2)."""
     try:
         return resolve_shards(value)
     except ValueError as exc:

@@ -42,5 +42,4 @@ def test_flags_and_artifacts_intermix():
                    "d", "--full"])
     assert args.artifacts == ["table1", "overlap_miss"]
     assert (args.jobs, args.cache_dir, args.full) == (2, "d", True)
-    assert (args.json, args.metrics, args.shards, args.cache) == (
-        None, None, None, False)
+    assert (args.json, args.metrics, args.cache) == (None, None, False)

@@ -116,11 +116,13 @@ def test_cli_bad_input_is_a_usage_error(cli, argv, capsys):
     assert captured.out == "" and "error:" in captured.err
 
 
+@pytest.mark.parametrize("cli", MAINS)
 @pytest.mark.parametrize("shards", ["abc", "0"])
-def test_cli_bad_shards_is_a_usage_error(shards, capsys):
-    """Chaos alone takes --shards; a bad count exits 2 before running."""
+def test_cli_bad_shards_is_a_usage_error(cli, shards, capsys):
+    """No soak takes --shards (the sharded gate is the microbench's
+    ``openmx_shard``); it exits 2 before running."""
     with pytest.raises(SystemExit) as exc:
-        main(["--shards", shards, "--seed", "1"])
+        cli(["--shards", shards, "--seed", "1"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--shards" in captured.err

@@ -2,17 +2,18 @@
 
 These run the complete kernel/MMU-notifier/pin-service/driver/NIC stack
 under the conservative PDES coordinator.  For any small cluster shape,
-traffic seed, partition strategy, and pure fault plan hypothesis can
-dream up — drops, duplicates, and reorder-inducing delays landing on
-cross-shard routes included — the sharded run must reproduce the serial
-end state to the byte: per-host send/recv digests (payload bytes
-included), driver counters, NIC counters, fabric totals, engine event
-counts, and the final clock.  A shorter lookahead may change the window
+traffic seed, pinning mode, partition strategy, and pure fault plan
+hypothesis can dream up — drops, duplicates, and reorder-inducing delays
+landing on cross-shard routes included — the sharded run must reproduce
+the serial end state to the byte: per-host send/recv digests (payload
+bytes included), driver counters, NIC counters, fabric totals, engine
+event counts, and the final clock.  A shorter lookahead may change the window
 schedule, never what the hosts and fabric did.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.openmx.config import PinningMode
 from repro.sim.openmx_shard import OpenmxParams, run_openmx
 from repro.sim.pdes import SeededFaultPlan
 
@@ -36,6 +37,7 @@ _PARAMS = st.builds(
     seed=st.integers(min_value=0, max_value=2**32),
     latency_ns=st.sampled_from([5_000, 20_000, 120_000]),
     window=st.integers(min_value=1, max_value=3),
+    pinning_mode=st.sampled_from(list(PinningMode)),
     fault=_FAULTS,
 )
 

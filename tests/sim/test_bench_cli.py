@@ -1,8 +1,10 @@
 """The microbench CLI (``python -m repro.sim.bench``): bad input is an
-argparse usage error before any scenario runs, and a run that mixes
-``openmx_shard`` with other scenarios writes both reports to ``--json``."""
+argparse usage error before any scenario runs, ``openmx_shard`` alone
+writes the committed ``BENCH_pdes.json`` layout to ``--json``, and a run
+that mixes it with other scenarios writes both reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,7 @@ def _no_simulation(*args, **kwargs):
 @pytest.mark.parametrize("argv", [
     ["--quick", "--repeat", "0", "event_pingpong"],
     ["--quick", "--repeat", "-1", "event_pingpong"],
-    ["--quick", "--ab-openmx", "--repeat", "0"],
+    ["--quick", "--repeat", "0", "openmx_shard"],
     ["--quick", "--shards", "abc", "openmx_shard"],
     ["--quick", "--shards", "0", "openmx_shard"],
 ], ids=" ".join)
@@ -61,8 +63,9 @@ def _fake_time_once(name, rounds):
     return 0.001, 10, dict.fromkeys(bench._ENGINE_COUNTERS, 0), {}
 
 
-def _fake_run_openmx(params, shards, strategy="block"):
-    stats = {"wall_s": 0.001, "shards": shards, "mode": "serial",
+def _fake_run_openmx(params, shards, *, mode=None, lookahead_ns=None,
+                     strategy="block"):
+    stats = {"wall_s": 0.001, "shards": shards, "mode": mode,
              "strategy": strategy, "windows": 1, "advance_ns": 1,
              "cross_shard_frames": 0, "critical_path_s": 0.001,
              "barrier_idle_s": 0.0}
@@ -78,7 +81,23 @@ def test_mixed_run_writes_both_reports(tmp_path, monkeypatch, capsys):
     report = json.loads(out.read_text())
     assert list(report["scenarios"]) == ["event_pingpong"]
     shard = report["openmx_shard"]
-    assert shard["schema"] == "repro.bench.openmx-shard-run/v1"
+    assert shard["schema"] == "repro.bench.openmx-shard/v1"
     assert shard["shards"] == 1 and shard["events"] == 7
     printed = capsys.readouterr().out
-    assert "openmx_shard (" in printed and "event_pingpong" in printed
+    assert "openmx_shard A/B (" in printed and "event_pingpong" in printed
+
+
+def test_openmx_shard_alone_writes_the_bench_pdes_layout(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(bench, "_time_once", _no_simulation)
+    monkeypatch.setattr(openmx_shard, "run_openmx", _fake_run_openmx)
+    out = tmp_path / "pdes.json"
+    assert bench.main(["--quick", "--repeat", "1", "--shards", "4",
+                       "--json", str(out), "openmx_shard"]) == 0
+    fresh = json.loads(out.read_text())
+    committed = json.loads(
+        (Path(__file__).parents[2] / "BENCH_pdes.json").read_text())
+    assert fresh["schema"] == committed["schema"] == "repro.bench.pdes/v2"
+    assert set(fresh) == set(committed)
+    assert set(fresh["openmx_shard"]) == set(committed["openmx_shard"])
+    assert fresh["openmx_shard"]["shards"] == 4

@@ -1,6 +1,9 @@
 """Full-stack Open-MX under the PDES coordinator: byte-identity across
 shard counts, partition strategies, builder sub-cluster construction, the
-``--ab-openmx`` end-state gate, and the shard-count resolution helpers."""
+``openmx_shard`` A/B's end-state gate and report, and the shard-count
+resolution helpers."""
+
+import dataclasses
 
 import pytest
 
@@ -50,10 +53,13 @@ def test_traffic_matrix_sums_scheduled_bytes():
 
 # -- byte identity across shard counts ---------------------------------------
 
-def test_every_shard_count_matches_serial():
-    serial = run_openmx(SMALL, 1, mode="inline")
+@pytest.mark.parametrize("pinning_mode", list(PinningMode),
+                         ids=lambda m: m.name)
+def test_every_shard_count_matches_serial(pinning_mode):
+    params = dataclasses.replace(SMALL, pinning_mode=pinning_mode)
+    serial = run_openmx(params, 1, mode="inline")
     for nshards in (2, 3, 5):
-        sharded = run_openmx(SMALL, nshards, mode="inline")
+        sharded = run_openmx(params, nshards, mode="inline")
         assert sharded["state"] == serial["state"]
         assert sharded["state"]["events"] == serial["state"]["events"]
 
@@ -171,13 +177,10 @@ def test_openmx_shard_end_state_is_partition_independent_shape():
                                     "delayed", "delivered"}
 
 
-# -- the --ab-openmx end-state gate -------------------------------------------
+# -- the openmx_shard A/B: end-state gate and report -------------------------
 
-@pytest.mark.parametrize("diverges, key", [
-    (lambda shards, strategy: shards > 1, "serial_vs_4_shards.events"),
-    (lambda shards, strategy: strategy == "stripe", "serial_vs_stripe.events"),
-], ids=["sharded", "strategy"])
-def test_ab_divergence_names_the_differing_key(monkeypatch, diverges, key):
+def _fake_run_openmx(diverges=lambda shards, strategy: False,
+                     cross=lambda strategy: 2):
     def fake_run(params, shards, *, mode=None, lookahead_ns=None,
                  strategy="block"):
         state = {"now_ns": 7, "events": 100, "digest": "d"}
@@ -185,15 +188,37 @@ def test_ab_divergence_names_the_differing_key(monkeypatch, diverges, key):
             state["events"] += 1
         return {"state": state,
                 "stats": {"wall_s": 1.0, "critical_path_s": 0.5,
-                          "windows": 3, "cross_shard_frames": 2,
+                          "windows": 3, "cross_shard_frames": cross(strategy),
                           "barrier_idle_s": 0.1}}
+    return fake_run
 
-    monkeypatch.setattr("repro.sim.openmx_shard.run_openmx", fake_run)
+
+@pytest.mark.parametrize("diverges, key", [
+    (lambda shards, strategy: shards > 1, "serial_vs_4_shards.events"),
+    (lambda shards, strategy: strategy == "stripe", "serial_vs_stripe.events"),
+], ids=["sharded", "strategy"])
+def test_ab_divergence_names_the_differing_key(monkeypatch, diverges, key):
+    monkeypatch.setattr("repro.sim.openmx_shard.run_openmx",
+                        _fake_run_openmx(diverges=diverges))
     with pytest.raises(SystemExit) as exc:
         run_openmx_ab(quick=True, shards=4, repeat=1)
     message = str(exc.value)
     assert f"{key}: base=100 current=101" in message
     assert "digest" not in message and "now_ns" not in message
+
+
+@pytest.mark.parametrize("frames, cuts", [
+    # One shard: no frame crosses, so affinity cuts nothing.
+    ({"block": 0, "stripe": 0, "affinity": 0}, (0.0, 0.0)),
+    ({"block": 8, "stripe": 4, "affinity": 2}, (0.75, 0.5)),
+], ids=["no-cross-shard-frames", "cross-shard-frames"])
+def test_ab_affinity_cut(monkeypatch, frames, cuts):
+    monkeypatch.setattr("repro.sim.openmx_shard.run_openmx",
+                        _fake_run_openmx(cross=frames.__getitem__))
+    report = run_openmx_ab(quick=True, shards=1, repeat=1)
+    assert report["strategies"] == frames
+    assert (report["affinity_cut_vs_block"],
+            report["affinity_cut_vs_stripe"]) == cuts
 
 
 # -- shard-count resolution (--shards auto) -----------------------------------
