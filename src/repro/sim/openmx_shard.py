@@ -417,15 +417,15 @@ def openmx_params(quick: bool = False, seed: int = 2009,
 
 
 def openmx_sim_state(quick: bool = False, shards: int = 1, seed: int = 2009,
-                     chaos_seed: int = 7, mode: str | None = None,
+                     mode: str | None = None,
                      strategy: str = "block") -> dict:
-    """Clean + chaos end states for one shard count — the CI digest gate
-    diffs this JSON across ``--shards {1,2,4}`` and requires equality."""
+    """Clean + chaos (fault seed 7) end states for one shard count — the CI
+    digest gate diffs this JSON across ``--shards {1,2,4}`` and requires
+    equality."""
     clean = run_openmx(openmx_params(quick=quick, seed=seed), shards,
                        mode=mode, strategy=strategy)
-    chaos = run_openmx(openmx_params(quick=quick, seed=seed,
-                                     fault_seed=chaos_seed), shards,
-                       mode=mode, strategy=strategy)
+    chaos = run_openmx(openmx_params(quick=quick, seed=seed, fault_seed=7),
+                       shards, mode=mode, strategy=strategy)
     return {
         "schema": "repro.openmx-shard.sim/v1",
         "quick": quick,
