@@ -1,43 +1,5 @@
-"""One module per paper artifact: Table 1, Figures 6/7, Table 2, Section 4.3."""
+"""One module per paper artifact: Table 1, Figures 6/7, Table 2, Section 4.3.
 
-from .figures67 import (
-    FIGURE_SIZES,
-    PingpongSeries,
-    run_figure6,
-    run_figure7,
-    run_pingpong_series,
-)
-from .motivation import MotivationRow, run_motivation
-from .overlap_miss import (
-    MissProbabilityResult,
-    OverloadResult,
-    run_miss_probability,
-    run_overloaded_core,
-)
-from .report import ascii_chart, format_table
-from .reuse_sweep import ReuseSweepRow, run_reuse_sweep
-from .table1 import Table1Row, run_table1
-from .table2 import TABLE2_BENCHMARKS, Table2Row, run_table2
-
-__all__ = [
-    "FIGURE_SIZES",
-    "MissProbabilityResult",
-    "MotivationRow",
-    "OverloadResult",
-    "PingpongSeries",
-    "ReuseSweepRow",
-    "TABLE2_BENCHMARKS",
-    "Table1Row",
-    "Table2Row",
-    "ascii_chart",
-    "format_table",
-    "run_figure6",
-    "run_figure7",
-    "run_miss_probability",
-    "run_motivation",
-    "run_overloaded_core",
-    "run_pingpong_series",
-    "run_reuse_sweep",
-    "run_table1",
-    "run_table2",
-]
+:data:`repro.experiments.runner.SWEEP` indexes them: each artifact's
+tasks, how their results assemble, and how it prints.
+"""

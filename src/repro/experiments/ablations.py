@@ -17,13 +17,17 @@ from dataclasses import dataclass, replace
 
 from repro.baselines import PipelinedSender
 from repro.cluster import build_cluster
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Task, parallel_map
 from repro.openmx import OpenMXConfig, PinningMode
 from repro.util.units import KIB, MIB, throughput_mib_s
 
 __all__ = [
     "AblationPoint",
+    "CAPACITY_TASKS",
+    "CHECK_TASKS",
+    "PIPELINE_TASKS",
     "cache_capacity_point",
+    "format_ablations",
     "overlap_check_point",
     "overlap_point",
     "pipeline_point",
@@ -98,18 +102,16 @@ def overlap_point(nbytes: int) -> AblationPoint:
                          throughput_mib_s(nbytes, elapsed))
 
 
-def run_pipeline_ablation(nbytes: int = 8 * MIB,
-                          chunk_sizes: list[int] | None = None,
-                          jobs: int = 1, cache=None) -> list[AblationPoint]:
-    """Steady-state throughput: pipelined registration at several chunk
-    sizes vs the paper's driver-level overlap."""
-    chunks = chunk_sizes if chunk_sizes is not None else [
-        64 * KIB, 128 * KIB, 512 * KIB, 2 * MIB
-    ]
-    tasks = [(pipeline_point, {"chunk": chunk, "nbytes": nbytes})
-             for chunk in chunks]
-    tasks.append((overlap_point, {"nbytes": nbytes}))
-    return parallel_map(tasks, jobs=jobs, cache=cache)
+PIPELINE_TASKS: list[Task] = [
+    (pipeline_point, {"chunk": chunk, "nbytes": 8 * MIB})
+    for chunk in (64 * KIB, 128 * KIB, 512 * KIB, 2 * MIB)
+] + [(overlap_point, {"nbytes": 8 * MIB})]
+
+
+def run_pipeline_ablation() -> list[AblationPoint]:
+    """Steady-state throughput: pipelined registration of 8 MB at several
+    chunk sizes vs the paper's driver-level overlap."""
+    return parallel_map(PIPELINE_TASKS)
 
 
 def cache_capacity_point(cap: int, nbuffers: int, nbytes: int) -> AblationPoint:
@@ -148,15 +150,14 @@ def cache_capacity_point(cap: int, nbuffers: int, nbytes: int) -> AblationPoint:
     )
 
 
-def run_cache_capacity_ablation(nbuffers: int = 16, nbytes: int = 256 * KIB,
-                                capacities: list[int] | None = None,
-                                jobs: int = 1, cache=None) -> list[AblationPoint]:
-    """Cycle through ``nbuffers`` distinct buffers; vary the LRU capacity."""
-    caps = capacities if capacities is not None else [4, 8, 16, 32]
-    tasks = [(cache_capacity_point,
-              {"cap": cap, "nbuffers": nbuffers, "nbytes": nbytes})
-             for cap in caps]
-    return parallel_map(tasks, jobs=jobs, cache=cache)
+CAPACITY_TASKS: list[Task] = [
+    (cache_capacity_point, {"cap": cap, "nbuffers": 16, "nbytes": 256 * KIB})
+    for cap in (4, 8, 16, 32)]
+
+
+def run_cache_capacity_ablation() -> list[AblationPoint]:
+    """Cycle through 16 distinct buffers; vary the LRU capacity."""
+    return parallel_map(CAPACITY_TASKS)
 
 
 def overlap_check_point(cost: int, nbytes: int) -> AblationPoint:
@@ -171,11 +172,24 @@ def overlap_check_point(cost: int, nbytes: int) -> AblationPoint:
     return AblationPoint(f"check {cost} ns", result.throughput_mib_s)
 
 
-def run_overlap_check_ablation(nbytes: int = 16 * MIB,
-                               check_costs: list[int] | None = None,
-                               jobs: int = 1, cache=None) -> list[AblationPoint]:
+CHECK_TASKS: list[Task] = [
+    (overlap_check_point, {"cost": cost, "nbytes": 16 * MIB})
+    for cost in (0, 30, 150, 600)]
+
+
+def run_overlap_check_ablation() -> list[AblationPoint]:
     """Throughput sensitivity to the per-packet descriptor-test cost."""
-    costs = check_costs if check_costs is not None else [0, 30, 150, 600]
-    tasks = [(overlap_check_point, {"cost": cost, "nbytes": nbytes})
-             for cost in costs]
-    return parallel_map(tasks, jobs=jobs, cache=cache)
+    return parallel_map(CHECK_TASKS)
+
+
+def format_ablations(pipeline: list[AblationPoint],
+                     capacity: list[AblationPoint],
+                     check: list[AblationPoint]) -> str:
+    return "\n".join(
+        ["Ablation: pipelined registration vs driver-level overlap"]
+        + [f"  {p.label:32s} {p.value:8.1f} MiB/s" for p in pipeline]
+        + ["Ablation: region cache capacity vs hit rate "
+           "(16 buffers cycled)"]
+        + [f"  {p.label:32s} {p.value:8.2f}" for p in capacity]
+        + ["Ablation: per-packet overlap descriptor-check cost"]
+        + [f"  {p.label:32s} {p.value:8.1f} MiB/s" for p in check])

@@ -3,8 +3,8 @@
 Figure 6 compares *pin once per communication* against *permanent pinning*,
 with and without I/OAT copy offload — quantifying how much memory pinning
 costs on the fast Xeon E5460 testbed (~5 % there, up to ~20 % on the slow
-Opteron 265, which :func:`run_figure6` can also reproduce by passing its
-CPU spec).
+Opteron 265, which :func:`run_pingpong_series` can also reproduce by
+passing its CPU spec).
 
 Figure 7 compares the paper's optimizations on the same axis: regular
 pinning vs overlapped pinning vs the pinning cache vs both combined.
@@ -15,19 +15,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster import build_cluster
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Task, parallel_map
 from repro.hw.specs import CpuSpec, XEON_E5460
 from repro.openmx import OpenMXConfig, PinningMode
 from repro.workloads import imb_pingpong
 from repro.util.units import KIB, MIB, fmt_size
 
 __all__ = [
+    "FIGURE6_SERIES",
+    "FIGURE7_SERIES",
     "FIGURE_SIZES",
     "PingpongSeries",
+    "assemble_series",
     "pingpong_point",
     "run_figure6",
     "run_figure7",
     "run_pingpong_series",
+    "series_tasks",
 ]
 
 # The x-axis of figures 6 and 7: 64 kB .. 16 MB.
@@ -70,58 +74,62 @@ def pingpong_point(mode: PinningMode, use_ioat: bool, nbytes: int,
 
 
 def run_pingpong_series(label: str, mode: PinningMode, use_ioat: bool,
-                        sizes: list[int], cpu: CpuSpec = XEON_E5460,
-                        jobs: int = 1, cache=None) -> PingpongSeries:
+                        sizes: list[int],
+                        cpu: CpuSpec = XEON_E5460) -> PingpongSeries:
     """Measure one curve.  Each point builds a fresh cluster so modes never
     contaminate each other — which also makes every point independently
     parallelizable."""
-    return _run_series_set([(label, mode, use_ioat)], sizes, cpu,
-                           jobs, cache)[0]
+    return _run_series_set([(label, mode, use_ioat)], sizes, cpu)[0]
 
 
-def _run_series_set(specs: list[tuple[str, PinningMode, bool]],
-                    sizes: list[int], cpu: CpuSpec,
-                    jobs: int, cache) -> list[PingpongSeries]:
-    """Fan every (series, size) point of a figure out as one flat task list."""
-    tasks = [
+# The curves of each figure: (label, pinning mode, I/OAT copy offload).
+FIGURE6_SERIES = [
+    ("Open-MX - Pin once per Communication", PinningMode.PIN_PER_COMM, False),
+    ("Open-MX - Permanent Pinning", PinningMode.PERMANENT, False),
+    ("Open-MX + I/OAT - Pin once per Communication",
+     PinningMode.PIN_PER_COMM, True),
+    ("Open-MX + I/OAT - Permanent-Pinning", PinningMode.PERMANENT, True),
+]
+FIGURE7_SERIES = [
+    ("Open-MX - Regular Pinning", PinningMode.PIN_PER_COMM, False),
+    ("Open-MX - Overlapped Pinning", PinningMode.OVERLAP, False),
+    ("Open-MX - Pinning Cache", PinningMode.CACHE, False),
+    ("Open-MX - Overlapped Pinning Cache", PinningMode.OVERLAP_CACHE, False),
+]
+
+
+def series_tasks(specs: list[tuple[str, PinningMode, bool]],
+                 sizes: list[int], cpu: CpuSpec) -> list[Task]:
+    """Every (series, size) point of a figure as one flat task list."""
+    return [
         (pingpong_point,
          {"mode": mode, "use_ioat": use_ioat, "nbytes": nbytes, "cpu": cpu})
         for _, mode, use_ioat in specs
         for nbytes in sizes
     ]
-    flat = parallel_map(tasks, jobs=jobs, cache=cache)
-    series = []
-    for i, (label, _, _) in enumerate(specs):
-        points = flat[i * len(sizes):(i + 1) * len(sizes)]
-        series.append(PingpongSeries(label, tuple(points)))
-    return series
 
 
-def run_figure6(sizes: list[int] | None = None, cpu: CpuSpec = XEON_E5460,
-                jobs: int = 1, cache=None) -> list[PingpongSeries]:
+def assemble_series(specs: list[tuple[str, PinningMode, bool]],
+                    points: list[tuple[int, float]]) -> list[PingpongSeries]:
+    """The curves of :func:`series_tasks`' results, in ``specs`` order."""
+    n = len(points) // len(specs)
+    return [PingpongSeries(label, tuple(points[i * n:(i + 1) * n]))
+            for i, (label, _, _) in enumerate(specs)]
+
+
+def _run_series_set(specs: list[tuple[str, PinningMode, bool]],
+                    sizes: list[int], cpu: CpuSpec) -> list[PingpongSeries]:
+    return assemble_series(specs, parallel_map(series_tasks(specs, sizes, cpu)))
+
+
+def run_figure6(sizes: list[int]) -> list[PingpongSeries]:
     """Figure 6: pin-once-per-communication vs permanent pinning, ±I/OAT."""
-    sizes = sizes if sizes is not None else FIGURE_SIZES
-    return _run_series_set([
-        ("Open-MX - Pin once per Communication",
-         PinningMode.PIN_PER_COMM, False),
-        ("Open-MX - Permanent Pinning", PinningMode.PERMANENT, False),
-        ("Open-MX + I/OAT - Pin once per Communication",
-         PinningMode.PIN_PER_COMM, True),
-        ("Open-MX + I/OAT - Permanent-Pinning", PinningMode.PERMANENT, True),
-    ], sizes, cpu, jobs, cache)
+    return _run_series_set(FIGURE6_SERIES, sizes, XEON_E5460)
 
 
-def run_figure7(sizes: list[int] | None = None, cpu: CpuSpec = XEON_E5460,
-                jobs: int = 1, cache=None) -> list[PingpongSeries]:
+def run_figure7(sizes: list[int]) -> list[PingpongSeries]:
     """Figure 7: regular vs overlapped vs cache vs overlapped+cache."""
-    sizes = sizes if sizes is not None else FIGURE_SIZES
-    return _run_series_set([
-        ("Open-MX - Regular Pinning", PinningMode.PIN_PER_COMM, False),
-        ("Open-MX - Overlapped Pinning", PinningMode.OVERLAP, False),
-        ("Open-MX - Pinning Cache", PinningMode.CACHE, False),
-        ("Open-MX - Overlapped Pinning Cache",
-         PinningMode.OVERLAP_CACHE, False),
-    ], sizes, cpu, jobs, cache)
+    return _run_series_set(FIGURE7_SERIES, sizes, XEON_E5460)
 
 
 def format_series_table(series: list[PingpongSeries], title: str) -> str:

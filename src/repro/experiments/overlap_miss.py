@@ -26,7 +26,7 @@ from repro.sim.trace import summarize
 from repro.util.units import MIB, throughput_mib_s
 from repro.workloads import imb_pingpong
 
-__all__ = ["MissProbabilityResult", "OverloadResult",
+__all__ = ["MissProbabilityResult", "OverloadResult", "format_overlap_miss",
            "run_miss_probability", "run_overloaded_core"]
 
 # The competing flow: an unrelated protocol whose small packets cost the
@@ -153,3 +153,20 @@ def run_overloaded_core(nbytes: int = 1 * MIB, iterations: int = 2,
         pin_wait_p95_ns=wait_stats["p95"],
         pin_wait_p99_ns=wait_stats["p99"],
     )
+
+
+def format_overlap_miss(miss: MissProbabilityResult,
+                        over: OverloadResult) -> str:
+    return (
+        "Section 4.3: overlap-miss probability under regular load\n"
+        f"  {miss.overlap_misses} misses / {miss.data_packets} data packets "
+        f"(rate {miss.miss_rate:.2e}; paper < 1e-4)\n"
+        "Section 4.3: overloaded interrupt core\n"
+        f"  normal {over.normal_mib_s:.0f} MiB/s -> overloaded "
+        f"{over.overloaded_mib_s:.1f} MiB/s (x{over.slowdown:.0f}; "
+        f"paper ~x20), {over.overlap_misses} overlap misses, BH core "
+        f"{over.bh_core_utilization:.0%} busy\n"
+        f"  pin-wait tail (starved pinner): p50 "
+        f"{over.pin_wait_p50_ns / 1e3:.0f} us, p95 "
+        f"{over.pin_wait_p95_ns / 1e3:.0f} us, p99 "
+        f"{over.pin_wait_p99_ns / 1e3:.0f} us")

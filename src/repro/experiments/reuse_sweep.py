@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster import build_cluster
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Task, parallel_map
 from repro.openmx import OpenMXConfig, PinningMode
 from repro.util.units import MIB
 from repro.workloads.patterns import run_reuse_pattern
 
-__all__ = ["ReuseSweepRow", "reuse_point", "run_reuse_sweep"]
+__all__ = ["REUSE_TASKS", "ReuseSweepRow", "assemble_reuse", "reuse_point",
+           "run_reuse_sweep"]
 
 REUSE_POINTS = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -53,31 +54,28 @@ _SWEEP_MODES = (PinningMode.PIN_PER_COMM, PinningMode.CACHE,
                 PinningMode.OVERLAP)
 
 
-def run_reuse_sweep(nbytes: int = 1 * MIB, messages: int = 12,
-                    points: list[float] | None = None,
-                    jobs: int = 1, cache=None) -> list[ReuseSweepRow]:
-    fractions = points if points is not None else REUSE_POINTS
-    tasks = [
-        (reuse_point,
-         {"mode": mode, "nbytes": nbytes, "messages": messages,
-          "reuse": reuse})
-        for reuse in fractions
-        for mode in _SWEEP_MODES
-    ]
-    flat = parallel_map(tasks, jobs=jobs, cache=cache)
+# 12 messages of 1 MB per (reuse fraction, strategy), strategies innermost.
+REUSE_TASKS: list[Task] = [
+    (reuse_point,
+     {"mode": mode, "nbytes": 1 * MIB, "messages": 12, "reuse": reuse})
+    for reuse in REUSE_POINTS
+    for mode in _SWEEP_MODES
+]
+
+
+def assemble_reuse(results: list) -> list[ReuseSweepRow]:
+    """One row per reuse fraction from the results of ``REUSE_TASKS``."""
     rows = []
-    for i, reuse in enumerate(fractions):
-        regular, cached, overlap = flat[i * 3:(i + 1) * 3]
-        rows.append(
-            ReuseSweepRow(
-                reuse_fraction=reuse,
-                regular_mib_s=regular.throughput_mib_s,
-                cache_mib_s=cached.throughput_mib_s,
-                overlap_mib_s=overlap.throughput_mib_s,
-                cache_hit_rate=cached.hit_rate,
-            )
-        )
+    for i, reuse in enumerate(REUSE_POINTS):
+        regular, cached, overlap = results[i * 3:(i + 1) * 3]
+        rows.append(ReuseSweepRow(reuse, regular.throughput_mib_s,
+                                  cached.throughput_mib_s,
+                                  overlap.throughput_mib_s, cached.hit_rate))
     return rows
+
+
+def run_reuse_sweep() -> list[ReuseSweepRow]:
+    return assemble_reuse(parallel_map(REUSE_TASKS))
 
 
 def format_reuse_sweep(rows: list[ReuseSweepRow]) -> str:

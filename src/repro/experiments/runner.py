@@ -1,4 +1,7 @@
-"""Experiment result persistence and comparison.
+"""The sweep's task list, and experiment result persistence and comparison.
+
+:data:`SWEEP` maps every artifact of ``python -m repro.experiments`` to the
+``(fn, kwargs)`` tasks it runs, so the CLI runs the sweep in one pool.
 
 Experiments return frozen dataclasses; this module serializes any of them
 to JSON (``save_results``/``load_results``) and diffs two result sets
@@ -12,9 +15,74 @@ import dataclasses
 import enum
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
-__all__ = ["compare_results", "load_results", "save_results", "to_jsonable"]
+from repro.experiments import (ablations, figures67, motivation, overlap_miss,
+                               reuse_sweep, table1, table2)
+from repro.experiments.parallel import Task
+from repro.hw.specs import XEON_E5460
+
+__all__ = ["SWEEP", "Artifact", "compare_results", "load_results",
+           "save_results", "to_jsonable"]
+
+
+class Artifact(NamedTuple):
+    """One artifact: ``tasks(sizes)`` for a Figure 6/7 size axis, ``build``
+    from their results (in task order) to the artifact's results, and
+    ``show(*results)``, its printed block.  ``saves`` names the results
+    ``--json`` records; an artifact that names none only prints."""
+
+    tasks: Callable[[list[int]], list[Task]]
+    build: Callable[[list[Any]], tuple]
+    show: Callable[..., str]
+    saves: tuple[str, ...]
+
+
+def _blank_after(fmt: Callable[..., str]) -> Callable[..., str]:
+    # Every block but the ablations' is followed by a blank line.
+    return lambda *results: fmt(*results) + "\n"
+
+
+def _one(fn: Callable, show: Callable[..., str], name: str) -> Artifact:
+    return Artifact(lambda sizes: [(fn, {})], tuple, _blank_after(show),
+                    (name,))
+
+
+def _figure(name: str, specs, title: str) -> Artifact:
+    return Artifact(
+        lambda sizes: figures67.series_tasks(specs, sizes, XEON_E5460),
+        lambda points: (figures67.assemble_series(specs, points),),
+        _blank_after(lambda s: figures67.format_series_table(s, title)),
+        (name,))
+
+
+# Every artifact in the order the sweep submits, builds and prints it.
+# Submission order is also the order worker metric registries merge in.
+SWEEP: dict[str, Artifact] = {
+    "table1": _one(table1.run_table1, table1.format_table1, "table1"),
+    "figure6": _figure("figure6", figures67.FIGURE6_SERIES,
+                       "Figure 6: IMB PingPong (MiB/s)"),
+    "figure7": _figure("figure7", figures67.FIGURE7_SERIES,
+                       "Figure 7: IMB PingPong (MiB/s)"),
+    "table2": _one(table2.run_table2, table2.format_table2, "table2"),
+    "overlap-miss": Artifact(
+        lambda sizes: [(overlap_miss.run_miss_probability, {}),
+                       (overlap_miss.run_overloaded_core, {})],
+        tuple, _blank_after(overlap_miss.format_overlap_miss),
+        ("miss_probability", "overloaded_core")),
+    "motivation": _one(motivation.run_motivation,
+                       motivation.format_motivation, "motivation"),
+    "reuse-sweep": Artifact(
+        lambda sizes: reuse_sweep.REUSE_TASKS,
+        lambda results: (reuse_sweep.assemble_reuse(results),),
+        _blank_after(reuse_sweep.format_reuse_sweep), ("reuse_sweep",)),
+    # Five pipeline points, then four capacity and four check points.
+    "ablations": Artifact(
+        lambda sizes: (ablations.PIPELINE_TASKS + ablations.CAPACITY_TASKS
+                       + ablations.CHECK_TASKS),
+        lambda points: (points[:5], points[5:9], points[9:]),
+        ablations.format_ablations, ()),
+}
 
 
 def to_jsonable(obj: Any) -> Any:

@@ -416,28 +416,24 @@ def openmx_params(quick: bool = False, seed: int = 2009,
                         fault=fault)
 
 
-def openmx_sim_state(quick: bool = False, shards: int = 1, seed: int = 2009,
-                     mode: str | None = None,
-                     strategy: str = "block") -> dict:
-    """Clean + chaos (fault seed 7) end states for one shard count — the CI
-    digest gate diffs this JSON across ``--shards {1,2,4}`` and requires
-    equality."""
-    clean = run_openmx(openmx_params(quick=quick, seed=seed), shards,
-                       mode=mode, strategy=strategy)
-    chaos = run_openmx(openmx_params(quick=quick, seed=seed, fault_seed=7),
-                       shards, mode=mode, strategy=strategy)
+def openmx_sim_state(quick: bool = False, shards: int = 1) -> dict:
+    """Clean + chaos (fault seed 7) end states for one shard count, block
+    partitioned — the CI digest gate diffs this JSON across ``--shards
+    {1,2,4}`` and requires equality."""
+    clean = run_openmx(openmx_params(quick=quick), shards)
+    chaos = run_openmx(openmx_params(quick=quick, fault_seed=7), shards)
     return {
         "schema": "repro.openmx-shard.sim/v1",
         "quick": quick,
         "shards": shards,
-        "strategy": strategy,
+        "strategy": "block",
         "clean": clean["state"],
         "chaos": chaos["state"],
     }
 
 
-def run_openmx_ab(quick: bool = False, shards: int = 4, repeat: int = 2,
-                  seed: int = 2009, lookahead_ns: int | None = None) -> dict:
+def run_openmx_ab(quick: bool = False, shards: int = 4,
+                  repeat: int = 2) -> dict:
     """Interleaved serial-vs-sharded A/B over the full Open-MX stack: the
     report of the microbench's ``openmx_shard`` scenario.
 
@@ -445,19 +441,19 @@ def run_openmx_ab(quick: bool = False, shards: int = 4, repeat: int = 2,
     differing keys.  Also runs the sharded scenario once per partition
     strategy (block / stripe / affinity) — every strategy must land on the
     serial end state, and the report shows how much cross-shard traffic
-    affinity placement saves.
+    affinity placement saves.  At one shard every strategy is the forked
+    run's partition, so that run stands in for all three.
     """
     from repro.sim.bench import gate_end_states
 
-    params = openmx_params(quick=quick, seed=seed)
+    params = openmx_params(quick=quick)
     serial_best = float("inf")
     sharded_best = float("inf")
     golden = None
     best_stats = None
     for _ in range(repeat):
-        a = run_openmx(params, 1, mode="inline", lookahead_ns=lookahead_ns)
-        b = run_openmx(params, shards, mode="fork",
-                       lookahead_ns=lookahead_ns)
+        a = run_openmx(params, 1, mode="inline")
+        b = run_openmx(params, shards, mode="fork")
         key = f"serial_vs_{shards}_shards"
         gate_end_states({key: a["state"]}, {key: b["state"]})
         golden = a["state"]
@@ -466,13 +462,14 @@ def run_openmx_ab(quick: bool = False, shards: int = 4, repeat: int = 2,
             sharded_best = b["stats"]["wall_s"]
             best_stats = b["stats"]
 
-    strategies: dict[str, int] = {}
-    for strat in ("block", "stripe", "affinity"):
-        out = run_openmx(params, shards, mode="fork",
-                         lookahead_ns=lookahead_ns, strategy=strat)
-        key = f"serial_vs_{strat}"
-        gate_end_states({key: golden}, {key: out["state"]})
-        strategies[strat] = out["stats"]["cross_shard_frames"]
+    strategies = dict.fromkeys(("block", "stripe", "affinity"),
+                               best_stats["cross_shard_frames"])
+    if shards > 1:
+        for strat in strategies:
+            out = run_openmx(params, shards, mode="fork", strategy=strat)
+            key = f"serial_vs_{strat}"
+            gate_end_states({key: golden}, {key: out["state"]})
+            strategies[strat] = out["stats"]["cross_shard_frames"]
 
     def affinity_cut(reference: int) -> float:
         # No frame crossed a shard under the reference: nothing to cut.

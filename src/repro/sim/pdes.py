@@ -135,8 +135,13 @@ class SeededFaultPlan:
 # :class:`repro.sim.openmx_shard.OpenmxShard` does.
 
 
-def _shard_worker(conn, shard_id: int, plan: ShardPlan, factory) -> None:
+def _shard_worker(conn, shard_id: int, plan: ShardPlan, factory,
+                  inherited) -> None:
     """Forked shard worker: build the shard, then serve window commands."""
+    # The coordinator's ends of this and every earlier shard's pipe: closed
+    # here, so that the coordinator closing them means EOF to the worker.
+    for end in inherited:
+        end.close()
     try:
         shard = factory(shard_id, plan)
         conn.send(("time", shard.next_time()))
@@ -164,11 +169,14 @@ def _shard_worker(conn, shard_id: int, plan: ShardPlan, factory) -> None:
 class _ForkHandle:
     """Coordinator-side proxy for a forked shard worker."""
 
-    def __init__(self, shard_id: int, plan: ShardPlan, factory, ctx) -> None:
+    def __init__(self, shard_id: int, plan: ShardPlan, factory,
+                 earlier: list[_ForkHandle]) -> None:
         self.shard_id = shard_id
+        ctx = multiprocessing.get_context("fork")
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_shard_worker,
-                                args=(child, shard_id, plan, factory),
+                                args=(child, shard_id, plan, factory,
+                                      [h.conn for h in [*earlier, self]]),
                                 daemon=True)
         self.proc.start()
         child.close()
@@ -313,14 +321,12 @@ def run_partitioned(factory, plan: ShardPlan, *, lookahead_ns: int,
         raise ValueError(f"unknown mode {mode!r}")
 
     wall_start = _time.perf_counter()
-    if mode == "fork":
-        ctx = multiprocessing.get_context("fork")
-        handles = [_ForkHandle(s, plan, factory, ctx)
-                   for s in range(plan.nshards)]
-    else:
-        handles = [_InlineHandle(s, plan, factory)
-                   for s in range(plan.nshards)]
+    handles: list = []
     try:
+        for s in range(plan.nshards):
+            handles.append(_ForkHandle(s, plan, factory, handles)
+                           if mode == "fork" else
+                           _InlineHandle(s, plan, factory))
         next_times = [h.initial_next() for h in handles]
         pending: list[list] = [[] for _ in handles]
         windows = 0

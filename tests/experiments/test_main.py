@@ -24,7 +24,7 @@ def test_unknown_flag_exits_two_and_is_named(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--jobs", "0"], ["--jobs", "x"],
-                                  ["--shards", "0"], ["--json"]])
+                                  ["--cache-dir"], ["--json"]])
 def test_bad_flag_values_exit_two(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

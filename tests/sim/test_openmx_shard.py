@@ -207,18 +207,40 @@ def test_ab_divergence_names_the_differing_key(monkeypatch, diverges, key):
     assert "digest" not in message and "now_ns" not in message
 
 
-@pytest.mark.parametrize("frames, cuts", [
+@pytest.mark.parametrize("shards, frames, cuts", [
     # One shard: no frame crosses, so affinity cuts nothing.
-    ({"block": 0, "stripe": 0, "affinity": 0}, (0.0, 0.0)),
-    ({"block": 8, "stripe": 4, "affinity": 2}, (0.75, 0.5)),
+    (1, {"block": 0, "stripe": 0, "affinity": 0}, (0.0, 0.0)),
+    (4, {"block": 8, "stripe": 4, "affinity": 2}, (0.75, 0.5)),
 ], ids=["no-cross-shard-frames", "cross-shard-frames"])
-def test_ab_affinity_cut(monkeypatch, frames, cuts):
+def test_ab_affinity_cut(monkeypatch, shards, frames, cuts):
     monkeypatch.setattr("repro.sim.openmx_shard.run_openmx",
                         _fake_run_openmx(cross=frames.__getitem__))
-    report = run_openmx_ab(quick=True, shards=1, repeat=1)
+    report = run_openmx_ab(quick=True, shards=shards, repeat=1)
     assert report["strategies"] == frames
     assert (report["affinity_cut_vs_block"],
             report["affinity_cut_vs_stripe"]) == cuts
+
+
+def test_ab_at_one_shard_skips_the_strategy_reruns(monkeypatch):
+    # Every strategy partitions one shard the same way, so the forked run
+    # stands in for the block, stripe and affinity runs; the report keeps
+    # the keys a multi-shard report has.
+    fake = _fake_run_openmx()
+    runs = []
+
+    def counted(params, shards, **kwargs):
+        runs.append((shards, kwargs.get("strategy", "block")))
+        return fake(params, shards, **kwargs)
+
+    monkeypatch.setattr("repro.sim.openmx_shard.run_openmx", counted)
+    one = run_openmx_ab(quick=True, shards=1, repeat=1)
+    assert runs == [(1, "block"), (1, "block")]
+    runs.clear()
+    four = run_openmx_ab(quick=True, shards=4, repeat=1)
+    assert runs == [(1, "block"), (4, "block"), (4, "block"), (4, "stripe"),
+                    (4, "affinity")]
+    assert set(one) == set(four)
+    assert set(one["strategies"]) == set(four["strategies"])
 
 
 # -- shard-count resolution (--shards auto) -----------------------------------

@@ -260,8 +260,7 @@ def test_coordinator_counters_land_in_registry():
 
 def _fork_handle(shard_id):
     plan = partition_hosts(SMALL.nhosts, 2)
-    return _ForkHandle(shard_id, plan, _OpenmxFactory(SMALL),
-                       multiprocessing.get_context("fork"))
+    return _ForkHandle(shard_id, plan, _OpenmxFactory(SMALL), [])
 
 
 def test_worker_errors_propagate_with_traceback():
@@ -306,16 +305,30 @@ class _FailingFactory:
         return _OpenmxFactory(SMALL)(shard_id, plan)
 
 
-def test_forked_factory_error_names_shard_and_reaps_workers():
+def _fail_shard_one(nshards):
+    # The other shards survive shard 1's failure.  Each must see EOF once
+    # the coordinator closes its ends: a worker that kept a copy of its own
+    # or an earlier shard's coordinator end would make close() wait out its
+    # join timeout.
     before = set(multiprocessing.active_children())
-    plan = partition_hosts(SMALL.nhosts, 2)
+    plan = partition_hosts(SMALL.nhosts, nshards)
+    start = time.monotonic()
     with pytest.raises(
             SimulationError,
             match=r"(?s)PDES shard 1 worker failed:.*Traceback.*"
                   r"ValueError: cannot build shard 1"):
         run_partitioned(_FailingFactory(1), plan,
                         lookahead_ns=SMALL.latency_ns, mode="fork")
+    assert time.monotonic() - start < 5
     assert set(multiprocessing.active_children()) - before == set()
+
+
+def test_forked_factory_error_names_shard_and_reaps_workers():
+    _fail_shard_one(2)
+
+
+def test_forked_factory_error_returns_promptly_at_four_shards():
+    _fail_shard_one(4)
 
 
 def test_inline_factory_error_names_shard_and_chains_cause():
