@@ -32,6 +32,7 @@ chained to the original error.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import reprlib
 from typing import Any, Callable, Sequence
@@ -68,13 +69,25 @@ def merge_worker_registries(registries: Sequence[MetricRegistry],
 def run_task(task: Task) -> tuple[Any, MetricRegistry]:
     """Run one task under a fresh registry; return (result, registry).
 
-    This is the worker entry point — it must stay module-level so the
+    The task's garbage is collected before this returns, so a run of many
+    tasks holds one task's simulated machine at a time.  This is the
+    worker entry point — it must stay module-level so the
     multiprocessing pickler can find it in the child.
     """
     fn, kwargs = task
     registry = MetricRegistry()
-    with use_registry(registry):
-        result = fn(**kwargs)
+    # A finished run leaves its simulated machine behind as cyclic garbage
+    # (hosts, kernels, NICs, drivers and the engine point at each other):
+    # megabytes of page frames that the collector reaches only many tasks
+    # later.  Collect it as the task ends.  Freezing what existed before
+    # the task keeps that collection to the objects the task made.
+    gc.freeze()
+    try:
+        with use_registry(registry):
+            result = fn(**kwargs)
+    finally:
+        gc.collect()
+        gc.unfreeze()
     return result, registry
 
 

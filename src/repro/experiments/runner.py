@@ -1,12 +1,11 @@
-"""The sweep's task list, and experiment result persistence and comparison.
+"""The sweep's task list, and experiment result persistence.
 
 :data:`SWEEP` maps every artifact of ``python -m repro.experiments`` to the
 ``(fn, kwargs)`` tasks it runs, so the CLI runs the sweep in one pool.
 
 Experiments return frozen dataclasses; this module serializes any of them
-to JSON (``save_results``/``load_results``) and diffs two result sets
-(``compare_results``) so regressions in the reproduced shapes are easy to
-spot across code changes.  The CLI's ``--json PATH`` flag uses it.
+to JSON (``save_results``/``load_results``).  The CLI's ``--json PATH``
+flag uses it, and ``benchmarks/check_drift.py`` diffs two such files.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from repro.experiments import (ablations, figures67, motivation, overlap_miss,
 from repro.experiments.parallel import Task
 from repro.hw.specs import XEON_E5460
 
-__all__ = ["SWEEP", "Artifact", "compare_results", "load_results",
-           "save_results", "to_jsonable"]
+__all__ = ["SWEEP", "Artifact", "load_results", "save_results",
+           "to_jsonable"]
 
 
 class Artifact(NamedTuple):
@@ -136,25 +135,3 @@ def _numeric_leaves(obj: Any, prefix: str = "") -> dict[str, float]:
     elif isinstance(obj, (int, float)):
         leaves[prefix] = float(obj)
     return leaves
-
-
-def compare_results(old: dict[str, Any], new: dict[str, Any],
-                    rel_tolerance: float = 0.02) -> list[str]:
-    """Report numeric leaves that moved by more than ``rel_tolerance``.
-
-    Returns human-readable difference lines (empty = results match).
-    """
-    diffs: list[str] = []
-    old_leaves = _numeric_leaves(old)
-    new_leaves = _numeric_leaves(new)
-    for key in sorted(set(old_leaves) | set(new_leaves)):
-        if key not in old_leaves:
-            diffs.append(f"+ {key} = {new_leaves[key]:g} (new)")
-        elif key not in new_leaves:
-            diffs.append(f"- {key} = {old_leaves[key]:g} (removed)")
-        else:
-            a, b = old_leaves[key], new_leaves[key]
-            scale = max(abs(a), abs(b), 1e-12)
-            if abs(a - b) / scale > rel_tolerance:
-                diffs.append(f"~ {key}: {a:g} -> {b:g}")
-    return diffs

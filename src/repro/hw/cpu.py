@@ -42,6 +42,11 @@ class CpuCore:
         return self._res.queue_length
 
     @property
+    def resource(self) -> Resource:
+        """The core's claim queue, for holders that arm a wake on it."""
+        return self._res
+
+    @property
     def busy(self) -> bool:
         return self._res.count > 0
 

@@ -10,9 +10,11 @@ Responsibilities split exactly as Figure 4 of the paper draws them:
 The API is MX-flavoured: ``isend``/``irecv`` return request objects,
 ``wait`` spins on the completion doorbell while draining driver events
 (matching rendezvous, issuing pulls, copying out eager data).  The spin
-releases the core every ``poll_slice_ns``, which is what lets the driver's
-deferred pinning work interleave on the same core — the blocking-wait
-overlap the paper's Section 5 discussion centres on.
+gives the core back at the first ``poll_slice_ns`` boundary at which
+someone else is queued for it, which is what lets the driver's deferred
+pinning work interleave on the same core — the blocking-wait overlap the
+paper's Section 5 discussion centres on.  While nobody else wants the core
+it keeps its claim across slice boundaries (see ``OmxLib._spin``).
 """
 
 from __future__ import annotations
@@ -171,8 +173,7 @@ class OmxLib:
     def _complete(self, ctx: ExecContext, req: OmxRequest,
                   status: str) -> Generator:
         """Finish a large request; uncached modes undeclare its region."""
-        req.done = True
-        req.status = status
+        self._finish(req, status)
         if req.region_id is not None and not req._cached_region:
             if req.region_id in self.ep.regions:
                 yield from self._destroy_region(ctx, req.region_id)
@@ -224,8 +225,7 @@ class OmxLib:
 
             seq = yield from self.proc.syscall(body)
             # MX semantics: an eager send completes locally once buffered.
-            req.done = True
-            req.status = "ok"
+            self._finish(req, "ok")
             self._eager_sent[seq] = req
             return req
         ctx = self.proc.user_context()
@@ -314,21 +314,35 @@ class OmxLib:
         return self._spin(None)
 
     def _spin(self, req: OmxRequest | None) -> Generator:
-        """Poll slices until ``req`` completes and return its status; with
-        ``req`` None, spin at most one slice.
+        """Spin on the doorbell until ``req`` completes and return its
+        status; with ``req`` None, spin at most one poll slice.
 
-        A slice holds the core at user priority until the doorbell rings or
-        ``poll_slice_ns`` passes, then gives it back, so queued bottom-half
-        work gets the core at every slice boundary.  A queued driver event
-        is drained first (``req`` given) or ends the spin at once (None).
-        Everything a slice touches is bound once per call, since a wait can
-        spin for thousands of slices, and ``wait``/``wait_step`` hand this
-        generator out as their own, so no delegating frame resumes with
-        each slice.
+        The spin is a loop of poll slices: claim the core at user
+        priority, hold it until the doorbell rings or ``poll_slice_ns``
+        passes, give it back.  A queued driver event is drained first
+        (``req`` given) or ends the spin at once (None).  A slice boundary
+        matters only if someone is queued for the core there, or ``req``
+        has completed, so while neither is true the spin keeps its claim
+        across boundaries in one *hold* and waits on the doorbell and on
+        the core's wake (armed on the core's resource; a queued claim or
+        :meth:`_finish` fires it).  The doorbell ends a hold at once; the
+        wake ends it at the first boundary ``start + k * poll_slice_ns``
+        at or after it fires, where the slice loop would have given the
+        core back.  A hold adds the events the slices it stands for would
+        have run to ``env.events_processed``, so the count does not depend
+        on how the slices were run.  Three cases run one plain slice
+        instead: ``req`` None, a request that completed while its waiter
+        was queued for the core, and a claim granted while someone else
+        is already queued.
+
+        ``wait``/``wait_step`` hand this generator out as their own, so no
+        delegating frame resumes with it.
         """
         ep = self.ep
         queue = ep.event_queue
-        claim = self.proc.core.request
+        core = self.proc.core
+        claim = core.request
+        res = core.resource
         env = self.env
         slice_ns = self.config.poll_slice_ns
         while True:
@@ -344,11 +358,41 @@ class OmxLib:
             doorbell = ep.refresh_doorbell()
             with claim(PRIO_USER) as r:
                 yield r
-                timer = env.timeout(slice_ns)
-                yield env.race(doorbell, timer)
-                timer.cancel()  # recycle the loser; no-op if it fired
+                if req is None or req.done or res.queue_length:
+                    timer = env.timeout(slice_ns)
+                    yield env.race(doorbell, timer)
+                    timer.cancel()  # recycle the loser; no-op if it fired
+                else:
+                    start = env.now
+                    wake = res.arm_wake()
+                    won = yield env.race(doorbell, wake)
+                    res.disarm_wake()
+                    now = env.now
+                    # Slices the loop would have started by now (at least
+                    # the first), each a claim, a timer and a race.
+                    k = max(1, -((start - now) // slice_ns))
+                    made = 3 if wake.triggered else 2  # r, race (+ wake)
+                    left = start + k * slice_ns - now
+                    if left:
+                        # The last slice's timer: waited on up to the
+                        # boundary after a wake, left cancelled after the
+                        # doorbell, as the slice loop leaves it.
+                        timer = env.timeout(left)
+                        made += 1
+                        if won is wake:
+                            yield env.race(doorbell, timer)
+                            made += 1
+                        timer.cancel()
+                    env.events_processed += 3 * k - made
             if req is None:
                 return None
+
+    def _finish(self, req: OmxRequest, status: str) -> None:
+        """Make ``req`` terminal and wake a spin holding the core, which
+        re-checks ``req`` at its next slice boundary."""
+        req.done = True
+        req.status = status
+        self.proc.core.resource.wake()
 
     def cancel(self, req: OmxRequest) -> bool:
         """Cancel a posted receive that has not matched yet (mx_cancel).
@@ -366,8 +410,7 @@ class OmxLib:
             return False
         if req in self._posted:
             self._posted.remove(req)
-            req.done = True
-            req.status = "cancelled"
+            self._finish(req, "cancelled")
             return True
         return False
 
@@ -447,8 +490,7 @@ class OmxLib:
 
     def _deliver_eager(self, req: OmxRequest, ev: RecvEagerEvent) -> Generator:
         if len(ev.data) > req.length:
-            req.done = True
-            req.status = "truncated"
+            self._finish(req, "truncated")
             return
         ctx = self.proc.user_context()
         # Copy out of the kernel receive ring into the user buffer(s).
@@ -464,13 +506,11 @@ class OmxLib:
                 self.proc.aspace.write(seg.va, ev.data[off:off + chunk])
                 off += chunk
         req.received_length = len(ev.data)
-        req.done = True
-        req.status = "ok"
+        self._finish(req, "ok")
 
     def _start_pull(self, req: OmxRequest, rndv: Rndv) -> Generator:
         if rndv.msg_length > req.length:
-            req.done = True
-            req.status = "truncated"
+            self._finish(req, "truncated")
             return
         ctx = self.proc.user_context()
         yield from self._get_region(ctx, req.va, req.length, req,

@@ -647,11 +647,18 @@ def format_openmx_ab_report(report: dict[str, Any]) -> str:
         f"{report['sharded_wall_s']:>9.4f} s "
         f"({report['windows']} windows, "
         f"{report['cross_shard_frames']} cross-shard frames)",
-        f"  wall speedup {report['speedup']:.2f}x; critical path "
-        f"{report['critical_path_s']:.4f} s "
-        f"({report['critical_path_speedup']:.2f}x attainable with "
-        f">= {report['shards']} free cores)",
     ]
+    if report["shards"] == 1:
+        # One forked worker runs the whole scenario: nothing runs in
+        # parallel, so a speedup would only measure the fork's overhead.
+        lines.append("  speedup: does not apply at one shard "
+                     "(nothing runs in parallel)")
+    else:
+        lines.append(
+            f"  wall speedup {report['speedup']:.2f}x; critical path "
+            f"{report['critical_path_s']:.4f} s "
+            f"({report['critical_path_speedup']:.2f}x attainable with "
+            f">= {report['shards']} free cores)")
     if report.get("core_starved"):
         lines.append(
             f"  CORE-STARVED: {report['host_cores']} cores < "

@@ -64,6 +64,12 @@ class Request(Event):
             self._scheduled = False
             resource._seq += 1
             heapq.heappush(resource._queue, (priority, resource._seq, self))
+            wake = resource._wake
+            if wake is not None:
+                # A holder armed a wake (see Resource.arm_wake): tell it
+                # someone now waits.
+                resource._wake = None
+                wake.succeed()
 
     def release(self) -> None:
         self.resource.release(self)
@@ -81,6 +87,11 @@ class Resource:
     Holders are counted, not collected: a granted :class:`Request` carries
     ``_held``, so an uncontended claim and its release touch no set and no
     heap.  Only a claim that finds every slot taken enters the queue.
+
+    A holder that would otherwise give the slot back at regular intervals
+    just in case someone wants it can instead :meth:`arm_wake`: the armed
+    event fires when the next claim queues, or when :meth:`wake` is
+    called.
     """
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = "resource"):
@@ -92,6 +103,7 @@ class Resource:
         self._holders = 0
         self._queue: list[tuple[int, int, Request]] = []
         self._seq = 0
+        self._wake: Event | None = None
         # Accounting for utilization reports.
         self.total_grants = 0
         self.busy_time = 0
@@ -109,6 +121,22 @@ class Resource:
     def request(self, priority: int = 0) -> Request:
         """Claim one slot; the returned event fires when the claim is granted."""
         return Request(self, priority)
+
+    def arm_wake(self) -> Event:
+        """Return a fresh event that fires once, when a claim next queues
+        here or :meth:`wake` is called; arming again replaces it."""
+        self._wake = wake = self.env.event()
+        return wake
+
+    def disarm_wake(self) -> None:
+        self._wake = None
+
+    def wake(self) -> None:
+        """Fire the armed wake event, if any."""
+        wake = self._wake
+        if wake is not None:
+            self._wake = None
+            wake.succeed()
 
     def _grant(self, req: Request) -> None:
         self._holders += 1

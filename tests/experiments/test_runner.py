@@ -1,11 +1,10 @@
-"""Tests for experiment result persistence and comparison."""
+"""Tests for experiment result persistence."""
 
 from dataclasses import dataclass
 
 import pytest
 
 from repro.experiments.runner import (
-    compare_results,
     load_results,
     save_results,
     to_jsonable,
@@ -39,34 +38,6 @@ def test_roundtrip_through_file(tmp_path):
     loaded = load_results(path)
     assert loaded["table1"][1]["cpu"] == "b"
     assert loaded["table1"][0]["throughput_gb_s"] == 4.0
-
-
-def test_compare_identical_results_is_empty(tmp_path):
-    results = {"t": [Table1Row("a", 1, 2, 3, 4)]}
-    path = tmp_path / "r.json"
-    save_results(path, results)
-    loaded = load_results(path)
-    assert compare_results(loaded, loaded) == []
-
-
-def test_compare_flags_moved_values():
-    old = {"x": {"v": 100.0, "w": 5.0}}
-    new = {"x": {"v": 110.0, "w": 5.0}}
-    diffs = compare_results(old, new, rel_tolerance=0.05)
-    assert len(diffs) == 1
-    assert "x.v" in diffs[0]
-
-
-def test_compare_flags_added_and_removed():
-    diffs = compare_results({"a": 1.0}, {"b": 2.0})
-    assert any(d.startswith("- a") for d in diffs)
-    assert any(d.startswith("+ b") for d in diffs)
-
-
-def test_compare_ignores_tiny_drift():
-    old = {"v": 1000.0}
-    new = {"v": 1005.0}
-    assert compare_results(old, new, rel_tolerance=0.02) == []
 
 
 def test_nested_tuples():

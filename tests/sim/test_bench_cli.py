@@ -85,6 +85,17 @@ def test_mixed_run_writes_both_reports(tmp_path, monkeypatch, capsys):
     assert shard["shards"] == 1 and shard["events"] == 7
     printed = capsys.readouterr().out
     assert "openmx_shard A/B (" in printed and "event_pingpong" in printed
+    assert "does not apply at one shard" in printed
+    assert "speedup 0" not in printed and "attainable" not in printed
+
+
+def test_sharded_report_prints_the_speedup(monkeypatch, capsys):
+    monkeypatch.setattr(openmx_shard, "run_openmx", _fake_run_openmx)
+    assert bench.main(["--quick", "--repeat", "1", "--shards", "2",
+                       "openmx_shard"]) == 0
+    printed = capsys.readouterr().out
+    assert "wall speedup 1.00x" in printed and "attainable with >= 2" in printed
+    assert "does not apply" not in printed
 
 
 def test_openmx_shard_alone_writes_the_bench_pdes_layout(tmp_path,
