@@ -18,23 +18,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from repro.experiments.parallel import parallel_map
 from repro.faults.chaos import run_chaos
 from repro.faults.torture import run_torture
+from repro.sim.pdes import host_core_count
 
 GOLDENS = Path(__file__).resolve().parent / "e2e" / "goldens.json"
 SEEDS = range(1000)
 # (workload in goldens.json, task-name prefix, function, steps)
 SOAKS = (("chaos_soak", "chaos", run_chaos, 12),
          ("pin_torture", "torture", run_torture, 10))
-
-
-def _digest(fn, seed: int, steps: int) -> str:
-    return fn(seed, steps).digest
 
 
 def find_mismatches(seeds=SEEDS, jobs: int = 1) -> list[str]:
@@ -45,26 +41,26 @@ def find_mismatches(seeds=SEEDS, jobs: int = 1) -> list[str]:
     for workload, prefix, fn, steps in SOAKS:
         for seed in seeds:
             names.append((workload, f"{prefix}/{seed}"))
-            tasks.append((_digest, {"fn": fn, "seed": seed, "steps": steps}))
-    digests = parallel_map(tasks, jobs=jobs)
-    return [name for (workload, name), digest in zip(names, digests)
-            if not digest.startswith(goldens[workload][name][0])]
+            tasks.append((fn, {"seed": seed, "steps": steps}))
+    results = parallel_map(tasks, jobs=jobs)
+    return [name for (workload, name), result in zip(names, results)
+            if not result.digest.startswith(goldens[workload][name][0])]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int,
-                        default=len(os.sched_getaffinity(0)),
+                        default=host_core_count(),
                         help="worker processes (default: the usable cores)")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    bad = find_mismatches(jobs=args.jobs)
+    bad = find_mismatches(SEEDS, jobs=args.jobs)
     if bad:
         print(f"{len(bad)} soak digest(s) differ from {GOLDENS}: "
               + " ".join(bad), file=sys.stderr)
         return 1
-    print(f"all {len(SOAKS) * len(SEEDS)} soak digests match {GOLDENS.name}")
+    print(f"all {len(SOAKS) * len(SEEDS)} soak digests match {GOLDENS}")
     return 0
 
 

@@ -335,6 +335,13 @@ class OmxLib:
         was queued for the core, and a claim granted while someone else
         is already queued.
 
+        A wake or doorbell in the very tick of a boundary is taken to come
+        before the slice loop's release there.  The loop itself orders
+        the two by their places in that tick's dispatch order, which a
+        hold, having no boundary timer, cannot see; an act that comes
+        after the loop's boundary timer in that tick is the one case the
+        two tell apart (``tests/property/test_poll_spin_props.py``).
+
         ``wait``/``wait_step`` hand this generator out as their own, so no
         delegating frame resumes with it.
         """

@@ -64,12 +64,7 @@ class Request(Event):
             self._scheduled = False
             resource._seq += 1
             heapq.heappush(resource._queue, (priority, resource._seq, self))
-            wake = resource._wake
-            if wake is not None:
-                # A holder armed a wake (see Resource.arm_wake): tell it
-                # someone now waits.
-                resource._wake = None
-                wake.succeed()
+            resource.wake()  # a holder that armed one: someone now waits
 
     def release(self) -> None:
         self.resource.release(self)

@@ -10,13 +10,14 @@ the core to the same claimants at the same instants in the same order,
 return at the same instants with the same statuses, and leave the same
 ``busy_time`` and ``env.events_processed``.
 
-The scenario's processes act straight from a timer's dispatch.  At a slice
-boundary the slice loop gives the core back from its own boundary timer,
-so such an act always comes before that release, and a hold, which has no
-boundary timer, takes a wake in a boundary's tick to come first too.
-``test_a_claim_hopping_past_the_boundary_timer`` pins the one case the two
-tell apart: a claim that queues in the boundary's tick only after the slice
-loop has taken the core again.
+The scenario's processes act straight from a timer's dispatch.  Every
+timer due in a tick fires before anything those timers set off, so such an
+act in a boundary's tick comes before the slice loop gives the core back
+there (a race later than its own boundary timer), and a hold, which has no
+boundary timer, takes a wake or doorbell in a boundary's tick to come
+first too.  ``test_a_claim_hopping_past_the_boundary_timer`` pins the one
+case the two tell apart: a claim that queues in the boundary's tick only
+after the slice loop has taken the core again.
 """
 
 from types import SimpleNamespace
