@@ -74,7 +74,7 @@ class _Lib:
                 yield r
                 yield self.env.timeout(self.drain_ns)
             req, status = item
-            if req is not None and not req.done:
+            if req is not None:
                 self._finish(req, status)
 
 
