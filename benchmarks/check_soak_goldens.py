@@ -11,12 +11,13 @@ here.  Exits 1 naming every seed whose digest differs.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/check_soak_goldens.py [--jobs N]
+    PYTHONPATH=src python benchmarks/check_soak_goldens.py
+
+It runs one worker process per usable core.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -47,15 +48,8 @@ def find_mismatches(seeds=SEEDS, jobs: int = 1) -> list[str]:
             if not result.digest.startswith(goldens[workload][name][0])]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int,
-                        default=host_core_count(),
-                        help="worker processes (default: the usable cores)")
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    bad = find_mismatches(SEEDS, jobs=args.jobs)
+def main() -> int:
+    bad = find_mismatches(SEEDS, jobs=host_core_count())
     if bad:
         print(f"{len(bad)} soak digest(s) differ from {GOLDENS}: "
               + " ".join(bad), file=sys.stderr)

@@ -335,12 +335,16 @@ class OmxLib:
         was queued for the core, and a claim granted while someone else
         is already queued.
 
-        A wake or doorbell in the very tick of a boundary is taken to come
-        before the slice loop's release there.  The loop itself orders
-        the two by their places in that tick's dispatch order, which a
-        hold, having no boundary timer, cannot see; an act that comes
-        after the loop's boundary timer in that tick is the one case the
-        two tell apart (``tests/property/test_poll_spin_props.py``).
+        Two limits.  A wake or doorbell in the very tick of a boundary is
+        taken to come before the slice loop's release there, but the loop
+        orders the two by their places in that tick's dispatch order,
+        which a hold, having no boundary timer, cannot see: an act set off
+        a zero-delay hop or more after the tick's timers may get the core
+        a slice earlier than under the loop, ahead of a claimant of
+        higher priority that queues in that slice.  And the hold adds its
+        slices' events only when it ends, so a ``run()`` that stops inside
+        a hold counts fewer than the loop until the hold closes
+        (``tests/property/test_poll_spin_props.py`` pins both).
 
         ``wait``/``wait_step`` hand this generator out as their own, so no
         delegating frame resumes with it.
