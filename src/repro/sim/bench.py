@@ -649,8 +649,8 @@ def format_openmx_ab_report(report: dict[str, Any]) -> str:
         f"{report['cross_shard_frames']} cross-shard frames)",
     ]
     if report["shards"] == 1:
-        # One forked worker runs the whole scenario: nothing runs in
-        # parallel, so a speedup would only measure the fork's overhead.
+        # The coordinator runs the whole scenario itself: nothing runs in
+        # parallel, so a speedup would only measure run-to-run noise.
         lines.append("  speedup: does not apply at one shard "
                      "(nothing runs in parallel)")
     else:
@@ -665,7 +665,15 @@ def format_openmx_ab_report(report: dict[str, Any]) -> str:
             f"{report['shards']} shards — wall speedup is meaningless "
             "here; critical path is the honest number "
             "(try --shards auto)")
+    windows = report["windows"] or 1
     lines.extend([
+        "  busy/idle s by shard (CPU time in run_window / barrier idle): "
+        + ", ".join(f"{s}={busy:.4f}/{idle:.4f}" for s, (busy, idle)
+                    in enumerate(zip(report["busy_s_by_shard"],
+                                     report["idle_s_by_shard"]))),
+        f"  coordinator blocked on worker replies "
+        f"{report['coordinator_wait_s']:.4f} s "
+        f"({report['coordinator_wait_s'] / windows * 1e3:.3f} ms per window)",
         "  partition strategies (cross-shard frames, identical digests): "
         + ", ".join(f"{k}={v}" for k, v in strat.items()),
         f"  affinity cut: {report['affinity_cut_vs_block']:.1%} vs block, "

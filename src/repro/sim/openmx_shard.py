@@ -328,12 +328,15 @@ class OpenmxShard:
     def run_window(self, until: int):
         """Run one conservative window; return (egress, next_time, busy_s).
 
-        ``busy_s`` is **CPU** time, not wall time: forked shards time-share
-        the host's cores, so the wall time one worker observes inside
-        ``run()`` is inflated by however many siblings were runnable at
-        once.  CPU time is contention-free, which makes the coordinator's
-        critical path (sum over windows of the slowest shard's busy time)
-        an honest lower bound on the sharded wall of an uncontended host.
+        ``busy_s`` is **CPU** time, not wall time: the shards (shard 0 in
+        the coordinator's own process, the others in forked workers)
+        time-share the host's cores, so the wall time one shard observes
+        inside ``run()`` is inflated by however many siblings were
+        runnable at once.  CPU time is contention-free, which makes the
+        coordinator's critical path (sum over windows of the slowest
+        shard's busy time) an honest lower bound on the sharded wall of an
+        uncontended host.  It counts ``run()`` alone, so the hosted
+        shard's busy time leaves out the coordinator's barrier work.
         """
         t0 = _time.process_time()
         self.env.run(until=until)
@@ -441,7 +444,7 @@ def run_openmx_ab(quick: bool = False, shards: int = 4,
     differing keys.  Also runs the sharded scenario once per partition
     strategy (block / stripe / affinity) — every strategy must land on the
     serial end state, and the report shows how much cross-shard traffic
-    affinity placement saves.  At one shard every strategy is the forked
+    affinity placement saves.  At one shard every strategy is the sharded
     run's partition, so that run stands in for all three.
     """
     from repro.sim.bench import gate_end_states
@@ -494,6 +497,9 @@ def run_openmx_ab(quick: bool = False, shards: int = 4,
         "windows": best_stats["windows"],
         "cross_shard_frames": best_stats["cross_shard_frames"],
         "barrier_idle_s": best_stats["barrier_idle_s"],
+        "busy_s_by_shard": best_stats["busy_s_by_shard"],
+        "idle_s_by_shard": best_stats["idle_s_by_shard"],
+        "coordinator_wait_s": best_stats["coordinator_wait_s"],
         "strategies": strategies,
         "affinity_cut_vs_block": affinity_cut(strategies["block"]),
         "affinity_cut_vs_stripe": affinity_cut(strategies["stripe"]),

@@ -2,11 +2,13 @@
 
 One scenario's hosts are partitioned across shards
 (:func:`repro.cluster.builder.partition_hosts`); each shard runs its own
-:class:`~repro.sim.Environment` — in a forked worker process or inline —
-and the coordinator advances all of them in lock-stepped *conservative
-windows* derived from the minimum cross-shard fabric latency.  The
-scenario it drives is ``openmx_shard`` (:mod:`repro.sim.openmx_shard`):
-complete Open-MX hosts on per-shard sub-clusters wired to a
+:class:`~repro.sim.Environment` and the coordinator advances all of them
+in lock-stepped *conservative windows* derived from the minimum
+cross-shard fabric latency.  In fork mode the coordinator hosts shard 0
+itself and forks one worker per other shard; in inline mode it runs
+every shard in its own process.  The scenario it drives is
+``openmx_shard`` (:mod:`repro.sim.openmx_shard`): complete Open-MX hosts
+on per-shard sub-clusters wired to a
 :class:`~repro.cluster.network.ShardEtherFabric`.
 
 Window rule.  Let ``gmin`` be the global minimum over (a) every shard's
@@ -68,6 +70,12 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# How long the coordinator waits for any one reply of a forked worker (its
+# built shard's first event time, a window's result, its end state) before
+# it terminates the worker and fails the run.  A window of the canned
+# 16-host scenario takes milliseconds.
+REPLY_DEADLINE_S = 60.0
 
 
 def _mix(x: int) -> int:
@@ -172,6 +180,8 @@ class _ForkHandle:
     def __init__(self, shard_id: int, plan: ShardPlan, factory,
                  earlier: list[_ForkHandle]) -> None:
         self.shard_id = shard_id
+        self.window = -1  # index of the last window command sent
+        self.wait_s = 0.0  # wall time spent blocked on this worker's replies
         ctx = multiprocessing.get_context("fork")
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_shard_worker,
@@ -194,11 +204,22 @@ class _ForkHandle:
         except OSError as exc:
             raise self._died(exc) from exc
 
-    def _recv(self, want: str):
+    def _recv(self, want: str, during: str):
+        start = _time.perf_counter()
         try:
+            if not self.conn.poll(REPLY_DEADLINE_S):
+                # Hung, not dead: nothing else would ever reap it.
+                self.proc.terminate()
+                self.proc.join(timeout=5)
+                raise SimulationError(
+                    f"PDES shard {self.shard_id} worker missed the "
+                    f"{REPLY_DEADLINE_S:g} s reply deadline {during}; "
+                    "terminated it")
             msg = self.conn.recv()
         except (EOFError, OSError) as exc:
             raise self._died(exc) from exc
+        finally:
+            self.wait_s += _time.perf_counter() - start
         if msg[0] == "error":
             raise SimulationError(
                 f"PDES shard {self.shard_id} worker failed:\n{msg[1]}")
@@ -208,17 +229,18 @@ class _ForkHandle:
         return msg[1:]
 
     def initial_next(self):
-        return self._recv("time")[0]
+        return self._recv("time", "while building its shard")[0]
 
     def start_window(self, end: int, ingress) -> None:
+        self.window += 1
         self._send(("window", end, ingress))
 
     def finish_window(self):
-        return self._recv("done")
+        return self._recv("done", f"in window {self.window}")
 
     def finish(self):
         self._send(("finish",))
-        return self._recv("state")
+        return self._recv("state", "for its end state")
 
     def close(self) -> None:
         try:
@@ -232,9 +254,11 @@ class _ForkHandle:
 
 
 class _InlineHandle:
-    """Same protocol as :class:`_ForkHandle`, driven in-process.  Used for
-    the serial baseline (``shards=1``) and for fast property tests — the
-    shard code path is identical either way."""
+    """Same protocol as :class:`_ForkHandle`, driven in-process: shard 0 in
+    fork mode, and every shard of the serial baseline (``shards=1``) and of
+    inline runs — the shard code path is identical either way."""
+
+    wait_s = 0.0  # nothing to wait for: the window ran in start_window
 
     def __init__(self, shard_id: int, plan: ShardPlan, factory) -> None:
         try:
@@ -304,35 +328,52 @@ def run_partitioned(factory, plan: ShardPlan, *, lookahead_ns: int,
     """Drive one partitioned scenario through conservative windows.
 
     ``factory(shard_id, plan)`` builds one shard (see the worker-plumbing
-    note above for the shard protocol); it must be picklable so forked
-    workers can reconstruct their shard after ``fork()``.  ``mode`` is
-    ``"fork"`` (worker processes) or ``"inline"`` (all shards driven in
-    this process — same code path, no parallelism); the default forks
-    only when there is more than one shard.  Returns ``{"state": ...,
-    "stats": ...}`` where ``state`` is byte-identical for every
-    ``(nshards, mode, partition)`` choice and ``stats`` carries the
-    window/barrier accounting.
+    note above for the shard protocol); forked workers call it after
+    ``fork()``.  ``mode`` is ``"fork"`` or ``"inline"`` (all shards driven
+    in this process — same code path, no parallelism); the default forks
+    only when there is more than one shard.  In fork mode this process
+    runs shard 0 itself and forks a worker for each other shard, before
+    building shard 0 so that no worker inherits its pages; every window
+    sends the workers their commands before it runs shard 0, so all
+    shards run at once.  Replies, end states and registries are read in
+    shard order in either mode.
+
+    Returns ``{"state": ..., "stats": ...}`` where ``state`` is
+    byte-identical for every ``(nshards, mode, partition)`` choice and
+    ``stats`` carries the window and barrier accounting: each shard's
+    summed ``run_window`` busy time and its idle time at the barriers
+    (the slowest shard's busy time minus its own, per window), in shard
+    order, and ``coordinator_wait_s``, the wall time this process spent
+    blocked on worker replies.  A worker that sends no reply within
+    ``REPLY_DEADLINE_S`` is terminated and fails the run, naming its
+    shard and window.
     """
     if lookahead_ns <= 0:
         raise ValueError(f"lookahead_ns must be positive, got {lookahead_ns}")
+    nshards = plan.nshards
     if mode is None:
-        mode = "fork" if plan.nshards > 1 else "inline"
+        mode = "fork" if nshards > 1 else "inline"
     if mode not in ("fork", "inline"):
         raise ValueError(f"unknown mode {mode!r}")
 
     wall_start = _time.perf_counter()
     handles: list = []
+    order = [*range(1, nshards), 0] if mode == "fork" else range(nshards)
     try:
-        for s in range(plan.nshards):
-            handles.append(_ForkHandle(s, plan, factory, handles)
-                           if mode == "fork" else
-                           _InlineHandle(s, plan, factory))
+        if mode == "fork":
+            for s in range(1, nshards):
+                handles.append(_ForkHandle(s, plan, factory, handles))
+            handles.insert(0, _InlineHandle(0, plan, factory))
+        else:
+            for s in range(nshards):
+                handles.append(_InlineHandle(s, plan, factory))
         next_times = [h.initial_next() for h in handles]
         pending: list[list] = [[] for _ in handles]
         windows = 0
         advance_ns = 0
         cross_frames = 0
-        barrier_idle_s = 0.0
+        busy_by_shard = [0.0] * nshards
+        idle_by_shard = [0.0] * nshards
         critical_path_s = 0.0
         prev_end = 0
         while True:
@@ -341,11 +382,11 @@ def run_partitioned(factory, plan: ShardPlan, *, lookahead_ns: int,
             if not cands:
                 break
             end = min(cands) + lookahead_ns - 1
-            # Send every window command before reading any reply: with
-            # forked workers this is what makes the shards actually run
-            # concurrently rather than round-robin.
-            for handle, ingress in zip(handles, pending):
-                handle.start_window(end, ingress)
+            # Send every forked shard its command before running shard 0
+            # here, which runs the window at once: that is what makes the
+            # shards run concurrently rather than round-robin.
+            for s in order:
+                handles[s].start_window(end, pending[s])
             pending = [[] for _ in handles]
             replies = [h.finish_window() for h in handles]
             windows += 1
@@ -354,7 +395,9 @@ def run_partitioned(factory, plan: ShardPlan, *, lookahead_ns: int,
             busies = [r[2] for r in replies]
             bmax = max(busies)
             critical_path_s += bmax
-            barrier_idle_s += sum(bmax - b for b in busies)
+            for s, busy in enumerate(busies):
+                busy_by_shard[s] += busy
+                idle_by_shard[s] += bmax - busy
             next_times = [r[1] for r in replies]
             for egress, _, _ in replies:
                 for arrival, frame in egress:
@@ -370,6 +413,7 @@ def run_partitioned(factory, plan: ShardPlan, *, lookahead_ns: int,
         for handle in handles:
             handle.close()
     wall = _time.perf_counter() - wall_start
+    barrier_idle_s = sum(idle_by_shard)
 
     target = current_registry() if registry is None else registry
     if target is not None:
@@ -392,7 +436,7 @@ def run_partitioned(factory, plan: ShardPlan, *, lookahead_ns: int,
     return {
         "state": _merge_states(states),
         "stats": {
-            "shards": plan.nshards,
+            "shards": nshards,
             "mode": mode,
             "lookahead_ns": lookahead_ns,
             "windows": windows,
@@ -401,6 +445,9 @@ def run_partitioned(factory, plan: ShardPlan, *, lookahead_ns: int,
             "wall_s": wall,
             "critical_path_s": critical_path_s,
             "barrier_idle_s": barrier_idle_s,
+            "busy_s_by_shard": busy_by_shard,
+            "idle_s_by_shard": idle_by_shard,
+            "coordinator_wait_s": sum(h.wait_s for h in handles),
         },
     }
 

@@ -68,7 +68,8 @@ def _fake_run_openmx(params, shards, *, mode=None, lookahead_ns=None,
     stats = {"wall_s": 0.001, "shards": shards, "mode": mode,
              "strategy": strategy, "windows": 1, "advance_ns": 1,
              "cross_shard_frames": 0, "critical_path_s": 0.001,
-             "barrier_idle_s": 0.0}
+             "barrier_idle_s": 0.0, "busy_s_by_shard": [0.001] * shards,
+             "idle_s_by_shard": [0.0] * shards, "coordinator_wait_s": 0.0}
     return {"stats": stats, "state": {"events": 7, "digest": "d1"}}
 
 

@@ -189,7 +189,10 @@ def _fake_run_openmx(diverges=lambda shards, strategy: False,
         return {"state": state,
                 "stats": {"wall_s": 1.0, "critical_path_s": 0.5,
                           "windows": 3, "cross_shard_frames": cross(strategy),
-                          "barrier_idle_s": 0.1}}
+                          "barrier_idle_s": 0.1,
+                          "busy_s_by_shard": [0.5] * shards,
+                          "idle_s_by_shard": [0.1 / shards] * shards,
+                          "coordinator_wait_s": 0.2}}
     return fake_run
 
 

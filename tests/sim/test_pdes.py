@@ -5,7 +5,8 @@ delivers same-instant arrivals in a canonical order whether they were
 carried locally or ingested at a window barrier, and refuses ingress that
 would rewrite the past; the coordinator's window sequence is a pure
 function of global event times; and a failing or dead shard worker is
-reported with its shard id.  Byte-identity of the full-stack scenario
+reported with its shard id, and a hung one within its reply deadline.
+In fork mode the coordinator runs shard 0 itself.  Byte-identity of the full-stack scenario
 across shard counts lives in ``tests/sim/test_openmx_shard.py``.
 """
 
@@ -29,6 +30,7 @@ from repro.obs.metrics import MetricRegistry
 from repro.openmx.config import OpenMXConfig
 from repro.sim import SimulationError
 from repro.sim.openmx_shard import OpenmxParams, _OpenmxFactory, run_openmx
+from repro.sim import pdes
 from repro.sim.pdes import SeededFaultPlan, _ForkHandle, run_partitioned
 
 SMALL = OpenmxParams(nhosts=5, rounds=3, seed=11)
@@ -340,3 +342,113 @@ def test_inline_factory_error_names_shard_and_chains_cause():
         run_partitioned(_FailingFactory(0), plan,
                         lookahead_ns=SMALL.latency_ns, mode="inline")
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def _assert_reaped(before):
+    assert set(multiprocessing.active_children()) == before
+
+
+def test_forked_shard_zero_factory_error_names_it_and_reaps_workers():
+    # Shard 0 is built here, after the other shards' workers are forked.
+    before = set(multiprocessing.active_children())
+    plan = partition_hosts(SMALL.nhosts, 4)
+    start = time.monotonic()
+    with pytest.raises(SimulationError,
+                       match=r"PDES shard 0 factory failed: "
+                             r"ValueError: cannot build shard 0"):
+        run_partitioned(_FailingFactory(0), plan,
+                        lookahead_ns=SMALL.latency_ns, mode="fork")
+    assert time.monotonic() - start < 5
+    _assert_reaped(before)
+
+
+class _StaleIngressFactory:
+    """Builds the SMALL scenario's shards; shard 0's every ingress then
+    carries a frame arriving at its own clock, which its fabric refuses."""
+
+    def __call__(self, shard_id, plan):
+        shard = _OpenmxFactory(SMALL)(shard_id, plan)
+        if shard_id == 0:
+            stale = EtherCrossing(src=4, dst=0, seq=1, copy=0,
+                                  frame=_frame(4, 0, 1))
+            shard.ingress = lambda entries: shard.fabric.ingress(
+                [(shard.env.now, stale)])
+        return shard
+
+
+def test_error_in_hosted_shard_window_reaps_workers():
+    before = set(multiprocessing.active_children())
+    plan = partition_hosts(SMALL.nhosts, 3)
+    start = time.monotonic()
+    with pytest.raises(SimulationError, match="conservative window"):
+        run_partitioned(_StaleIngressFactory(), plan,
+                        lookahead_ns=SMALL.latency_ns, mode="fork")
+    assert time.monotonic() - start < 5
+    _assert_reaped(before)
+
+
+class _PidShard:
+    """A shard with one window of no work that records the pids it was
+    built and run in; the ``sleepy`` shard sleeps through its window."""
+
+    def __init__(self, shard_id, plan, sleep_s):
+        self.host = plan.shards[shard_id][0]
+        self.sleep_s = sleep_s
+        self.pids = [os.getpid()]
+        self.now = 0
+        self.registry = MetricRegistry()
+
+    def next_time(self):
+        return 0 if len(self.pids) == 1 else None
+
+    def ingress(self, entries):
+        assert entries == []
+
+    def run_window(self, until):
+        time.sleep(self.sleep_s)
+        self.pids.append(os.getpid())
+        self.now = until
+        return [], None, 0.0
+
+    def end_state(self):
+        return {"now_ns": self.now, "events": 0,
+                "hosts": [{"id": self.host, "pids": self.pids}]}
+
+
+class _PidFactory:
+    def __init__(self, sleepy=None, sleep_s=0.0):
+        self.sleepy = sleepy
+        self.sleep_s = sleep_s
+
+    def __call__(self, shard_id, plan):
+        return _PidShard(shard_id, plan,
+                         self.sleep_s if shard_id == self.sleepy else 0.0)
+
+
+def test_fork_mode_runs_shard_zero_in_the_coordinator():
+    plan = partition_hosts(4, 3)
+    out = run_partitioned(_PidFactory(), plan, lookahead_ns=LATENCY,
+                          mode="fork")
+    pids = [host["pids"] for host in out["state"]["hosts"]]
+    me = os.getpid()
+    assert pids[0] == [me, me]
+    assert all(built == ran != me for built, ran in pids[1:])
+    assert len({built for built, _ in pids[1:]}) == 2
+    stats = out["stats"]
+    assert stats["windows"] == 1
+    assert len(stats["busy_s_by_shard"]) == len(stats["idle_s_by_shard"]) == 3
+    assert stats["coordinator_wait_s"] > 0
+
+
+def test_hung_worker_misses_its_reply_deadline(monkeypatch):
+    monkeypatch.setattr(pdes, "REPLY_DEADLINE_S", 0.5)
+    before = set(multiprocessing.active_children())
+    plan = partition_hosts(4, 3)
+    start = time.monotonic()
+    with pytest.raises(SimulationError,
+                       match=r"PDES shard 2 worker missed the 0\.5 s reply "
+                             r"deadline in window 0; terminated it"):
+        run_partitioned(_PidFactory(sleepy=2, sleep_s=60), plan,
+                        lookahead_ns=LATENCY, mode="fork")
+    assert time.monotonic() - start < 5
+    _assert_reaped(before)
