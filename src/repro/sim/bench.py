@@ -665,7 +665,7 @@ def format_openmx_ab_report(report: dict[str, Any]) -> str:
             f"{report['shards']} shards — wall speedup is meaningless "
             "here; critical path is the honest number "
             "(try --shards auto)")
-    windows = report["windows"] or 1
+    windows = max(report["windows"], 1)
     lines.extend([
         "  busy/idle s by shard (CPU time in run_window / barrier idle): "
         + ", ".join(f"{s}={busy:.4f}/{idle:.4f}" for s, (busy, idle)

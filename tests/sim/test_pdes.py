@@ -389,12 +389,15 @@ def test_error_in_hosted_shard_window_reaps_workers():
 
 class _PidShard:
     """A shard with one window of no work that records the pids it was
-    built and run in; the ``sleepy`` shard sleeps through its window."""
+    built and run in.  Shard 0's window waits for shard 1's to start; the
+    factory's ``sleepy`` shard sleeps through its window."""
 
-    def __init__(self, shard_id, plan, sleep_s):
+    def __init__(self, shard_id, plan, factory):
+        self.shard_id = shard_id
         self.host = plan.shards[shard_id][0]
-        self.sleep_s = sleep_s
+        self.factory = factory
         self.pids = [os.getpid()]
+        self.saw_shard_one_run = None
         self.now = 0
         self.registry = MetricRegistry()
 
@@ -405,31 +408,41 @@ class _PidShard:
         assert entries == []
 
     def run_window(self, until):
-        time.sleep(self.sleep_s)
+        if self.shard_id == 1:
+            self.factory.shard_one_runs.set()
+        elif self.shard_id == 0:
+            self.saw_shard_one_run = self.factory.shard_one_runs.wait(5)
+        if self.shard_id == self.factory.sleepy:
+            time.sleep(self.factory.sleep_s)
         self.pids.append(os.getpid())
         self.now = until
         return [], None, 0.0
 
     def end_state(self):
         return {"now_ns": self.now, "events": 0,
-                "hosts": [{"id": self.host, "pids": self.pids}]}
+                "hosts": [{"id": self.host, "pids": self.pids,
+                           "saw_shard_one_run": self.saw_shard_one_run}]}
 
 
 class _PidFactory:
     def __init__(self, sleepy=None, sleep_s=0.0):
         self.sleepy = sleepy
         self.sleep_s = sleep_s
+        # Shared with the forked workers, which inherit it.
+        self.shard_one_runs = multiprocessing.get_context("fork").Event()
 
     def __call__(self, shard_id, plan):
-        return _PidShard(shard_id, plan,
-                         self.sleep_s if shard_id == self.sleepy else 0.0)
+        return _PidShard(shard_id, plan, self)
 
 
 def test_fork_mode_runs_shard_zero_in_the_coordinator():
     plan = partition_hosts(4, 3)
     out = run_partitioned(_PidFactory(), plan, lookahead_ns=LATENCY,
                           mode="fork")
-    pids = [host["pids"] for host in out["state"]["hosts"]]
+    hosts = out["state"]["hosts"]
+    # Shard 1 got its window command before shard 0 ran here.
+    assert hosts[0]["saw_shard_one_run"] is True
+    pids = [host["pids"] for host in hosts]
     me = os.getpid()
     assert pids[0] == [me, me]
     assert all(built == ran != me for built, ran in pids[1:])
