@@ -4,10 +4,11 @@ The contract under test (see :mod:`repro.sim.pdes`): the shard fabric
 delivers same-instant arrivals in a canonical order whether they were
 carried locally or ingested at a window barrier, and refuses ingress that
 would rewrite the past; the coordinator's window sequence is a pure
-function of global event times; and a failing or dead shard worker is
-reported with its shard id, and a hung one within its reply deadline.
-In fork mode the coordinator runs shard 0 itself.  Byte-identity of the full-stack scenario
-across shard counts lives in ``tests/sim/test_openmx_shard.py``.
+function of global event times; in fork mode the coordinator runs shard
+0 itself; and a failing, dead or hung shard worker is reported with its
+shard id, a hung one within its reply deadline.  Byte-identity of the
+full-stack scenario across shard counts lives in
+``tests/sim/test_openmx_shard.py``.
 """
 
 import multiprocessing
@@ -28,9 +29,8 @@ from repro.hw.nic import EthernetFrame, Nic
 from repro.kernel import ETH_P_OMX
 from repro.obs.metrics import MetricRegistry
 from repro.openmx.config import OpenMXConfig
-from repro.sim import SimulationError
+from repro.sim import SimulationError, pdes
 from repro.sim.openmx_shard import OpenmxParams, _OpenmxFactory, run_openmx
-from repro.sim import pdes
 from repro.sim.pdes import SeededFaultPlan, _ForkHandle, run_partitioned
 
 SMALL = OpenmxParams(nhosts=5, rounds=3, seed=11)
