@@ -14,7 +14,9 @@ gives the core back at the first ``poll_slice_ns`` boundary at which
 someone else is queued for it, which is what lets the driver's deferred
 pinning work interleave on the same core — the blocking-wait overlap the
 paper's Section 5 discussion centres on.  While nobody else wants the core
-it keeps its claim across slice boundaries (see ``OmxLib._spin``).
+it keeps its claim across slice boundaries, and two waits of one lib
+queued for the core hold it together, taking slices in turn (see
+``OmxLib._spin``).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.openmx.events import (
 from repro.openmx.region_cache import RegionCache
 from repro.openmx.regions import Segment
 from repro.openmx.wire import Rndv
+from repro.sim import Environment, Event, Request, Resource, Timeout
 
 __all__ = ["MATCH_FULL_MASK", "OmxLib", "OmxRequest"]
 
@@ -73,6 +76,152 @@ class _UnexpectedEager:
 @dataclass
 class _UnexpectedRndv:
     rndv: Rndv
+
+
+class _Hold:
+    """A spin's claim on the core kept across poll slice boundaries, for
+    the holder alone or for it and one partner waiter taking slices in
+    turn (see :meth:`OmxLib._spin`).
+
+    The holder waits on :attr:`over`.  It fires where the slice loop
+    would end a slice of the hold: with None when that slice is the
+    holder's, or, when it is the partner's, with a fresh claim queued for
+    the holder after the partner has been handed the core.  A hold is a
+    settler of its environment while open.
+
+    A lone hold runs no event until its wake or doorbell.  A pair hold
+    keeps the slice loop's *boundary chain*: a timer per slice and, at
+    each boundary, a step where the loop's release was dispatched and
+    one where its next grant was, the last making the next slice's timer
+    (each step a bare event, or a plain call when nothing else is due in
+    the tick; see :meth:`Environment.call_soon`).  Each timer so takes
+    the place in its tick's dispatch order the loop's took.  Without it,
+    pair holds on two hosts whose boundaries fall in the same ticks end
+    in the order their wakes came, not the loop's (chaos seed 560's
+    digest moves).
+    """
+
+    __slots__ = ("env", "res", "claim", "partner", "start", "slice_ns",
+                 "doorbell", "wake", "timer", "hop", "k", "over", "made",
+                 "settled")
+
+    def __init__(self, env: Environment, res: Resource, claim: Request,
+                 partner: Request | None, slice_ns: int, doorbell: Event):
+        self.env = env
+        self.res = res
+        self.claim = claim
+        self.partner = partner
+        self.start = env.now
+        self.slice_ns = slice_ns
+        self.doorbell = doorbell
+        self.timer: Timeout | None = None
+        self.hop: Event | None = None
+        self.k = 1  # the boundary the hold runs to (1 = the first)
+        self.over = env.event()
+        self.made = 1  # events made, from the holder's grant on
+        self.settled = 0  # events credited by settle() so far
+        doorbell.callbacks.append(self._rung)
+        self.wake = res.arm_wake()
+        if partner is None:
+            self.wake.callbacks.append(self._woken)
+        else:
+            self._arm(slice_ns)
+        env.settlers[self] = None
+
+    def _arm(self, delay: int) -> None:
+        self.timer = timer = self.env.timeout(delay)
+        timer.callbacks.append(self._tick)
+        self.made += 1
+
+    def _step(self, callback) -> None:
+        """One dispatch on, as the loop's next step at a boundary; at once
+        if nothing else is due in this tick."""
+        self.hop = self.env.call_soon(callback)
+        if self.hop is not None:
+            self.made += 1
+
+    def _woken(self, _wake: Event) -> None:
+        """A lone hold's wake: end at the first boundary at or after it."""
+        start, slice_ns = self.start, self.slice_ns
+        self.k = k = max(1, -((start - self.env.now) // slice_ns))
+        left = start + k * slice_ns - self.env.now
+        if left:
+            self._arm(left)
+        else:
+            self._end(k)
+
+    def _tick(self, _timer: Event) -> None:
+        """Boundary ``k``'s timer: the loop's owner of slice ``k - 1``
+        gives the core back one dispatch later."""
+        self.timer = None
+        if self.wake.triggered or self.doorbell.triggered:
+            self._end(self.k)
+        else:
+            self._step(self._released)
+
+    def _released(self, _hop: Event | None) -> None:
+        self.hop = None
+        if self.wake.triggered or self.doorbell.triggered:
+            self._end(self.k)
+        else:
+            self._step(self._granted)
+
+    def _granted(self, _hop: Event | None) -> None:
+        """Where the loop granted slice ``k`` to the other waiter, which
+        started that slice's timer."""
+        self.hop = None
+        self.k += 1
+        self._arm(self.slice_ns)
+
+    def _rung(self, _doorbell: Event) -> None:
+        timer, hop = self.timer, self.hop
+        k = self.k
+        if timer is not None:
+            # The last slice's timer, left cancelled as the loop leaves it.
+            timer.callbacks.remove(self._tick)
+            timer.cancel()
+        elif hop is not None:
+            hop.callbacks.clear()  # a boundary of the hold's in this tick
+        else:
+            start, slice_ns = self.start, self.slice_ns
+            k = max(1, -((start - self.env.now) // slice_ns))
+            left = start + k * slice_ns - self.env.now
+            if left:
+                self.env.timeout(left).cancel()
+                self.made += 1
+        self._end(k)
+
+    def _end(self, k: int) -> None:
+        """End the hold with its ``k``-th slice."""
+        cbs = self.doorbell.callbacks
+        if cbs is not None:
+            cbs.remove(self._rung)
+        cbs = self.wake.callbacks
+        if cbs:
+            cbs.remove(self._woken)
+        self.res.disarm_wake()
+        env = self.env
+        del env.settlers[self]
+        # The loop's k slices made 3k events (a claim, a timer and a race
+        # each); the hold made ``made``, ``over``, the wake if it fired and
+        # the partner's grant on a hand-over.
+        made = self.made + 1 + self.wake.triggered
+        fresh = None
+        if self.partner is not None and not k % 2:
+            fresh = self.res.hand_over(self.claim, self.partner)
+            made += 1
+        env.events_processed += 3 * k - made - self.settled
+        self.over.succeed(fresh)
+
+    def settle(self) -> None:
+        """Count, while open, the events the loop would have run by now:
+        three per boundary passed, less those the hold has dispatched (all
+        it made but a pending timer) and the wake if it has been."""
+        dispatched = self.made - (self.timer is not None) - 1
+        due = (3 * ((self.env.now - self.start) // self.slice_ns)
+               - dispatched - self.wake.processed)
+        self.env.events_processed += due - self.settled
+        self.settled = due
 
 
 class OmxLib:
@@ -127,6 +276,10 @@ class OmxLib:
         # yet reached comm_started look idle to the driver; lease counts
         # bridge that window so a concurrent get() cannot evict them.
         self._region_leases: dict[int, int] = {}
+        # Core claims of this lib's waits still queued for the core, with
+        # each wait's request and doorbell: a spin granted the core reads
+        # them to hold it for two waiters (see _spin).
+        self._waits: dict[Request, tuple[OmxRequest, Event]] = {}
 
     # -- region plumbing ---------------------------------------------------------
     def _declare_region(self, ctx: ExecContext,
@@ -321,80 +474,101 @@ class OmxLib:
         priority, hold it until the doorbell rings or ``poll_slice_ns``
         passes, give it back.  A queued driver event is drained first
         (``req`` given) or ends the spin at once (None).  A slice boundary
-        matters only if someone is queued for the core there, or ``req``
-        has completed, so while neither is true the spin keeps its claim
-        across boundaries in one *hold* and waits on the doorbell and on
-        the core's wake (armed on the core's resource; a queued claim or
-        :meth:`_finish` fires it).  The doorbell ends a hold at once; the
-        wake ends it at the first boundary ``start + k * poll_slice_ns``
-        at or after it fires, where the slice loop would have given the
-        core back.  A hold adds the events the slices it stands for would
-        have run to ``env.events_processed``, so the count does not depend
-        on how the slices were run.  Three cases run one plain slice
-        instead: ``req`` None, a request that completed while its waiter
-        was queued for the core, and a claim granted while someone else
-        is already queued.
+        matters only if someone new is queued for the core there or a
+        request has completed, so the spin keeps its claim across
+        boundaries in one *hold* (:class:`_Hold`) that waits on the
+        doorbell and on the core's wake (armed on the core's resource; a
+        queued claim or :meth:`_finish` fires it).
 
-        Two limits.  A wake or doorbell in the very tick of a boundary is
-        taken to come before the slice loop's release there, but the loop
-        orders the two by their places in that tick's dispatch order,
-        which a hold, having no boundary timer, cannot see: an act set off
-        a zero-delay hop or more after the tick's timers may get the core
-        a slice earlier than under the loop, ahead of a claimant of
-        higher priority that queues in that slice.  And the hold adds its
-        slices' events only when it ends, so a ``run()`` that stops inside
-        a hold counts fewer than the loop until the hold closes
-        (``tests/property/test_poll_spin_props.py`` pins both).
+        A spin granted the core with nobody queued holds it alone and runs
+        no event until the wake or the doorbell.  One granted with exactly
+        one other wait of this lib queued, on a pending request and the
+        same untriggered doorbell, holds it for both: slice ``j`` of the
+        hold is the holder's if ``j`` is even and the partner's if odd, as
+        the slice loop passes the core between them, and only the loop's
+        boundary chain of timers is kept (see :class:`_Hold`), not its
+        claims, releases and races.  The doorbell ends a hold at once, in
+        whichever slice it falls; in the partner's, the partner is handed
+        the core (:meth:`Resource.hand_over`) and ends its own slice, and
+        the holder waits behind it with a claim in the partner's old place
+        in the queue.  A wake ends a hold at the first boundary
+        ``start + k * poll_slice_ns`` at or after it, where the owner of
+        slice ``k - 1`` gives the core back, the other waiter queued ahead
+        of every claim of equal priority that came during the hold.  A
+        hold adds the events its slices would have run (a claim, a timer
+        and a race each) that it did not to ``env.events_processed``, when
+        it ends and, while open, whenever ``run()`` returns, so the count
+        does not depend on how the slices were run.  Everything else runs
+        one plain slice: ``req`` None, a request that completed while its
+        waiter was queued for the core, a doorbell that rang while it was,
+        and any other set of queued claims, three waiters included.
+
+        One limit, a *tie*.  A wake or doorbell in the very tick of a
+        boundary is taken to come before the slice loop's release there,
+        but the loop orders the two by their places in that tick's
+        dispatch order, which a lone hold, having no boundary timer,
+        cannot see: an act set off a zero-delay hop or more after the
+        tick's timers may get the core a slice earlier than under the
+        loop, ahead of a claimant of higher priority that queues in that
+        slice, and with two waiters a return can pass the other's.  A
+        ``run()`` stopped by an event in the tick of a boundary may count
+        that boundary's events before the loop would
+        (``tests/property/test_poll_spin_props.py`` pins the cases).
 
         ``wait``/``wait_step`` hand this generator out as their own, so no
         delegating frame resumes with it.
         """
         ep = self.ep
         queue = ep.event_queue
-        core = self.proc.core
-        claim = core.request
-        res = core.resource
+        res = self.proc.core.resource
+        claim = res.request
         env = self.env
         slice_ns = self.config.poll_slice_ns
+        waits = self._waits
+        r = None
         while True:
-            if req is not None:
-                if req.done:
-                    return req.status
-                if len(queue):
-                    yield from self._progress_drain()
+            if r is None:
+                if req is not None:
                     if req.done:
                         return req.status
-            elif len(queue):
-                return None
-            doorbell = ep.refresh_doorbell()
-            with claim(PRIO_USER) as r:
-                yield r
-                if req is None or req.done or res.queue_length:
-                    timer = env.timeout(slice_ns)
-                    yield env.race(doorbell, timer)
-                    timer.cancel()  # recycle the loser; no-op if it fired
+                    if len(queue):
+                        yield from self._progress_drain()
+                        if req.done:
+                            return req.status
+                elif len(queue):
+                    return None
+                doorbell = ep.refresh_doorbell()
+                r = claim(PRIO_USER)
+            with r:
+                if req is None or r.triggered:
+                    got = yield r
                 else:
-                    start = env.now
-                    wake = res.arm_wake()
-                    won = yield env.race(doorbell, wake)
-                    res.disarm_wake()
-                    now = env.now
-                    # Slices the loop would have started by now (at least
-                    # the first), each a claim, a timer and a race.
-                    k = max(1, -((start - now) // slice_ns))
-                    made = 3 if wake.triggered else 2  # r, race (+ wake)
-                    left = start + k * slice_ns - now
-                    if left:
-                        # The last slice's timer: waited on up to the
-                        # boundary after a wake, left cancelled after the
-                        # doorbell, as the slice loop leaves it.
-                        timer = env.timeout(left)
-                        made += 1
-                        if won is wake:
-                            yield env.race(doorbell, timer)
-                            made += 1
-                        timer.cancel()
-                    env.events_processed += 3 * k - made
+                    waits[r] = (req, doorbell)
+                    got = yield r
+                    del waits[r]
+                nxt = None
+                # A slot handed over by a pair hold is the end of this
+                # waiter's slice: give the core back at once.
+                if got is r:
+                    hold = (req is not None and not req.done
+                            and not doorbell.triggered)
+                    partner = None
+                    if hold and res.queue_length:
+                        partner = res.peek()
+                        other = waits.get(partner)
+                        hold = (res.queue_length == 1 and other is not None
+                                and other[1] is doorbell
+                                and not other[0].done)
+                    if hold:
+                        nxt = yield _Hold(env, res, r, partner, slice_ns,
+                                          doorbell).over
+                    else:
+                        timer = env.timeout(slice_ns)
+                        yield env.race(doorbell, timer)
+                        timer.cancel()  # recycle the loser; no-op if it fired
+            # After a hand-over this waiter is already queued again, as
+            # the slice loop would have it at the hold's last boundary.
+            r = nxt
             if req is None:
                 return None
 

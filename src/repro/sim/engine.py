@@ -608,7 +608,7 @@ class Environment:
                  "_occ0", "_occ1", "_occ2", "_overflow", "_eid", "_active",
                  "_debug", "_timeout_pool", "events_processed", "wall_time_s",
                  "timeouts_recycled", "timeouts_reused", "wheel_ticks",
-                 "wheel_cascades", "wheel_promotions", "metrics")
+                 "wheel_cascades", "wheel_promotions", "metrics", "settlers")
 
     def __init__(self, initial_time: int = 0, debug: bool = False):
         self._now = int(initial_time)
@@ -644,6 +644,11 @@ class Environment:
         self.wheel_cascades = 0
         self.wheel_promotions = 0
         self.metrics = None
+        # Objects that stand for events not yet dispatched (a held poll
+        # spin runs no per-slice events): run() calls each one's
+        # settle() as it returns, so that events_processed counts, at
+        # every run() exit, the events those objects stand for up to now.
+        self.settlers: dict[Any, None] = {}
 
     @property
     def now(self) -> int:
@@ -733,6 +738,28 @@ class Environment:
 
     def race(self, a: Event, b: Event) -> Race:
         return Race(self, a, b)
+
+    def call_soon(self, callback: Callable[[Event | None], None]
+                  ) -> Event | None:
+        """Call ``callback`` where an event triggered now is dispatched: at
+        the back of this tick's ready FIFO.
+
+        Returns the bare event whose dispatch makes the call.  When
+        nothing else is due in this tick nothing could run before it, so
+        the call is made at once, with None, and no event is made (the
+        caller counts the difference if it keeps the event count).
+        """
+        ready = self._ready
+        if not ready:
+            callback(None)
+            return None
+        e = self.event()
+        e.callbacks.append(callback)
+        e._ok = True
+        e._value = None
+        e._scheduled = True
+        ready.append(e)
+        return e
 
     # -- scheduling -----------------------------------------------------------
     def _insert(self, event: Event, when: int) -> None:
@@ -1212,6 +1239,8 @@ class Environment:
                     stop_cbs.remove(_stop_run)
             self._active = False
             self.events_processed += processed
+            for settler in self.settlers:
+                settler.settle()
             self.timeouts_recycled += recycled
             self.wheel_ticks += ticks
             wall = _time.perf_counter() - wall_start

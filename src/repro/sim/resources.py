@@ -34,11 +34,14 @@ class Request(Event):
 
     __slots__ = ("resource", "priority", "_held")
 
-    def __init__(self, resource: "Resource", priority: int):
+    def __init__(self, resource: "Resource", priority: int,
+                 seq: int | None = None):
         # Core claims are among the most frequent allocations in a run, so
         # the Event setup is inlined here (no super().__init__), as in
         # Timeout, and a free slot is granted in place: the claim goes
-        # straight onto the ready FIFO, as succeed() would put it.
+        # straight onto the ready FIFO, as succeed() would put it.  A
+        # queued claim takes the next sequence number unless ``seq`` gives
+        # it the place of one that left the queue (Resource.hand_over).
         env = resource.env
         self.env = env
         self.callbacks = []
@@ -62,8 +65,9 @@ class Request(Event):
             self._ok = None
             self._value = _PENDING
             self._scheduled = False
-            resource._seq += 1
-            heapq.heappush(resource._queue, (priority, resource._seq, self))
+            if seq is None:
+                resource._seq = seq = resource._seq + 1
+            heapq.heappush(resource._queue, (priority, seq, self))
             resource.wake()  # a holder that armed one: someone now waits
 
     def release(self) -> None:
@@ -116,6 +120,35 @@ class Resource:
     def request(self, priority: int = 0) -> Request:
         """Claim one slot; the returned event fires when the claim is granted."""
         return Request(self, priority)
+
+    def peek(self) -> Request | None:
+        """The queued claim the next release grants, if any."""
+        return self._queue[0][2] if self._queue else None
+
+    def hand_over(self, held: Request, queued: Request) -> Request:
+        """Pass ``held``'s slot straight to the queued claim ``queued`` and
+        queue a fresh claim at ``held``'s priority in the place ``queued``
+        leaves: ahead of every claim of equal priority that queued after
+        ``queued`` did.  Returns the fresh claim.
+
+        ``queued`` fires with ``held`` as its value, not itself, so its
+        waiter can tell a slot handed over from one granted in turn.  The
+        slot never comes free, so ``busy_time`` does not move.
+        """
+        q = self._queue
+        for i, (_, seq, claim) in enumerate(q):
+            if claim is queued:
+                break
+        else:
+            raise SimulationError(f"{queued!r} is not queued on {self.name}")
+        del q[i]
+        heapq.heapify(q)
+        fresh = Request(self, held.priority, seq)
+        held._held = False
+        queued._held = True
+        self.total_grants += 1
+        queued.succeed(held)
+        return fresh
 
     def arm_wake(self) -> Event:
         """Return a fresh event that fires once, when a claim next queues

@@ -11,6 +11,19 @@ stalls the run or changes its digest:
 * torture 77: a run whose digest moves when a hold ends at the wrong
   boundary.
 
+Two waiters of one lib hold the core together in a *pair hold*.  Counted
+over every golden soak and sharded seed, a pair hold ends by the doorbell
+in the holder's or the partner's slice or by a kernel-priority claim's
+wake at a boundary owned by either; none ends by a user-priority claim or
+by a finished request, which ``tests/property/test_poll_spin_props.py``
+covers instead.  The seeds below run into every one of those four ends:
+
+* chaos 7 and torture 883: digests move when the partner's slice is not
+  handed to the partner, or slices are given to the wrong waiter;
+* chaos 106, chaos 560, torture 827 and torture 883: digests move when a
+  pair hold makes each slice's timer straight from the last one's instead
+  of two dispatches on, where the slice loop made it.
+
 The goldens are read, never written.
 """
 
@@ -37,6 +50,20 @@ def test_cancel_during_a_hold_matches_golden():
 
 @pytest.mark.parametrize("seed", [60, 77, 390, 460, 740, 863, 884])
 def test_torture_digest_matches_golden(seed):
+    result = run_torture(seed, steps=10)
+    assert result.finished
+    assert result.digest.startswith(_golden("pin_torture", f"torture/{seed}"))
+
+
+@pytest.mark.parametrize("seed", [7, 106, 560])
+def test_pair_hold_chaos_digest_matches_golden(seed):
+    result = run_chaos(seed, steps=12)
+    assert result.finished
+    assert result.digest.startswith(_golden("chaos_soak", f"chaos/{seed}"))
+
+
+@pytest.mark.parametrize("seed", [827, 883])
+def test_pair_hold_torture_digest_matches_golden(seed):
     result = run_torture(seed, steps=10)
     assert result.finished
     assert result.digest.startswith(_golden("pin_torture", f"torture/{seed}"))
