@@ -140,15 +140,20 @@ class _Hold:
         if self.hop is not None:
             self.made += 1
 
+    def _boundary(self) -> tuple[int, int]:
+        """``(k, left)``: the first boundary at or after now is the
+        hold's ``k``-th (at least the first), ``left`` ns from now."""
+        start, slice_ns, now = self.start, self.slice_ns, self.env.now
+        k = max(1, -((start - now) // slice_ns))
+        return k, start + k * slice_ns - now
+
     def _woken(self, _wake: Event) -> None:
         """A lone hold's wake: end at the first boundary at or after it."""
-        start, slice_ns = self.start, self.slice_ns
-        self.k = k = max(1, -((start - self.env.now) // slice_ns))
-        left = start + k * slice_ns - self.env.now
+        self.k, left = self._boundary()
         if left:
             self._arm(left)
         else:
-            self._end(k)
+            self._end(self.k)
 
     def _tick(self, _timer: Event) -> None:
         """Boundary ``k``'s timer: the loop's owner of slice ``k - 1``
@@ -183,9 +188,7 @@ class _Hold:
         elif hop is not None:
             hop.callbacks.clear()  # a boundary of the hold's in this tick
         else:
-            start, slice_ns = self.start, self.slice_ns
-            k = max(1, -((start - self.env.now) // slice_ns))
-            left = start + k * slice_ns - self.env.now
+            k, left = self._boundary()
             if left:
                 self.env.timeout(left).cancel()
                 self.made += 1

@@ -520,3 +520,49 @@ def test_cancelled_stop_timer_is_recycled_as_without_run(debug, purge,
     assert env.run(until=stop) == "t"
     assert env.now == 21
     assert env.timeouts_recycled == (0 if purge else 1)
+
+
+def test_call_soon_calls_at_once_when_nothing_else_is_due():
+    env = Environment()
+    calls = []
+
+    def first(_):
+        assert env.call_soon(lambda ev: calls.append(("inline", ev))) is None
+
+    timer = env.timeout(5)
+    timer.callbacks.append(first)
+    env.run()
+    assert calls == [("inline", None)]
+    assert env.events_processed == 1
+
+
+def test_call_soon_queues_behind_what_is_due():
+    env = Environment()
+    calls = []
+    made = []
+
+    def first(_):
+        made.append(env.call_soon(lambda ev: calls.append(("soon", ev))))
+
+    a, b = env.timeout(5), env.timeout(5)
+    a.callbacks.append(first)
+    b.callbacks.append(lambda _: calls.append(("b", None)))
+    env.run()
+    assert calls == [("b", None), ("soon", made[0])]
+    assert env.events_processed == 3
+
+
+def test_run_settles_its_settlers_once_as_it_returns():
+    env = Environment()
+    settled = []
+
+    class Settler:
+        def settle(self):
+            settled.append(env.now)
+
+    env.settlers[Settler()] = None
+    env.timeout(3)
+    env.timeout(7)
+    env.run(until=5)
+    env.run()
+    assert settled == [5, 7]

@@ -263,3 +263,36 @@ def test_interrupted_waiter_releases_queued_request():
     env.run()
     assert outcome == {"granted": False}
     assert core.queue_length == 0
+
+
+def test_hand_over_passes_the_slot_and_keeps_the_queue_place():
+    """The holder's slot goes straight to the queued claim, which fires
+    with the holder's claim as its value; the holder's fresh claim sits
+    where the other stood, ahead of an equal-priority claim that queued
+    later, and the slot never comes free."""
+    env = Environment()
+    res = Resource(env, name="core")
+    held = res.request(10)
+    queued = res.request(10)
+    later = res.request(10)
+    assert res.peek() is queued
+    env.run()
+    fresh = res.hand_over(held, queued)
+    assert res.count == 1 and res.queue_length == 2
+    assert res.peek() is fresh
+    env.run()
+    assert queued.value is held
+    res.release(queued)
+    assert fresh.triggered and not later.triggered
+    env.run(until=5)
+    res.release(fresh)
+    res.release(later)
+    assert res.busy_time == 5
+
+
+def test_hand_over_needs_a_queued_claim():
+    env = Environment()
+    res = Resource(env, name="core")
+    held = res.request()
+    with pytest.raises(SimulationError, match="not queued"):
+        res.hand_over(held, held)
