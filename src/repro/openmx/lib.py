@@ -550,8 +550,8 @@ class OmxLib:
                     got = yield r
                     del waits[r]
                 nxt = None
-                # A slot handed over by a pair hold is the end of this
-                # waiter's slice: give the core back at once.
+                # Otherwise a pair hold handed this waiter the core to end
+                # its own slice: it gives the core back at once.
                 if got is r:
                     hold = (req is not None and not req.done
                             and not doorbell.triggered)
