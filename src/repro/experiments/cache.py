@@ -24,7 +24,7 @@ import pickle
 from pathlib import Path
 from typing import Any
 
-__all__ = ["ResultCache", "code_fingerprint"]
+__all__ = ["ResultCache", "code_fingerprint", "task_key"]
 
 _PKG_ROOT = Path(__file__).resolve().parents[1]  # src/repro
 _fingerprint_cache: dict[Path, str] = {}
@@ -52,6 +52,17 @@ def _canonical_args(kwargs: dict[str, Any]) -> str:
     return json.dumps(kwargs, sort_keys=True, default=repr)
 
 
+def task_key(task: tuple) -> str:
+    """What a task runs: its function's qualified name and canonical args.
+
+    Two tasks with one key compute the same result, so the cache stores
+    one entry for them and :func:`repro.experiments.parallel.parallel_map`
+    runs them once.
+    """
+    fn, kwargs = task
+    return f"{fn.__module__}.{fn.__qualname__}\n{_canonical_args(kwargs)}"
+
+
 class ResultCache:
     """Pickle-file-per-entry cache under one directory."""
 
@@ -62,12 +73,7 @@ class ResultCache:
         self.misses = 0
 
     def _path(self, task: tuple) -> Path:
-        fn, kwargs = task
-        key = "\n".join([
-            f"{fn.__module__}.{fn.__qualname__}",
-            _canonical_args(kwargs),
-            code_fingerprint(),
-        ])
+        key = f"{task_key(task)}\n{code_fingerprint()}"
         return self.directory / (hashlib.sha256(key.encode()).hexdigest() + ".pkl")
 
     def get(self, task: tuple) -> Any | None:

@@ -19,9 +19,13 @@ determinism contract:
   determinism test suite, not just asserted here.
 
 Tasks are ``(fn, kwargs)`` pairs where ``fn`` is a module-level callable
-(the multiprocessing pickler requires it).  The optional ``cache``
-argument (a :class:`repro.experiments.cache.ResultCache`) short-circuits
-tasks whose results were computed by a previous run of the same code.
+(the multiprocessing pickler requires it).  A task that occurs more than
+once in a map (same function, same canonical arguments; see
+:func:`repro.experiments.cache.task_key`) runs once, and every occurrence
+gets its result and merges its registry, as if each had run.  The optional
+``cache`` argument (a :class:`repro.experiments.cache.ResultCache`)
+short-circuits tasks whose results were computed by a previous run of the
+same code.
 
 A worker that dies (SIGKILL, the OOM killer, a crash in C code) fails the
 map at once with a ``BrokenProcessPool`` naming the task(s) it was running;
@@ -37,6 +41,7 @@ import multiprocessing
 import reprlib
 from typing import Any, Callable, Sequence
 
+from repro.experiments.cache import task_key
 from repro.obs.metrics import MetricRegistry, current_registry, use_registry
 
 __all__ = ["Task", "merge_worker_registries", "parallel_map", "run_task"]
@@ -158,14 +163,35 @@ def parallel_map(tasks: Sequence[Task], jobs: int = 1,
                  cache: Any = None) -> list[Any]:
     """Run ``tasks`` across ``jobs`` worker processes, deterministically.
 
-    Returns the task results in submission order.  With ``jobs <= 1`` (or
-    a single task) everything runs in-process — same code path, no pool.
-    A ``cache`` (see :mod:`repro.experiments.cache`) is consulted first;
-    hits skip execution entirely and still merge their recorded metrics,
-    so a warm run produces the same ``--json`` *and* ``--metrics`` output
-    as a cold one.
+    Returns the task results in submission order.  Each distinct task
+    runs once: a repeated one hands its result (the same object: tasks
+    return immutable results) to every occurrence, and its registry is
+    merged once per occurrence, so totals match a map that ran each.
+    Error messages number the distinct tasks.  With ``jobs <= 1`` (or a
+    single distinct task) everything runs in-process — same code path, no
+    pool.  A ``cache`` (see :mod:`repro.experiments.cache`) is consulted
+    first; hits skip execution entirely and still merge their recorded
+    metrics, so a warm run produces the same ``--json`` *and*
+    ``--metrics`` output as a cold one.
     """
-    tasks = list(tasks)
+    first: dict[str, int] = {}
+    occurrences: list[int] = []  # per task, its index in ``distinct``
+    distinct: list[Task] = []
+    for task in tasks:
+        key = task_key(task)
+        index = first.get(key)
+        if index is None:
+            index = first[key] = len(distinct)
+            distinct.append(task)
+        occurrences.append(index)
+    pairs = _run_distinct(distinct, jobs, cache)
+    merge_worker_registries([pairs[i][1] for i in occurrences])
+    return [pairs[i][0] for i in occurrences]
+
+
+def _run_distinct(tasks: list[Task], jobs: int,
+                  cache: Any) -> list[tuple[Any, MetricRegistry]]:
+    """(result, registry) of each task, from ``cache`` or by running it."""
     pairs: list[tuple[Any, MetricRegistry] | None] = [None] * len(tasks)
     misses: list[int] = []
     if cache is not None:
@@ -189,9 +215,4 @@ def parallel_map(tasks: Sequence[Task], jobs: int = 1,
             if cache is not None:
                 cache.put(tasks[i], pair)
 
-    results = []
-    for pair in pairs:
-        assert pair is not None
-        results.append(pair[0])
-    merge_worker_registries([pair[1] for pair in pairs if pair is not None])
-    return results
+    return pairs

@@ -16,11 +16,13 @@ from typing import Any, Callable
 from repro.hw.specs import NicSpec
 from repro.obs.metrics import MetricRegistry, resolve_registry
 from repro.sim import Environment, Store
+from repro.util import frozen_record
 from repro.util.units import transfer_time_ns
 
 __all__ = ["EthernetFrame", "Nic"]
 
 
+@frozen_record
 @dataclass(frozen=True)
 class EthernetFrame:
     """A frame on the wire; ``payload`` is an opaque upper-layer packet."""
@@ -113,9 +115,9 @@ class Nic:
         """
         self._txseq += 1
         # The frame is frozen (wire immutability), but the NIC owns it from
-        # here on: stamp the TX sequence the way dataclasses' own __init__
-        # writes frozen fields.
-        object.__setattr__(frame, "seq", self._txseq)
+        # here on: stamp the TX sequence the way its constructor writes
+        # fields (see repro.util.frozen_record).
+        frame.__dict__["seq"] = self._txseq
         if self._link is None:
             self.env.event().fail(RuntimeError(f"{self.name} is not connected"))
             return

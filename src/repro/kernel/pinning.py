@@ -121,6 +121,12 @@ class PinService:
             "budget-queue waits that expired before admission",
             labelnames=("host",)).cell(**lbl)
 
+    def _account_pinned(self, npages: int) -> None:
+        """Count ``npages`` newly pinned pages: the pin loops call this once
+        per batch (and for a partial batch before a rollback unpins it)."""
+        self.pages_pinned += npages
+        self._m_pinned_pages.inc(npages)
+
     def account_unpin(self, nframes: int) -> None:
         """Bookkeeping for unpins performed by callers that charge their own
         CPU time (PinManager's deferred-unpin and reclaim paths)."""
@@ -362,18 +368,17 @@ class PinService:
             yield from core.execute(base + per_page * npages, priority)
             try:
                 for i in range(npages):
-                    frame = aspace.pin_page(start + i * PAGE_SIZE)
-                    frames.append(frame)
-                    self.pages_pinned += 1
-                    self._m_pinned_pages.inc()
+                    frames.append(aspace.pin_page(start + i * PAGE_SIZE))
             except (BadAddress, OutOfMemory) as exc:
                 # A concurrent VM operation raced the charge window (e.g. a
                 # munmap on another core); fail like the historical loop.
+                self._account_pinned(len(frames))
                 if frames:
                     yield from self.unpin_user_pages(core, aspace, frames,
                                                      priority)
                 self.pin_failures.value += 1
                 raise PinError(str(exc)) from exc
+            self._account_pinned(npages)
             self.pins += 1
             self.fused_pins += 1
             self._m_pin_latency.observe(core.env.now - t_start)
@@ -388,10 +393,10 @@ class PinService:
                 if self.fault_hook.pin_should_fail():
                     raise OutOfMemory("injected transient pin failure")
             for i in range(npages):
+                # A batch of one page: the core is re-acquired per page.
                 yield from core.execute(per_page, priority)
                 frames.append(aspace.pin_page(start + i * PAGE_SIZE))
-                self.pages_pinned += 1
-                self._m_pinned_pages.inc()
+                self._account_pinned(1)
         except (BadAddress, OutOfMemory) as exc:
             # Roll back partial pins, paying the unpin cost.
             if frames:
@@ -428,6 +433,7 @@ class PinService:
         bad addresses rolls back only this call's frames.
         """
         mine: list[Frame] = []
+        batch: list[Frame] = []  # pinned, not yet counted
         idx = start_index
         t_start = core.env.now
         try:
@@ -447,23 +453,24 @@ class PinService:
                 yield from core.execute(per_page * n, priority)
                 if should_abort is not None and should_abort():
                     return idx - start_index
-                batch: list[Frame] = []
                 for va in page_vas[idx : idx + n]:
                     frame = aspace.pin_page(va)
                     # Track immediately so a mid-batch fault rolls back
                     # every frame pinned so far, not just completed batches.
                     mine.append(frame)
                     batch.append(frame)
-                    self.pages_pinned += 1
-                    self._m_pinned_pages.inc()
+                self._account_pinned(n)
                 idx += n
+                pinned, batch = batch, []
                 if on_batch is not None:
-                    on_batch(batch)
+                    on_batch(pinned)
         except (BadAddress, OutOfMemory) as exc:
             # Roll back this call's frames.  Frames an MMU notifier already
             # released (pin_count == 0) are skipped: the notifier owns their
             # cleanup.  After a PinError the caller must treat every frame it
-            # saw via on_batch as unpinned.
+            # saw via on_batch as unpinned.  The partial batch was pinned, so
+            # it is counted before the rollback unpins it.
+            self._account_pinned(len(batch))
             still_pinned = [f for f in mine if f.pinned]
             if still_pinned:
                 yield from self.unpin_user_pages(core, aspace, still_pinned, priority)

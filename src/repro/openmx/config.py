@@ -34,16 +34,13 @@ class PinningMode(enum.Enum):
     OVERLAP = "overlap"
     OVERLAP_CACHE = "overlap-cache"
 
-    @property
-    def cached(self) -> bool:
-        """Does this mode keep regions pinned across communications?"""
-        return self in (PinningMode.PERMANENT, PinningMode.CACHE,
-                        PinningMode.OVERLAP_CACHE)
-
-    @property
-    def overlapped(self) -> bool:
-        """Does this mode overlap pinning with communication?"""
-        return self in (PinningMode.OVERLAP, PinningMode.OVERLAP_CACHE)
+    def __init__(self, value: str):
+        # Plain member attributes, not properties: the driver reads them
+        # per frame.
+        #: Does this mode keep regions pinned across communications?
+        self.cached = value in ("permanent", "cache", "overlap-cache")
+        #: Does this mode overlap pinning with communication?
+        self.overlapped = value in ("overlap", "overlap-cache")
 
 
 @dataclass(frozen=True)

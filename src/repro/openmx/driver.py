@@ -280,6 +280,15 @@ class OpenMXDriver:
                                                 side="recv")
         self.pin_mgr = PinManager(self.env, kernel, config, self.counters)
         self.endpoints: dict[int, DriverEndpoint] = {}
+        # The packet classes whose BH per-packet charge may be fused (see
+        # _rx_fusable); neither the trace switch nor the mode changes after
+        # build.
+        if self.spans.enabled:
+            self._fusable: tuple[type, ...] = ()
+        elif config.pinning_mode.overlapped:
+            self._fusable = (EagerFrag, Rndv, PullReply)
+        else:
+            self._fusable = (EagerFrag, Rndv)
         from repro.kernel.ethernet import ETH_P_OMX
 
         kernel.ethernet.register_protocol(ETH_P_OMX, self._rx,
@@ -799,15 +808,9 @@ class OpenMXDriver:
 
         Marks and spans record pre-charge timestamps, so fusion is off
         whenever the cluster's trace stream records (all chaos/digest runs).
+        ``_fusable`` holds the classes this rule admits for this driver.
         """
-        if self.spans.enabled:
-            return False
-        pkt = frame.payload
-        if isinstance(pkt, (EagerFrag, Rndv)):
-            return True
-        if isinstance(pkt, PullReply):
-            return self.config.pinning_mode.overlapped
-        return False
+        return isinstance(frame.payload, self._fusable)
 
     def _rx(self, frame: EthernetFrame, ctx: ExecContext) -> Generator:
         pkt = frame.payload
@@ -980,12 +983,14 @@ class OpenMXDriver:
             self.trace(ep, "overlap_miss_recv", offset=pkt.offset)
             return
         # Copy into the user region: CPU memcpy in BH context, or I/OAT.
-        block_span = state.block_spans.get(chunk_idx // state.block_chunks)
-        copy_span = self.spans.begin(
-            "copy", self.env.now,
-            parent=block_span if block_span is not None else state.span,
-            source=self.board, offset=pkt.offset, bytes=len(pkt.data),
-        )
+        copy_span = None
+        if self.spans.enabled:
+            block_span = state.block_spans.get(chunk_idx // state.block_chunks)
+            copy_span = self.spans.begin(
+                "copy", self.env.now,
+                parent=block_span if block_span is not None else state.span,
+                source=self.board, offset=pkt.offset, bytes=len(pkt.data),
+            )
         if state.bounce is not None:
             # Copy-through degradation: land in the kernel bounce buffer;
             # scattered to the user pages at completion.
@@ -1008,7 +1013,8 @@ class OpenMXDriver:
                 state.missed.add(chunk_idx)
                 self.counters.incr("overlap_miss_recv")
                 self.trace(ep, "overlap_miss_recv", offset=pkt.offset)
-                self.spans.end(copy_span, self.env.now, status="miss")
+                if copy_span is not None:
+                    self.spans.end(copy_span, self.env.now, status="miss")
                 return
             else:
                 state.region.write(pkt.offset, pkt.data)
@@ -1017,7 +1023,8 @@ class OpenMXDriver:
                         self.kernel.host.ioat.copy(len(pkt.data)),
                         name="omx.ioat")
                     state.dma_events.append(dma)
-        self.spans.end(copy_span, self.env.now)
+        if copy_span is not None:
+            self.spans.end(copy_span, self.env.now)
         state.mark_received(chunk_idx)
         state.bytes_received += len(pkt.data)
         self.counters.incr("pull_bytes", len(pkt.data))

@@ -137,8 +137,14 @@ class UserRegion:
         """Are all pages backing [offset, offset+length) pinned?
 
         This is the per-packet "additional test on the region descriptor"
-        that overlapped pinning adds to the receive path.
+        that overlapped pinning adds to the receive path.  A fully pinned
+        region answers without locating the last page, for every range
+        :meth:`pages_needed` accepts; the rest go through it (and raise
+        what it raises).
         """
+        if (self.watermark == self.npages and length > 0
+                and 0 < offset + length <= self.total_length):
+            return True
         return self.pages_needed(offset, length) <= self.watermark
 
     # -- pin state transitions -------------------------------------------------

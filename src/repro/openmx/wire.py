@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.util import frozen_record
+
 __all__ = [
     "EagerFrag",
     "Liback",
@@ -22,6 +24,7 @@ __all__ = [
 ]
 
 
+@frozen_record
 @dataclass(frozen=True)
 class OmxPacket:
     """Base: addressing shared by every MXoE packet."""
@@ -37,6 +40,7 @@ class OmxPacket:
         return self.HEADER_BYTES
 
 
+@frozen_record
 @dataclass(frozen=True)
 class EagerFrag(OmxPacket):
     """One fragment of an eager (or medium) message."""
@@ -54,6 +58,7 @@ class EagerFrag(OmxPacket):
         return self.HEADER_BYTES + len(self.data)
 
 
+@frozen_record
 @dataclass(frozen=True)
 class Liback(OmxPacket):
     """Acknowledge full receipt of an eager message (reliability)."""
@@ -61,6 +66,7 @@ class Liback(OmxPacket):
     seq: int = 0
 
 
+@frozen_record
 @dataclass(frozen=True)
 class Rndv(OmxPacket):
     """Rendezvous: announces a large message and its source region."""
@@ -71,6 +77,7 @@ class Rndv(OmxPacket):
     sender_region: int = -1
 
 
+@frozen_record
 @dataclass(frozen=True)
 class PullRequest(OmxPacket):
     """Receiver asks the sender for [offset, offset+length) of a region."""
@@ -82,6 +89,7 @@ class PullRequest(OmxPacket):
     resend: bool = field(default=False, compare=False)
 
 
+@frozen_record
 @dataclass(frozen=True)
 class PullReply(OmxPacket):
     """One data frame of a pull response."""
@@ -95,6 +103,7 @@ class PullReply(OmxPacket):
         return self.HEADER_BYTES + len(self.data)
 
 
+@frozen_record
 @dataclass(frozen=True)
 class Notify(OmxPacket):
     """Receiver tells the sender the whole message arrived (Figure 2)."""

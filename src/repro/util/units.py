@@ -7,6 +7,8 @@ classic GB-vs-GiB and Gb-vs-GB mistakes that plague network modelling.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = [
     "GB",
     "GIB",
@@ -47,6 +49,11 @@ def bytes_per_ns(bytes_per_sec: float) -> float:
     return bytes_per_sec / 1e9
 
 
+# A run moves a few distinct frame and copy sizes at a few fixed rates, but
+# asks for their wire and copy times once per frame: memoize.  Bounded, so
+# a sweep over many sizes cannot grow it without limit.  A non-positive
+# rate raises on every call (lru_cache never caches an exception).
+@lru_cache(maxsize=4096)
 def transfer_time_ns(nbytes: int, bytes_per_sec: float) -> int:
     """Integer nanoseconds to move ``nbytes`` at the given rate (ceiling)."""
     if bytes_per_sec <= 0:

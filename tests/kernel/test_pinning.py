@@ -243,3 +243,94 @@ def test_near_pin_limit_falls_back_to_per_page_path():
     assert pin.fused_pins == 0
     assert pin.pin_failures.value == 1
     assert mem.pinned_frames == 0  # rollback unpinned everything
+
+
+# -- pin counters: one update per batch, partial batches counted --------------
+
+
+def _counted_rig():
+    from repro.obs.metrics import MetricRegistry
+
+    env = Environment()
+    core = CpuCore(env, XEON_E5460, "h0", 0)
+    aspace = AddressSpace(PhysicalMemory(64 * PAGE_SIZE), "p0")
+    registry = MetricRegistry()
+    pin = PinService(metrics=registry, host="h0")
+    gauge = registry.get("kernel_pinned_pages").labels(host="h0")
+    return env, core, aspace, pin, gauge
+
+
+def test_batched_pin_counts_a_partial_batch_before_its_rollback():
+    env, core, aspace, pin, gauge = _counted_rig()
+    va = aspace.mmap(6 * PAGE_SIZE)
+    hole = aspace.mmap(PAGE_SIZE)
+    aspace.munmap(hole, PAGE_SIZE)
+    # Batches of 4: the first pins whole, the second pins two pages and
+    # then faults on the unmapped page.
+    page_vas = [va + i * PAGE_SIZE for i in range(6)] + [hole]
+    seen = []
+
+    def on_batch(frames):
+        seen.append((len(frames), pin.pages_pinned, gauge.value))
+
+    def work():
+        with pytest.raises(PinError):
+            yield from pin.pin_pages_batched(core, aspace, page_vas,
+                                             batch_pages=4, on_batch=on_batch)
+
+    run(env, work())
+    assert seen == [(4, 4, 4)]
+    assert pin.pages_pinned == 6  # the two pages of the partial batch too
+    assert gauge.value == 0  # ... and the rollback unpinned all six
+    assert (pin.pins, pin.unpins, pin.pin_failures.value) == (0, 1, 1)
+    assert aspace.memory.pinned_frames == 0
+
+
+def test_batched_pin_counts_every_page_once():
+    env, core, aspace, pin, gauge = _counted_rig()
+    va = aspace.mmap(10 * PAGE_SIZE)
+    page_vas = [va + i * PAGE_SIZE for i in range(10)]
+    seen = []
+
+    def work():
+        n = yield from pin.pin_pages_batched(
+            core, aspace, page_vas, batch_pages=4,
+            on_batch=lambda frames: seen.append(
+                (len(frames), pin.pages_pinned, gauge.value)))
+        return n
+
+    assert run(env, work()) == 10
+    assert seen == [(4, 4, 4), (4, 8, 8), (2, 10, 10)]
+    assert pin.pages_pinned == gauge.value == 10
+
+
+@pytest.mark.parametrize("per_page", [False, True])
+def test_pin_counts_a_partial_pin_before_its_rollback(per_page):
+    # A fault on the fourth page, on the fused path (one batch) and on the
+    # per-page path (batches of one page).
+    env, core, aspace, pin, gauge = _counted_rig()
+    if per_page:
+        pin.fault_hook = _ZeroHook()
+    va = aspace.mmap(8 * PAGE_SIZE)
+    real_pin_page = aspace.pin_page
+    calls = []
+
+    def faulty_pin_page(addr):
+        calls.append(addr)
+        if len(calls) == 4:
+            from repro.kernel.address_space import BadAddress
+            raise BadAddress(f"{addr:#x} raced away")
+        return real_pin_page(addr)
+
+    aspace.pin_page = faulty_pin_page
+
+    def work():
+        with pytest.raises(PinError):
+            yield from pin.pin_user_pages(core, aspace, va, 8)
+
+    run(env, work())
+    assert pin.fused_pins == 0
+    assert pin.pages_pinned == 3
+    assert gauge.value == 0
+    assert (pin.pins, pin.unpins, pin.pin_failures.value) == (0, 1, 1)
+    assert aspace.memory.pinned_frames == 0

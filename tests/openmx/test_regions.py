@@ -179,3 +179,43 @@ def test_locate_bisect_matches_linear_scan(aspace):
         region._locate(region.total_length)
     with pytest.raises(ValueError):
         region._locate(-1)
+
+
+def _covers_spec(region, offset, length):
+    """``covers`` by its definition: the bool, or the ValueError message."""
+    try:
+        return region.pages_needed(offset, length) <= region.watermark
+    except ValueError as exc:
+        return str(exc)
+
+
+def _covers(region, offset, length):
+    try:
+        return region.covers(offset, length)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("pinned", ["none", "partial", "full"])
+def test_covers_equals_pages_needed_on_every_range(aspace, pinned):
+    # Unaligned and vectorial, so ranges cross pages and segments.
+    r = make_region(aspace, [PAGE_SIZE + 300, 2 * PAGE_SIZE], offset_in_page=100)
+    npin = {"none": 0, "partial": 2, "full": r.npages}[pinned]
+    if npin:
+        r.attach_frames(0, [aspace.pin_page(va) for va in r.page_vas[:npin]])
+    total = r.total_length
+    points = sorted({-PAGE_SIZE, -1, 0, 1, PAGE_SIZE - 101, PAGE_SIZE,
+                     PAGE_SIZE + 299, PAGE_SIZE + 300, 2 * PAGE_SIZE,
+                     total - 1, total, total + 1})
+    lengths = [-1, 0, 1, 100, PAGE_SIZE, total, total + 1]
+    checked = {True: 0, False: 0, "error": 0}
+    for offset in points:
+        for length in lengths:
+            want = _covers_spec(r, offset, length)
+            assert _covers(r, offset, length) == want, (offset, length)
+            checked[want if isinstance(want, bool) else "error"] += 1
+    assert checked["error"] > 0
+    if pinned == "full":
+        assert checked[True] > 0 and checked[False] == 0
+    else:
+        assert checked[False] > 0

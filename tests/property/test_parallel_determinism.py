@@ -133,6 +133,32 @@ def test_parallel_map_order_and_metric_merge():
     assert fork_reg.snapshot() == serial_reg.snapshot()
 
 
+def _logged_square(x, log):
+    # Appends one line per run: forked workers share the file, not memory.
+    with open(log, "a") as fh:
+        fh.write(f"{x}\n")
+    return _instrumented_square(x)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_repeated_task_runs_once_and_counts_per_occurrence(tmp_path, jobs):
+    log = str(tmp_path / "runs.log")
+    tasks = [(_logged_square, {"x": x, "log": log}) for x in (3, 1, 3, 3, 2)]
+    registry = MetricRegistry()
+    with use_registry(registry):
+        results = parallel_map(tasks, jobs=jobs)
+    assert results == [9, 1, 9, 9, 4]
+    assert sorted(Path(log).read_text().split()) == ["1", "2", "3"]
+    # Each occurrence merges the registry its run produced, in submission
+    # order: the totals of a map that ran all five.
+    assert registry.counter("pd_calls").value == 5
+    assert registry.gauge("pd_last").value == 2
+    each = MetricRegistry()
+    for task in tasks:
+        each.merge(run_task(task)[1])
+    assert registry.snapshot() == each.snapshot()
+
+
 def test_run_task_isolates_registry():
     ambient = MetricRegistry()
     with use_registry(ambient):

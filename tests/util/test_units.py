@@ -34,6 +34,31 @@ def test_transfer_time_rejects_bad_rate():
         transfer_time_ns(100, -5)
 
 
+def test_memoized_transfer_time_equals_the_formula():
+    # The memo must return exactly what the ceiling formula gives, for
+    # sizes and rates on and off exact nanosecond boundaries, and must not
+    # mix up int and float arguments of equal value.
+    rates = [1e9, 3e9, 1.25e9, 1.25e9 / 3, 2.5e8, 6.4e9, 7, 1234567.891]
+    sizes = [0, 1, 2, 3, 63, 64, 1000, 1250, 4096, 8192, 8224, 9000,
+             65536, 10**6, 16 * MIB, 2**40 + 1]
+    for _ in range(2):  # second pass: served from the memo
+        for rate in rates:
+            for nbytes in sizes:
+                ns = nbytes * 1e9 / rate
+                want = int(ns) + (0 if ns == int(ns) else 1)
+                assert transfer_time_ns(nbytes, rate) == want, (nbytes, rate)
+                assert transfer_time_ns(float(nbytes), rate) == want
+                assert type(transfer_time_ns(nbytes, rate)) is int
+    assert transfer_time_ns.cache_info().hits > 0
+    assert transfer_time_ns.cache_info().maxsize is not None  # bounded
+
+
+def test_memoized_transfer_time_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="rate must be positive, got 0"):
+            transfer_time_ns(100, 0)
+
+
 def test_throughput_mib_s():
     assert throughput_mib_s(MIB, SECOND) == pytest.approx(1.0)
     assert throughput_mib_s(16 * MIB, SECOND // 2) == pytest.approx(32.0)
