@@ -1,26 +1,29 @@
 """Shared benchmark configuration.
 
-Every benchmark runs a deterministic simulation, so a single round gives
-exact, reproducible numbers — ``run_once`` wraps ``benchmark.pedantic``
-accordingly.  Set ``REPRO_FULL=1`` to sweep the paper's complete message
-size axis instead of the quick subset.
+The paper's shape checks (``test_bench_{table1,figure6,figure7,table2,
+overlap_miss,motivation,reuse_sweep,ablations}.py``) assert on one run of
+the sweep that ``python -m repro.experiments`` prints: the session-scoped
+``sweep`` fixture runs every artifact of
+:data:`repro.experiments.runner.SWEEP` once, on the usable cores.  Set
+``REPRO_FULL=1`` to sweep the paper's complete message size axis instead
+of the quick subset, as ``--full`` does.
 """
 
 import os
 
 import pytest
 
+from repro.experiments.figures67 import FAST_SIZES, FIGURE_SIZES
+from repro.experiments.runner import SWEEP, run_artifacts
+from repro.sim.pdes import host_core_count
+
 
 def full_sweep() -> bool:
     return os.environ.get("REPRO_FULL", "0") == "1"
 
 
-@pytest.fixture
-def run_once(benchmark):
-    """Run a deterministic experiment exactly once under pytest-benchmark."""
-
-    def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
-
-    return runner
+@pytest.fixture(scope="session")
+def sweep():
+    """Each artifact's built results (``SWEEP[name].build``), by name."""
+    sizes = FIGURE_SIZES if full_sweep() else FAST_SIZES
+    return run_artifacts(list(SWEEP), sizes, jobs=host_core_count())

@@ -1,14 +1,8 @@
-"""Benchmark: ablations for the design choices (Section 5 discussion)."""
-
-from repro.experiments.ablations import (
-    run_cache_capacity_ablation,
-    run_overlap_check_ablation,
-    run_pipeline_ablation,
-)
+"""Shape check: ablations for the design choices (Section 5 discussion)."""
 
 
-def test_pipeline_vs_driver_overlap(run_once):
-    points = run_once(run_pipeline_ablation)
+def test_pipeline_vs_driver_overlap(sweep):
+    points, _, _ = sweep["ablations"]
     print()
     for p in points:
         print(f"  {p.label:32s} {p.value:8.1f} MiB/s")
@@ -21,8 +15,8 @@ def test_pipeline_vs_driver_overlap(run_once):
         assert driver.value > p.value, (p.label, p.value, driver.value)
 
 
-def test_cache_capacity_hit_rate(run_once):
-    points = run_once(run_cache_capacity_ablation)
+def test_cache_capacity_hit_rate(sweep):
+    _, points, _ = sweep["ablations"]
     print()
     for p in points:
         print(f"  {p.label:16s} hit rate {p.value:.2f}")
@@ -33,8 +27,8 @@ def test_cache_capacity_hit_rate(run_once):
     assert rates[0] < rates[-1]
 
 
-def test_overlap_check_cost_negligible(run_once):
-    points = run_once(run_overlap_check_ablation)
+def test_overlap_check_cost_negligible(sweep):
+    _, _, points = sweep["ablations"]
     print()
     for p in points:
         print(f"  {p.label:16s} {p.value:8.1f} MiB/s")

@@ -37,10 +37,10 @@ def _run(rounds=3, rig=None):
     return probe()
 
 
-def test_fewer_events_than_seed_stack_same_end_state(run_once):
+def test_fewer_events_than_seed_stack_same_end_state():
     scale = "full" if full_sweep() else "quick"
-    _, events, _, state = run_once(_time_once, "datapath_pull",
-                                   getattr(SCENARIOS["datapath_pull"], scale))
+    _, events, _, state = _time_once("datapath_pull",
+                                     getattr(SCENARIOS["datapath_pull"], scale))
     reduction = 1 - events / SEED_EVENTS[scale]
     assert reduction > 0.5
     assert state["handled_frames"] > 0

@@ -38,8 +38,8 @@ POLL_SPIN_QUICK_STATE = {
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_engine_scenario(run_once, name):
-    report = run_once(run_scenario, name, quick=not full_sweep(), repeat=1)
+def test_engine_scenario(name):
+    report = run_scenario(name, quick=not full_sweep(), repeat=1)
     assert report["events"] > 0
     assert report["events_per_sec"] > 0
     print()

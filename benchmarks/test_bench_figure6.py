@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 6 (pingpong, pin-per-comm vs permanent,
+"""Shape check: Figure 6 (pingpong, pin-per-comm vs permanent,
 with and without I/OAT)."""
 
 from benchmarks.conftest import full_sweep
@@ -6,14 +6,13 @@ from repro.experiments.figures67 import (
     FAST_SIZES,
     FIGURE_SIZES,
     format_series_table,
-    run_figure6,
 )
 from repro.util.units import MIB
 
 
-def test_figure6(run_once):
+def test_figure6(sweep):
     sizes = FIGURE_SIZES if full_sweep() else FAST_SIZES
-    series = run_once(run_figure6, sizes)
+    (series,) = sweep["figure6"]
     print()
     print(format_series_table(series, "Figure 6: IMB PingPong (MiB/s)"))
     per_comm, permanent, per_comm_ioat, permanent_ioat = series

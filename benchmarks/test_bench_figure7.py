@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 7 (regular vs overlapped vs cache vs
+"""Shape check: Figure 7 (regular vs overlapped vs cache vs
 overlapped+cache pinning)."""
 
 from benchmarks.conftest import full_sweep
@@ -6,13 +6,12 @@ from repro.experiments.figures67 import (
     FAST_SIZES,
     FIGURE_SIZES,
     format_series_table,
-    run_figure7,
 )
 
 
-def test_figure7(run_once):
+def test_figure7(sweep):
     sizes = FIGURE_SIZES if full_sweep() else FAST_SIZES
-    series = run_once(run_figure7, sizes)
+    (series,) = sweep["figure7"]
     print()
     print(format_series_table(series, "Figure 7: IMB PingPong (MiB/s)"))
     regular, overlapped, cache, overlap_cache = series

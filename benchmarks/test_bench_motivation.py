@@ -1,10 +1,10 @@
-"""Benchmark: the introduction's motivation (MPI-over-TCP vs Open-MX)."""
+"""Shape check: the introduction's motivation (MPI-over-TCP vs Open-MX)."""
 
-from repro.experiments.motivation import format_motivation, run_motivation
+from repro.experiments.motivation import format_motivation
 
 
-def test_motivation(run_once):
-    rows = run_once(run_motivation)
+def test_motivation(sweep):
+    (rows,) = sweep["motivation"]
     print()
     print(format_motivation(rows))
     by_stack = {(r.stack, r.mtu): r for r in rows}

@@ -1,14 +1,8 @@
-"""Benchmark: regenerate the Section 4.3 overlap-miss study."""
-
-from repro.experiments.overlap_miss import (
-    run_miss_probability,
-    run_overloaded_core,
-)
-from repro.util.units import MIB
+"""Shape check: the Section 4.3 overlap-miss study."""
 
 
-def test_miss_probability_under_regular_load(run_once):
-    result = run_once(run_miss_probability)
+def test_miss_probability_under_regular_load(sweep):
+    result, _ = sweep["overlap-miss"]
     print(f"\noverlap misses: {result.overlap_misses} / "
           f"{result.data_packets} packets (rate {result.miss_rate:.2e})")
     # Paper: less than 1 packet out of 10000.
@@ -16,8 +10,8 @@ def test_miss_probability_under_regular_load(run_once):
     assert result.miss_rate < 1e-4
 
 
-def test_overloaded_core_collapse(run_once):
-    result = run_once(run_overloaded_core, 1 * MIB, 1)
+def test_overloaded_core_collapse(sweep):
+    _, result = sweep["overlap-miss"]
     print(f"\nnormal: {result.normal_mib_s:.0f} MiB/s, overloaded: "
           f"{result.overloaded_mib_s:.1f} MiB/s "
           f"(x{result.slowdown:.0f}), misses={result.overlap_misses}, "

@@ -23,11 +23,10 @@ from benchmarks.conftest import full_sweep
 OPENMX_QUICK_STATE = Path(__file__).with_name("openmx_shard_quick.json")
 
 
-def test_openmx_ab_identical_end_state(run_once):
+def test_openmx_ab_identical_end_state():
     # Raises SystemExit if serial and sharded full-stack runs disagree on
     # any end-state byte, for any partition strategy.
-    report = run_once(run_openmx_ab, quick=not full_sweep(), shards=4,
-                      repeat=1)
+    report = run_openmx_ab(quick=not full_sweep(), shards=4, repeat=1)
     assert report["shards"] == 4
     assert report["nhosts"] >= 16
     assert report["windows"] > 1

@@ -1,11 +1,11 @@
-"""Benchmark: the buffer-reuse sweep (the paper's complementarity claim —
+"""Shape check: the buffer-reuse sweep (the paper's complementarity claim —
 Sections 4.2/5: the cache needs reuse, overlap helps regardless)."""
 
-from repro.experiments.reuse_sweep import format_reuse_sweep, run_reuse_sweep
+from repro.experiments.reuse_sweep import format_reuse_sweep
 
 
-def test_reuse_sweep(run_once):
-    rows = run_once(run_reuse_sweep)
+def test_reuse_sweep(sweep):
+    (rows,) = sweep["reuse-sweep"]
     print()
     print(format_reuse_sweep(rows))
     no_reuse, full_reuse = rows[0], rows[-1]

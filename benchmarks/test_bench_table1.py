@@ -1,8 +1,8 @@
-"""Benchmark: regenerate Table 1 (pinning overhead per CPU)."""
+"""Shape check: Table 1 (pinning overhead per CPU)."""
 
 import pytest
 
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.table1 import format_table1
 
 # Paper's Table 1, for shape assertions.
 PAPER = {
@@ -13,8 +13,8 @@ PAPER = {
 }
 
 
-def test_table1(run_once):
-    rows = run_once(run_table1)
+def test_table1(sweep):
+    (rows,) = sweep["table1"]
     print()
     print(format_table1(rows))
     assert len(rows) == 4

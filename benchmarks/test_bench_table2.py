@@ -1,10 +1,6 @@
-"""Benchmark: regenerate Table 2 (IMB + NPB improvements, 2 nodes)."""
+"""Shape check: Table 2 (IMB + NPB improvements, 2 nodes)."""
 
-from benchmarks.conftest import full_sweep
-from repro.experiments.table2 import TABLE2_BENCHMARKS, run_table2
 from repro.experiments.table2 import format_table2
-from repro.workloads import IsConfig
-from repro.util.units import KIB, MIB
 
 # Paper's Table 2 for reference (cache %, overlap %).
 PAPER = {
@@ -19,14 +15,9 @@ PAPER = {
 }
 
 
-def test_table2(run_once):
-    if full_sweep():
-        benchmarks, sizes, is_config = TABLE2_BENCHMARKS, None, None
-    else:
-        benchmarks = TABLE2_BENCHMARKS
-        sizes = [256 * KIB, 1 * MIB]
-        is_config = IsConfig()  # the default scaled problem
-    rows = run_once(run_table2, benchmarks, sizes, True, is_config)
+def test_table2(sweep):
+    # One size axis and the default scaled IS problem, quick or full.
+    (rows,) = sweep["table2"]
     print()
     print(format_table2(rows))
     print("\nPaper's Table 2 for comparison:")

@@ -36,10 +36,10 @@ def _run(rounds=QUICK_ROUNDS):
     return probe()
 
 
-def test_fewer_events_than_seed_stack_same_end_state(run_once):
+def test_fewer_events_than_seed_stack_same_end_state():
     scale = "full" if full_sweep() else "quick"
-    _, events, _, state = run_once(_time_once, "vm_churn",
-                                   getattr(SCENARIOS["vm_churn"], scale))
+    _, events, _, state = _time_once("vm_churn",
+                                     getattr(SCENARIOS["vm_churn"], scale))
     reduction = 1 - events / SEED_EVENTS[scale]
     assert reduction > 0.5
     if full_sweep():

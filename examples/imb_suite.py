@@ -17,17 +17,17 @@ from repro.experiments.figures67 import (
     FAST_SIZES,
     FIGURE_SIZES,
     format_series_table,
-    run_figure7,
 )
 from repro.experiments.report import ascii_chart
+from repro.experiments.runner import run_artifacts
 from repro.openmx import OpenMXConfig, PinningMode
-from repro.util.units import KIB, MIB, fmt_size
+from repro.util.units import MIB, fmt_size
 from repro.workloads import imb_collective
 
 
 def main() -> None:
     sizes = FIGURE_SIZES if "--full" in sys.argv else FAST_SIZES
-    series = run_figure7(sizes)
+    (series,) = run_artifacts(["figure7"], sizes)["figure7"]
     print(format_series_table(series, "IMB PingPong throughput (MiB/s)"))
     print()
     chart = {

@@ -254,10 +254,6 @@ class ShardEtherFabric:
         self._nics[host] = nic
         nic.attach_link(self)
 
-    def address_of(self, host_id: int) -> str:
-        """NIC address of any global host — local or remote."""
-        return self._addr_of[host_id]
-
     # -- forwarding ----------------------------------------------------------
     def carry(self, frame: EthernetFrame) -> None:
         """Forward one frame that just left a shard-local NIC's wire."""

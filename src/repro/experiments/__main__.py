@@ -27,16 +27,11 @@ suite enforces this.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.experiments.figures67 import FAST_SIZES, FIGURE_SIZES
-from repro.experiments.parallel import parallel_map
-from repro.experiments.runner import SWEEP, save_results
-
-
-_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-          else os.cpu_count() or 1)
+from repro.experiments.runner import SWEEP, run_artifacts, save_results
+from repro.sim.pdes import host_core_count
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -53,7 +48,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--metrics", metavar="PATH",
                         help="dump the obs metric snapshot "
                              "(render: python -m repro.obs PATH)")
-    parser.add_argument("--jobs", type=int, default=_CORES, metavar="N",
+    parser.add_argument("--jobs", type=int, default=host_core_count(),
+                        metavar="N",
                         help="run the sweep's tasks on N worker processes "
                              "(default: the usable cores; 1 runs them "
                              "in-process)")
@@ -79,7 +75,6 @@ def main(argv: list[str]) -> int:
         cache = (ResultCache(args.cache_dir) if args.cache_dir
                  else ResultCache())
 
-    collected: dict[str, object] = {}
     # Accept underscores as dash aliases (overlap_miss == overlap-miss).
     wanted = {a.replace("_", "-") for a in args.artifacts} or set(SWEEP)
     unknown = wanted - set(SWEEP)
@@ -94,7 +89,11 @@ def main(argv: list[str]) -> int:
     # the end covers the whole session's kernels, NICs and drivers.
     registry = MetricRegistry()
     with use_registry(registry):
-        _run_wanted(wanted, sizes, collected, jobs=args.jobs, cache=cache)
+        built = run_artifacts(wanted, sizes, jobs=args.jobs, cache=cache)
+    collected: dict[str, object] = {}
+    for name, results in built.items():
+        collected.update(zip(SWEEP[name].saves, results))
+        print(SWEEP[name].show(*results))
     if cache is not None:
         # stderr, so a warm run's stdout is byte-identical to a cold one.
         print(f"(cache: {cache.hits} hit(s), {cache.misses} miss(es) "
@@ -107,20 +106,6 @@ def main(argv: list[str]) -> int:
         save_results(args.json, collected)
         print(f"(results saved to {args.json})")
     return 0
-
-
-def _run_wanted(wanted: set[str], sizes, collected: dict[str, object],
-                jobs: int, cache) -> None:
-    """Run every wanted artifact's tasks through one pool, then build and
-    print each artifact in sweep order."""
-    artifacts = [SWEEP[name] for name in SWEEP if name in wanted]
-    task_lists = [artifact.tasks(sizes) for artifact in artifacts]
-    results = iter(parallel_map([t for tasks in task_lists for t in tasks],
-                                jobs=jobs, cache=cache))
-    for artifact, tasks in zip(artifacts, task_lists):
-        built = artifact.build([next(results) for _ in tasks])
-        collected.update(zip(artifact.saves, built))
-        print(artifact.show(*built))
 
 
 if __name__ == "__main__":

@@ -1,23 +1,23 @@
 """Ablations for the design choices DESIGN.md calls out.
 
-* :func:`run_pipeline_ablation` — the Section 5 comparison: driver-level
-  whole-message overlapped pinning vs MPICH-GM-style chunked pipelined
-  registration, across chunk sizes.
-* :func:`run_cache_capacity_ablation` — the user-space region cache's LRU
-  capacity vs hit rate when an application cycles through more buffers
-  than fit.
-* :func:`run_overlap_check_ablation` — the cost of the per-packet region
-  descriptor test that overlapped pinning adds to the receive path (the
-  paper argues it is negligible).
+* :data:`PIPELINE_TASKS` — the Section 5 comparison: steady-state
+  throughput of driver-level whole-message overlapped pinning vs
+  MPICH-GM-style chunked pipelined registration of 8 MB, across chunk
+  sizes.
+* :data:`CAPACITY_TASKS` — the user-space region cache's LRU capacity vs
+  hit rate when an application cycles through 16 buffers, more than fit.
+* :data:`CHECK_TASKS` — throughput against the cost of the per-packet
+  region descriptor test that overlapped pinning adds to the receive path
+  (the paper argues it is negligible).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.baselines import PipelinedSender
 from repro.cluster import build_cluster
-from repro.experiments.parallel import Task, parallel_map
+from repro.experiments.parallel import Task
 from repro.openmx import OpenMXConfig, PinningMode
 from repro.util.units import KIB, MIB, throughput_mib_s
 
@@ -31,9 +31,6 @@ __all__ = [
     "overlap_check_point",
     "overlap_point",
     "pipeline_point",
-    "run_cache_capacity_ablation",
-    "run_overlap_check_ablation",
-    "run_pipeline_ablation",
 ]
 
 
@@ -108,12 +105,6 @@ PIPELINE_TASKS: list[Task] = [
 ] + [(overlap_point, {"nbytes": 8 * MIB})]
 
 
-def run_pipeline_ablation() -> list[AblationPoint]:
-    """Steady-state throughput: pipelined registration of 8 MB at several
-    chunk sizes vs the paper's driver-level overlap."""
-    return parallel_map(PIPELINE_TASKS)
-
-
 def cache_capacity_point(cap: int, nbuffers: int, nbytes: int) -> AblationPoint:
     """Hit rate cycling ``nbuffers`` buffers through an LRU of ``cap``."""
     cluster = build_cluster(
@@ -155,11 +146,6 @@ CAPACITY_TASKS: list[Task] = [
     for cap in (4, 8, 16, 32)]
 
 
-def run_cache_capacity_ablation() -> list[AblationPoint]:
-    """Cycle through 16 distinct buffers; vary the LRU capacity."""
-    return parallel_map(CAPACITY_TASKS)
-
-
 def overlap_check_point(cost: int, nbytes: int) -> AblationPoint:
     """Throughput with one per-packet descriptor-test cost."""
     from repro.workloads import imb_pingpong
@@ -175,11 +161,6 @@ def overlap_check_point(cost: int, nbytes: int) -> AblationPoint:
 CHECK_TASKS: list[Task] = [
     (overlap_check_point, {"cost": cost, "nbytes": 16 * MIB})
     for cost in (0, 30, 150, 600)]
-
-
-def run_overlap_check_ablation() -> list[AblationPoint]:
-    """Throughput sensitivity to the per-packet descriptor-test cost."""
-    return parallel_map(CHECK_TASKS)
 
 
 def format_ablations(pipeline: list[AblationPoint],

@@ -3,8 +3,8 @@
 Figure 6 compares *pin once per communication* against *permanent pinning*,
 with and without I/OAT copy offload — quantifying how much memory pinning
 costs on the fast Xeon E5460 testbed (~5 % there, up to ~20 % on the slow
-Opteron 265, which :func:`run_pingpong_series` can also reproduce by
-passing its CPU spec).
+Opteron 265, which :func:`series_tasks` can also reproduce by passing its
+CPU spec).
 
 Figure 7 compares the paper's optimizations on the same axis: regular
 pinning vs overlapped pinning vs the pinning cache vs both combined.
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster import build_cluster
-from repro.experiments.parallel import Task, parallel_map
+from repro.experiments.parallel import Task
 from repro.hw.specs import CpuSpec, XEON_E5460
 from repro.openmx import OpenMXConfig, PinningMode
 from repro.workloads import imb_pingpong
@@ -28,9 +28,6 @@ __all__ = [
     "PingpongSeries",
     "assemble_series",
     "pingpong_point",
-    "run_figure6",
-    "run_figure7",
-    "run_pingpong_series",
     "series_tasks",
 ]
 
@@ -73,15 +70,6 @@ def pingpong_point(mode: PinningMode, use_ioat: bool, nbytes: int,
     return (nbytes, result.throughput_mib_s)
 
 
-def run_pingpong_series(label: str, mode: PinningMode, use_ioat: bool,
-                        sizes: list[int],
-                        cpu: CpuSpec = XEON_E5460) -> PingpongSeries:
-    """Measure one curve.  Each point builds a fresh cluster so modes never
-    contaminate each other — which also makes every point independently
-    parallelizable."""
-    return _run_series_set([(label, mode, use_ioat)], sizes, cpu)[0]
-
-
 # The curves of each figure: (label, pinning mode, I/OAT copy offload).
 FIGURE6_SERIES = [
     ("Open-MX - Pin once per Communication", PinningMode.PIN_PER_COMM, False),
@@ -115,21 +103,6 @@ def assemble_series(specs: list[tuple[str, PinningMode, bool]],
     n = len(points) // len(specs)
     return [PingpongSeries(label, tuple(points[i * n:(i + 1) * n]))
             for i, (label, _, _) in enumerate(specs)]
-
-
-def _run_series_set(specs: list[tuple[str, PinningMode, bool]],
-                    sizes: list[int], cpu: CpuSpec) -> list[PingpongSeries]:
-    return assemble_series(specs, parallel_map(series_tasks(specs, sizes, cpu)))
-
-
-def run_figure6(sizes: list[int]) -> list[PingpongSeries]:
-    """Figure 6: pin-once-per-communication vs permanent pinning, ±I/OAT."""
-    return _run_series_set(FIGURE6_SERIES, sizes, XEON_E5460)
-
-
-def run_figure7(sizes: list[int]) -> list[PingpongSeries]:
-    """Figure 7: regular vs overlapped vs cache vs overlapped+cache."""
-    return _run_series_set(FIGURE7_SERIES, sizes, XEON_E5460)
 
 
 def format_series_table(series: list[PingpongSeries], title: str) -> str:

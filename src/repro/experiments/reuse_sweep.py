@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster import build_cluster
-from repro.experiments.parallel import Task, parallel_map
+from repro.experiments.parallel import Task
 from repro.openmx import OpenMXConfig, PinningMode
 from repro.util.units import MIB
 from repro.workloads.patterns import run_reuse_pattern
 
-__all__ = ["REUSE_TASKS", "ReuseSweepRow", "assemble_reuse", "reuse_point",
-           "run_reuse_sweep"]
+__all__ = ["REUSE_TASKS", "ReuseSweepRow", "assemble_reuse", "reuse_point"]
 
 REUSE_POINTS = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -72,10 +71,6 @@ def assemble_reuse(results: list) -> list[ReuseSweepRow]:
                                   cached.throughput_mib_s,
                                   overlap.throughput_mib_s, cached.hit_rate))
     return rows
-
-
-def run_reuse_sweep() -> list[ReuseSweepRow]:
-    return assemble_reuse(parallel_map(REUSE_TASKS))
 
 
 def format_reuse_sweep(rows: list[ReuseSweepRow]) -> str:

@@ -1,7 +1,9 @@
-"""The sweep's task list, and experiment result persistence.
+"""The sweep's task list, its one run path, and result persistence.
 
 :data:`SWEEP` maps every artifact of ``python -m repro.experiments`` to the
-``(fn, kwargs)`` tasks it runs, so the CLI runs the sweep in one pool.
+``(fn, kwargs)`` tasks it runs, and :func:`run_artifacts` runs any subset
+of them in one pool: the CLI prints and saves what it returns, and the
+shape checks in ``benchmarks/`` assert on it.
 
 Experiments return frozen dataclasses; this module serializes any of them
 to JSON (``save_results``/``load_results``).  The CLI's ``--json PATH``
@@ -18,11 +20,11 @@ from typing import Any, Callable, NamedTuple
 
 from repro.experiments import (ablations, figures67, motivation, overlap_miss,
                                reuse_sweep, table1, table2)
-from repro.experiments.parallel import Task
+from repro.experiments.parallel import Task, parallel_map
 from repro.hw.specs import XEON_E5460
 
-__all__ = ["SWEEP", "Artifact", "load_results", "save_results",
-           "to_jsonable"]
+__all__ = ["SWEEP", "Artifact", "load_results", "run_artifacts",
+           "save_results", "to_jsonable"]
 
 
 class Artifact(NamedTuple):
@@ -82,6 +84,21 @@ SWEEP: dict[str, Artifact] = {
         lambda points: (points[:5], points[5:9], points[9:]),
         ablations.format_ablations, ()),
 }
+
+
+def run_artifacts(names, sizes: list[int], jobs: int = 1,
+                  cache=None) -> dict[str, tuple]:
+    """Run the named artifacts' tasks through one pool; return each
+    artifact's built results (``SWEEP[name].build``), in sweep order.
+
+    Tasks are submitted in sweep order, so worker metric registries merge
+    into the ambient registry in that order whatever ``jobs`` is."""
+    artifacts = {name: SWEEP[name] for name in SWEEP if name in names}
+    task_lists = [artifact.tasks(sizes) for artifact in artifacts.values()]
+    results = iter(parallel_map([t for tasks in task_lists for t in tasks],
+                                jobs=jobs, cache=cache))
+    return {name: artifact.build([next(results) for _ in tasks])
+            for (name, artifact), tasks in zip(artifacts.items(), task_lists)}
 
 
 def to_jsonable(obj: Any) -> Any:

@@ -330,13 +330,14 @@ def run_soak(parser: argparse.ArgumentParser, args: argparse.Namespace,
     """Drive ``run(seed, steps, mode=...)`` from ``soak_parser`` args:
     hunt with ``--until-failure``, else fan the seeds out and print one
     JSON object or one ``summary(result)`` line per seed; exit 1 if any
-    seed violated an invariant.  An empty seed range or a ``--steps`` or
-    ``--max-seeds`` below 1 is a usage error (exit 2)."""
+    seed violated an invariant.  An empty seed range or a ``--steps``,
+    ``--max-seeds`` or ``--jobs`` below 1 is a usage error (exit 2)."""
     if args.seeds and (len(args.seeds) > 2 or not range(*args.seeds)):
         parser.error(f"--seeds {' '.join(map(str, args.seeds))}: want N "
                      f"or LO HI naming at least one seed")
-    if args.steps < 1 or (args.max_seeds is not None and args.max_seeds < 1):
-        parser.error("--steps and --max-seeds must be at least 1")
+    if (args.steps < 1 or args.jobs < 1
+            or (args.max_seeds is not None and args.max_seeds < 1)):
+        parser.error("--steps, --jobs and --max-seeds must be at least 1")
     mode = PinningMode(args.mode) if args.mode else None
     if args.until_failure:
         from repro.faults.shrink import hunt_until_failure

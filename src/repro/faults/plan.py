@@ -14,7 +14,7 @@ chaos harness: every knob is a pure function of the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.faults.models import (
     BernoulliLoss,
@@ -83,9 +83,6 @@ class FaultPlan:
             pin_jitter_ns=rng.choice([0, 50_000]),
             vm_pressure_period_ns=rng.choice([0, 500_000, 2_000_000]),
         )
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
     # -- application ---------------------------------------------------------
     def build_network_models(self) -> list:

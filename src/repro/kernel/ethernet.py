@@ -51,10 +51,6 @@ class EthernetLayer:
         if fused is not None:
             self._fused[ethertype] = fused
 
-    def unregister_protocol(self, ethertype: int) -> None:
-        del self._protocols[ethertype]
-        self._fused.pop(ethertype, None)
-
     def fuse_hint(self, frame: EthernetFrame) -> bool:
         """True if the BH may defer its per-packet charge for this frame."""
         pred = self._fused.get(frame.ethertype)

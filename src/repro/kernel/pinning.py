@@ -301,11 +301,6 @@ class PinService:
             waiter.event.succeed()
 
     # -- cost model ---------------------------------------------------------
-    def pin_cost_ns(self, core: CpuCore, npages: int) -> int:
-        spec = core.spec
-        total = spec.pin_unpin_cost_ns(npages)
-        return int(total * self.pin_fraction)
-
     def unpin_cost_ns(self, core: CpuCore, npages: int) -> int:
         spec = core.spec
         total = spec.pin_unpin_cost_ns(npages)

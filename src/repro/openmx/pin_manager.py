@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
-from repro.hw.cpu import PRIO_KERNEL, CpuCore
+from repro.hw.cpu import CpuCore
 from repro.kernel.context import ExecContext
 from repro.kernel.kernel import Kernel
 from repro.kernel.pinning import PinError
@@ -147,27 +147,6 @@ class PinManager:
                 yield self._waiter_event(region)
                 continue
             return (yield from self._pin_loop(ctx.core, region, ctx.priority))
-
-    def start_overlapped_pin(self, core: CpuCore, region: UserRegion,
-                             on_fail=None) -> None:
-        """Kick off the asynchronous pinning of a region (overlapped modes).
-
-        The pinner runs as deferred kernel work on the submitting core; the
-        caller returns immediately and the low-level communication proceeds
-        (Figure 5: the initiating message is already on the wire).
-        ``on_fail`` is invoked if the region turns out to be unpinnable
-        (invalid addresses) so the transfer can abort with an error.
-        """
-        self._touch(region)
-        if region.state in (RegionState.PINNED, RegionState.PINNING):
-            return
-
-        def pinner():
-            ok = yield from self._pin_loop(core, region, PRIO_KERNEL)
-            if not ok and region.state is RegionState.FAILED and on_fail is not None:
-                on_fail()
-
-        self.env.process(pinner(), name=f"omx.pin.r{region.id}")
 
     def pin_prefix(self, ctx: ExecContext, region: UserRegion,
                    npages: int) -> Generator:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.experiments.figures67 import run_pingpong_series
-from repro.hw import OPTERON_265, XEON_E5460, slower_nic, MYRI_10G
+from repro.experiments.figures67 import PingpongSeries, pingpong_point
+from repro.hw import OPTERON_265, XEON_E5460
 from repro.openmx import PinningMode
 from repro.util.units import MIB
 
@@ -11,11 +11,15 @@ from repro.util.units import MIB
 SIZES = [1 * MIB, 8 * MIB]
 
 
+def curve(mode, sizes=SIZES, cpu=XEON_E5460):
+    """One curve of ``mode`` without I/OAT, a fresh cluster per point."""
+    return PingpongSeries(mode.value, tuple(
+        pingpong_point(mode, False, nbytes, cpu) for nbytes in sizes))
+
+
 def gap_at(cpu, size=8 * MIB):
-    per_comm = run_pingpong_series("pc", PinningMode.PIN_PER_COMM, False,
-                                   SIZES, cpu)
-    permanent = run_pingpong_series("pm", PinningMode.PERMANENT, False,
-                                    SIZES, cpu)
+    per_comm = curve(PinningMode.PIN_PER_COMM, cpu=cpu)
+    permanent = curve(PinningMode.PERMANENT, cpu=cpu)
     return 1 - per_comm.throughput_at(size) / permanent.throughput_at(size)
 
 
@@ -31,7 +35,7 @@ def test_slow_cpu_pays_more():
 
 def test_modes_ordering_holds_at_every_size():
     series = {
-        mode: run_pingpong_series(mode.value, mode, False, SIZES)
+        mode: curve(mode)
         for mode in (PinningMode.PIN_PER_COMM, PinningMode.OVERLAP,
                      PinningMode.CACHE)
     }
@@ -43,6 +47,6 @@ def test_modes_ordering_holds_at_every_size():
 
 
 def test_throughput_at_unknown_size_raises():
-    s = run_pingpong_series("x", PinningMode.CACHE, False, [1 * MIB])
+    s = curve(PinningMode.CACHE, [1 * MIB])
     with pytest.raises(KeyError):
         s.throughput_at(2 * MIB)

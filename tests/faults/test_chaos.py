@@ -106,6 +106,8 @@ def test_cli_until_failure_gives_up_after_max_seeds(cli, capsys):
     ["--steps", "0"],
     ["--steps", "-2"],
     ["--until-failure", "--max-seeds", "0"],
+    ["--jobs", "0"],
+    ["--jobs", "-2"],
 ], ids=" ".join)
 def test_cli_bad_input_is_a_usage_error(cli, argv, capsys):
     """A soak that would test nothing (or crash) exits 2 before running."""

@@ -1,7 +1,5 @@
 """Tests for the pinning strategy engine."""
 
-import pytest
-
 from repro.cluster.network import Fabric
 from repro.hw import PAGE_SIZE, XEON_E5460, Host
 from repro.kernel import Kernel
@@ -102,6 +100,7 @@ def test_comm_done_keeps_pinned_in_cached_mode():
 def test_overlapped_pin_advances_watermark_over_time():
     env, host, kernel, mgr, proc, _ = build(PinningMode.OVERLAP)
     region, _ = region_of(proc, 256 * PAGE_SIZE)
+    ctx = AcquiringContext(env, proc.core)
     samples = []
 
     def sampler():
@@ -109,7 +108,8 @@ def test_overlapped_pin_advances_watermark_over_time():
             samples.append(region.watermark)
             yield env.timeout(1_000)
 
-    mgr.start_overlapped_pin(proc.core, region)
+    # The overlapped syscall pins from its own process; the caller goes on.
+    env.process(mgr.acquire_pinned(ctx, region))
     env.process(sampler())
     env.run()
     assert region.state is RegionState.PINNED
@@ -157,12 +157,13 @@ def test_invalidation_during_active_comm_is_deferred():
 def test_invalidation_cancels_inflight_pinner():
     env, host, kernel, mgr, proc, counters = build(PinningMode.OVERLAP_CACHE)
     region, _ = region_of(proc, 512 * PAGE_SIZE)
+    ctx = AcquiringContext(env, proc.core)
 
     def invalidator():
         yield env.timeout(10_000)  # mid-pin (full pin takes ~58us)
         mgr.invalidated(region)
 
-    mgr.start_overlapped_pin(proc.core, region)
+    env.process(mgr.acquire_pinned(ctx, region))
     env.process(invalidator())
     env.run()
     assert region.state is not RegionState.PINNED

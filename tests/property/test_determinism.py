@@ -8,7 +8,7 @@ from repro.openmx import OpenMXConfig, PinningMode
 from repro.util.units import KIB
 
 
-def run_once(mode, nbytes, nmsgs, trace):
+def simulate(mode, nbytes, nmsgs, trace):
     cluster = build_cluster(config=OpenMXConfig(pinning_mode=mode),
                             trace=trace)
     env = cluster.env
@@ -46,6 +46,6 @@ def run_once(mode, nbytes, nmsgs, trace):
     nmsgs=st.integers(min_value=1, max_value=4),
 )
 def test_bit_identical_reruns(mode, nbytes, nmsgs):
-    a = run_once(mode, nbytes, nmsgs, trace=True)
-    b = run_once(mode, nbytes, nmsgs, trace=True)
+    a = simulate(mode, nbytes, nmsgs, trace=True)
+    b = simulate(mode, nbytes, nmsgs, trace=True)
     assert a == b
