@@ -14,9 +14,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-__all__ = ["Frame", "OutOfMemory", "PAGE_SIZE", "PhysicalMemory"]
+__all__ = ["Frame", "OutOfMemory", "PAGE_SIZE", "PhysicalMemory", "ZERO_PAGE"]
 
 PAGE_SIZE = 4096
+
+# What a never-written frame reads as.  Copy paths slice it instead of
+# allocating the frame's bytearray, so a read leaves the frame lazy.
+ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class OutOfMemory(Exception):
@@ -52,6 +56,9 @@ class Frame:
         return self._data
 
     def write(self, offset: int, payload: bytes | bytearray | memoryview) -> None:
+        # As bytes: a typed buffer (an array of float64, say) has fewer
+        # items than bytes, so its len() would not bound what it writes.
+        payload = memoryview(payload).cast("B")
         end = offset + len(payload)
         if offset < 0 or end > PAGE_SIZE:
             raise ValueError(f"write [{offset}, {end}) outside frame")

@@ -28,7 +28,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
-from repro.hw.memory import PAGE_SIZE, Frame, OutOfMemory, PhysicalMemory
+from repro.hw.memory import (PAGE_SIZE, ZERO_PAGE, Frame, OutOfMemory,
+                              PhysicalMemory)
 from repro.kernel.mmu_notifier import MMUNotifierChain
 
 __all__ = ["AddressSpace", "BadAddress", "Vma", "PAGE_SIZE", "page_count", "page_align"]
@@ -331,9 +332,13 @@ class AddressSpace:
 
     # -- data access (application-level; timing charged by callers) ---------
     def write(self, addr: int, data: bytes | bytearray | memoryview) -> None:
+        """Copy ``data`` into [addr, +nbytes), faulting pages in and breaking
+        COW shares page by page; a page's bytes are allocated on first
+        touch.  A write that faults on an unmapped page has already written
+        the pages before it."""
+        src = memoryview(data).cast("B")
+        length = len(src)
         offset = 0
-        data = memoryview(data)
-        length = len(data)
         pages = self._pages
         while offset < length:
             va = addr + offset
@@ -344,12 +349,19 @@ class AddressSpace:
             elif frame.map_count > 1:
                 frame = self._break_cow(vpn, notify=True)  # COW write fault
             in_page = va % PAGE_SIZE
-            chunk = min(PAGE_SIZE - in_page, length - offset)
-            frame.write(in_page, data[offset : offset + chunk])
+            chunk = PAGE_SIZE - in_page
+            if chunk > length - offset:
+                chunk = length - offset
+            buf = frame._data
+            if buf is None:
+                buf = frame._data = bytearray(PAGE_SIZE)
+            buf[in_page:in_page + chunk] = src[offset:offset + chunk]
             offset += chunk
 
     def read(self, addr: int, length: int) -> bytes:
-        out = bytearray()
+        """The bytes of [addr, +length), faulting absent pages in.  A page
+        never written reads as zeros and stays unallocated."""
+        pieces: list[bytes | memoryview] = []
         offset = 0
         pages = self._pages
         while offset < length:
@@ -358,10 +370,16 @@ class AddressSpace:
             if frame is None:
                 frame = self.fault_in(va)  # absent page: take the fault
             in_page = va % PAGE_SIZE
-            chunk = min(PAGE_SIZE - in_page, length - offset)
-            out += frame.read(in_page, chunk)
+            chunk = PAGE_SIZE - in_page
+            if chunk > length - offset:
+                chunk = length - offset
+            buf = frame._data
+            if buf is None:
+                buf = ZERO_PAGE
+            pieces.append(buf if chunk == PAGE_SIZE
+                          else memoryview(buf)[in_page:in_page + chunk])
             offset += chunk
-        return bytes(out)
+        return b"".join(pieces)
 
     # -- pinning hooks (used by repro.kernel.pinning) ------------------------
     def pin_page(self, addr: int) -> Frame:

@@ -93,8 +93,11 @@ class UserProcess:
     def free(self, addr: int, *, unmap: bool = True) -> None:
         self.heap.free(addr, unmap=unmap)
 
-    def write(self, addr: int, data: bytes) -> None:
-        """Application store to memory (contents only; time via compute())."""
+    def write(self, addr: int, data: bytes | bytearray | memoryview) -> None:
+        """Application store to memory (contents only; time via compute()).
+
+        ``data`` may be any contiguous buffer (a numpy array, say); its
+        bytes are written, not its items."""
         self.aspace.write(addr, data)
 
     def read(self, addr: int, length: int) -> bytes:

@@ -55,7 +55,7 @@ def _sum_into(rc: RankComm, dst_va: int, src_va: int, nbytes: int) -> None:
     a = np.frombuffer(rc.read(dst_va, nbytes), dtype=np.float64).copy()
     b = np.frombuffer(rc.read(src_va, nbytes), dtype=np.float64)
     a += b
-    rc.write(dst_va, a.tobytes())
+    rc.write(dst_va, a)
 
 
 def bcast(rc: RankComm, va: int, nbytes: int, root: int = 0) -> Generator:

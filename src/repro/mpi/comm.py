@@ -216,7 +216,7 @@ class RankComm:
     def free(self, va: int) -> None:
         self.proc.free(va)
 
-    def write(self, va: int, data: bytes) -> None:
+    def write(self, va: int, data: bytes | bytearray | memoryview) -> None:
         self.proc.write(va, data)
 
     def read(self, va: int, nbytes: int) -> bytes:

@@ -16,16 +16,23 @@ while the tail is still being pinned (Section 3.3).
 All reads/writes go through the pinned physical frames — never through the
 page table — exactly like the real driver's kernel-remap + memcpy path, so a
 stale pin (the bug notifier-less caches have) corrupts data detectably.
+
+The copy path copies each byte once, as the driver's single memcpy per
+fragment does.  A read or write walks the pages it touches in one loop
+(``_copy``): a read joins memoryview slices of the frames' bytes into one
+``bytes`` (a frame never written contributes a slice of the shared
+:data:`~repro.hw.memory.ZERO_PAGE` and stays unallocated); a write takes
+one byte view of its payload and assigns each page's piece straight into
+that frame's ``bytearray``.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.hw.memory import PAGE_SIZE, Frame
+from repro.hw.memory import PAGE_SIZE, ZERO_PAGE, Frame
 from repro.kernel.address_space import AddressSpace, page_count
 
 __all__ = ["RegionState", "Segment", "UserRegion", "segments_pages"]
@@ -181,39 +188,57 @@ class UserRegion:
         return self.watermark == self.npages
 
     # -- data access through pinned frames ------------------------------------
-    def _pieces(self, offset: int, length: int
-                ) -> Iterator[tuple[Frame, int, int]]:
-        """(frame, in-page offset, bytes) for each page [offset, +length) touches.
+    def _copy(self, offset: int, length: int,
+              src: memoryview | None) -> list[bytes | memoryview]:
+        """Walk the pinned frames [offset, +length) touches, in one loop.
 
-        One bisect finds the first page; every later piece is on the next
-        page, so an 8 KiB chunk costs one locate, not one per page.  Lazy
-        on purpose: a write that reaches a page beyond the watermark has
-        already written the pages before it.
+        With ``src`` None this is a read: it returns the pieces to join, a
+        memoryview slice of each page's bytes (of :data:`ZERO_PAGE` for a
+        frame never written, which stays unallocated).  Otherwise it writes
+        ``src`` into the pages, allocating a page's bytes on first touch,
+        and returns nothing to join.  One bisect finds the first page;
+        every later piece is on the next page, so an 8 KiB chunk costs one
+        locate, not one per page.  A write that reaches a page beyond the
+        watermark has already written the pages before it.
         """
+        pieces: list[bytes | memoryview] = []
         if length <= 0:
-            return
+            return pieces
         i, delta, page = self._locate(offset)
         segments = self.segments
         frames = self.frames
         seg = segments[i]
         va = seg.va + delta
         seg_end = seg.va + seg.length
-        pos = offset
+        done = 0
         while True:
             frame = frames[page]
             if frame is None:
                 raise RuntimeError(
-                    f"region {self.id}: access at offset {pos} beyond "
-                    f"pinned watermark (page {page}, watermark "
+                    f"region {self.id}: access at offset {offset + done} "
+                    f"beyond pinned watermark (page {page}, watermark "
                     f"{self.watermark})"
                 )
             in_page = va % PAGE_SIZE
-            chunk = min(PAGE_SIZE - in_page, seg_end - va, length)
-            yield frame, in_page, chunk
-            length -= chunk
-            if not length:
-                return
-            pos += chunk
+            # min() of the three, without a builtin call per page.
+            chunk = PAGE_SIZE - in_page
+            if chunk > seg_end - va:
+                chunk = seg_end - va
+            if chunk > length - done:
+                chunk = length - done
+            buf = frame._data
+            if src is None:
+                if buf is None:
+                    buf = ZERO_PAGE
+                pieces.append(buf if chunk == PAGE_SIZE
+                              else memoryview(buf)[in_page:in_page + chunk])
+            else:
+                if buf is None:
+                    buf = frame._data = bytearray(PAGE_SIZE)
+                buf[in_page:in_page + chunk] = src[done:done + chunk]
+            done += chunk
+            if done == length:
+                return pieces
             # The next piece starts a page: the next one of this segment,
             # or the first of the next segment, which segments_pages lists
             # right after this segment's last.
@@ -222,26 +247,20 @@ class UserRegion:
             if va == seg_end:
                 i += 1
                 if i == len(segments):
-                    raise ValueError(
-                        f"offset {pos} outside region of {self.total_length}")
+                    raise ValueError(f"offset {offset + done} outside "
+                                     f"region of {self.total_length}")
                 seg = segments[i]
                 va = seg.va
                 seg_end = va + seg.length
 
     def read(self, offset: int, length: int) -> bytes:
         """Read bytes out of the pinned frames (send-side DMA)."""
-        out = bytearray()
-        for frame, in_page, chunk in self._pieces(offset, length):
-            out += frame.read(in_page, chunk)
-        return bytes(out)
+        return b"".join(self._copy(offset, length, None))
 
-    def write(self, offset: int, data: bytes) -> None:
+    def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
         """Write bytes into the pinned frames (receive-side copy)."""
-        view = memoryview(data)
-        done = 0
-        for frame, in_page, chunk in self._pieces(offset, len(data)):
-            frame.write(in_page, view[done : done + chunk])
-            done += chunk
+        src = memoryview(data).cast("B")
+        self._copy(offset, len(src), src)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -68,7 +68,13 @@ Ordering is provably bit-identical to the old global heap:
 The engine has two dispatch bodies: ``run()``'s inlined loop, which
 serves every stop condition (a stop event ends it from a hook appended as
 the event's last callback; a deadline is checked once per tick), and
-``step()``.  ``Environment(debug=True)`` runs ``run()``'s stop handling
+``step()``.  ``run()``'s loop also stages the two commonest ticks itself,
+without calling ``_advance_tick``: a level-0 slot, and a level-1 slot
+holding exactly one entry (most timers are filed at level 1, so this is
+most cascades), which ``_cascade`` would hand over as is.  It counts them
+in ``wheel_ticks``/``wheel_cascades`` as those helpers do; a change to
+how ``_advance_tick`` or ``_cascade`` stage or count a tick must be made
+there too.  ``Environment(debug=True)`` runs ``run()``'s stop handling
 around ``step()``, which verifies waiter accounting (``_waiters`` vs
 attached waiter callbacks) and wheel-slot ordering on every dispatch — the
 torture/chaos harnesses use it to catch detach-accounting bugs under
@@ -868,6 +874,10 @@ class Environment:
         case: a lone poll or retransmit timer), the slot itself is that
         list, and filing it into level 0 only to pop the same entries back
         would be a bounce.  It is still counted as a cascade.
+
+        ``run()``'s loop stages a one-entry level-1 slot inline in the same
+        way (clear its bit, set the clock, count one tick and one cascade)
+        and calls this only for the other cases; keep the two in sync.
         """
         occ1 = self._occ1
         if not occ1:
@@ -1165,14 +1175,17 @@ class Environment:
         r = self._ready
         rpop = r.popleft
         rextend = r.extend
+        rappend = r.append
         advance = self._advance_tick
         l0 = self._l0
+        l1 = self._l1
         pool = self._timeout_pool
         pool_cap = _TIMEOUT_POOL_CAP
         limit = _NO_DEADLINE if deadline is None else deadline
         processed = 0
         recycled = 0
         ticks = 0
+        cascades = 0
         try:
             if stop_event is not None and stop_event.callbacks is None:
                 pass  # already processed: return its value at once
@@ -1198,8 +1211,10 @@ class Environment:
                                 pool.append(event)
                         elif not event._ok and not event._defused:
                             raise event._value
-                    # Inline level-0 tick (the overwhelmingly common case);
-                    # cascades fall back to _advance_tick.
+                    # Stage the next tick inline when it is a level-0 slot
+                    # or a one-entry level-1 slot (most timers are filed
+                    # at level 1), as _advance_tick would; every other
+                    # case goes through it.
                     occ = self._occ0
                     if occ:
                         bit = occ & -occ
@@ -1214,17 +1229,33 @@ class Environment:
                         ticks += 1
                         rextend(slot)
                         slot.clear()
-                    else:
-                        if deadline is not None:
-                            nxt = self._next_time()
-                            if nxt is None:
-                                break
-                            if nxt > deadline:
+                        continue
+                    occ = self._occ1
+                    if occ:
+                        bit = occ & -occ
+                        slot = l1[bit.bit_length() - 1]
+                        if len(slot) == 1:
+                            nxt = slot[0]._when
+                            if nxt > limit:
                                 self._now = deadline
                                 self._resync()
                                 break
-                        if not advance():
+                            self._occ1 = occ ^ bit
+                            self._now = nxt
+                            ticks += 1
+                            cascades += 1
+                            rappend(slot.pop())
+                            continue
+                    if deadline is not None:
+                        nxt = self._next_time()
+                        if nxt is None:
                             break
+                        if nxt > deadline:
+                            self._now = deadline
+                            self._resync()
+                            break
+                    if not advance():
+                        break
         except _StopRun:
             # The stop event is being dispatched and its hook cut the
             # callback loop short: run what was attached after the hook,
@@ -1243,6 +1274,7 @@ class Environment:
                 settler.settle()
             self.timeouts_recycled += recycled
             self.wheel_ticks += ticks
+            self.wheel_cascades += cascades
             wall = _time.perf_counter() - wall_start
             self.wall_time_s += wall
             if self.metrics is not None:

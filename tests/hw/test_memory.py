@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.hw import PAGE_SIZE, OutOfMemory, PhysicalMemory
@@ -65,6 +66,19 @@ def test_frame_read_write_bounds():
         f.read(-1, 2)
     with pytest.raises(ValueError):
         f.read(PAGE_SIZE, 1)
+
+
+def test_frame_write_is_bounded_by_bytes_not_items():
+    # Four float64 items are 32 bytes: a write that ends past the page by
+    # bytes is refused, and one that fits leaves the frame one page long.
+    mem = make_mem()
+    f = mem.allocate()
+    items = np.arange(4, dtype=np.float64)
+    with pytest.raises(ValueError):
+        f.write(PAGE_SIZE - 8, items)
+    f.write(PAGE_SIZE - 32, items)
+    assert len(f.data) == PAGE_SIZE
+    assert f.read(PAGE_SIZE - 32, 32) == items.tobytes()
 
 
 def test_read_untouched_frame_returns_zeros():

@@ -1,5 +1,6 @@
 """Tests for user regions: geometry, watermark coverage, frame I/O."""
 
+import numpy as np
 import pytest
 
 from repro.hw import PAGE_SIZE, PhysicalMemory
@@ -93,6 +94,22 @@ def test_read_write_through_frames_roundtrip(aspace):
     # And the application sees the same bytes through its page table,
     # because pinned frames ARE the mapped frames.
     assert aspace.read(r.segments[0].va, r.total_length) == data
+
+
+def test_typed_buffer_is_written_as_its_bytes_through_both_paths(aspace):
+    # A float64 array has fewer items than bytes.  Written across a page
+    # boundary through the page table and through a pinned region, it must
+    # land as its bytes, and no frame may grow past one page.
+    items = np.arange(1, 17, dtype=np.float64)  # 128 bytes
+    va = aspace.mmap(2 * PAGE_SIZE)
+    aspace.write(va + PAGE_SIZE - 40, items)
+    assert aspace.read(va + PAGE_SIZE - 40, items.nbytes) == items.tobytes()
+    r = make_region(aspace, [2 * PAGE_SIZE])
+    frames = pin_all(r)
+    r.write(PAGE_SIZE - 72, items[::-1].copy())
+    assert r.read(PAGE_SIZE - 72, items.nbytes) == items[::-1].tobytes()
+    for frame in [aspace.page(va), aspace.page(va + PAGE_SIZE), *frames]:
+        assert len(frame.data) == PAGE_SIZE
 
 
 def test_access_beyond_watermark_raises(aspace):

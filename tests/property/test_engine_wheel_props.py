@@ -54,7 +54,12 @@ _TRACES = st.lists(
 
 
 def _run_trace(env_cls, trace, chunks=None):
-    """Execute one trace; return (firing log, events processed, final now)."""
+    """Execute one trace; return (firing log, events processed, final now,
+    wheel counters).
+
+    The wheel counters are ``(wheel_ticks, wheel_cascades,
+    wheel_promotions)``, or None on the heap spec, which has no wheel.
+    """
     env = env_cls()
     log = []
     quiet = []
@@ -101,14 +106,16 @@ def _run_trace(env_cls, trace, chunks=None):
                 break
             env.run(until=env.now + chunk)
         env.run()
-    return log, env.events_processed, env.now
+    wheel = (None if not hasattr(env, "wheel_ticks") else
+             (env.wheel_ticks, env.wheel_cascades, env.wheel_promotions))
+    return log, env.events_processed, env.now, wheel
 
 
 @settings(max_examples=120, deadline=None)
 @given(trace=_TRACES)
 def test_wheel_equals_heap_engine(trace):
-    assert (_run_trace(Environment, trace)
-            == _run_trace(heap_engine_spec.Environment, trace))
+    assert (_run_trace(Environment, trace)[:3]
+            == _run_trace(heap_engine_spec.Environment, trace)[:3])
 
 
 @settings(max_examples=80, deadline=None)
@@ -116,15 +123,28 @@ def test_wheel_equals_heap_engine(trace):
        chunks=st.lists(st.integers(min_value=1, max_value=9_000_000),
                        min_size=1, max_size=20))
 def test_wheel_equals_heap_engine_in_deadline_segments(trace, chunks):
-    assert (_run_trace(Environment, trace, chunks)
-            == _run_trace(heap_engine_spec.Environment, trace, chunks))
+    assert (_run_trace(Environment, trace, chunks)[:3]
+            == _run_trace(heap_engine_spec.Environment, trace, chunks)[:3])
 
 
 @settings(max_examples=60, deadline=None)
 @given(trace=_TRACES)
 def test_debug_mode_equals_plain_mode(trace):
     # The checked dispatch loop must be semantically identical to the
-    # specialized fast loops — and no generated trace may trip its
-    # waiter-accounting or slot-ordering invariants.
+    # specialized fast loops, and count the same ticks, cascades and
+    # promotions (the fast loop stages some ticks itself) — and no
+    # generated trace may trip its waiter-accounting or slot-ordering
+    # invariants.
     assert (_run_trace(lambda: Environment(debug=True), trace)
             == _run_trace(Environment, trace))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=_TRACES,
+       chunks=st.lists(st.integers(min_value=1, max_value=9_000_000),
+                       min_size=1, max_size=20))
+def test_debug_mode_equals_plain_mode_in_deadline_segments(trace, chunks):
+    # As above, with deadline stops: the fast loop's inline deadline
+    # checks must stop, resync and count where the checked loop does.
+    assert (_run_trace(lambda: Environment(debug=True), trace, chunks)
+            == _run_trace(Environment, trace, chunks))

@@ -7,7 +7,8 @@ accesses crossing page and segment boundaries, partly pinned), they must
 move exactly the bytes the spec below moves, and fail the same way: the
 same ``RuntimeError`` text for an access past the pinned watermark (after
 writing the same pinned pages before it), and the same ``ValueError`` text
-for an access past the region's end.
+for an access past the region's end.  A read must also leave a frame that
+was never written unallocated.
 
 The spec is the plain form: every page's segment is found again with a
 linear scan from the first segment.
@@ -111,8 +112,11 @@ def test_read_equals_page_by_page_spec(segments, pinned, access):
     region, _ = _build(segments, pinned)
     where, length = access
     offset = int(region.total_length * where)
+    lazy = [f for f in region.frames if f is not None and f._data is None]
     assert (_outcome(region.read, offset, length)
             == _outcome(_spec_read, region, offset, length))
+    # A read leaves every never-written frame unallocated.
+    assert all(f._data is None for f in lazy)
 
 
 @settings(max_examples=150, deadline=None)
