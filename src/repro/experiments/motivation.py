@@ -76,13 +76,12 @@ def _omx_run(nbytes: int, use_ioat: bool) -> MotivationRow:
     marks = {}
 
     def sender():
-        req = yield from s.isend(sbuf, nbytes, r.board, r.endpoint_id, 1,
-                                 blocking=True)
+        req = yield from s.isend(sbuf, nbytes, r.board, r.endpoint_id, 1)
         yield from s.wait(req)
 
     def receiver():
         t0 = env.now
-        req = yield from r.irecv(rbuf, nbytes, 1, blocking=True)
+        req = yield from r.irecv(rbuf, nbytes, 1)
         yield from r.wait(req)
         marks["elapsed"] = env.now - t0
 

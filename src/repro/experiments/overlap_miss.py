@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.cluster import build_cluster
 from repro.kernel.context import AcquiringContext
 from repro.openmx import OpenMXConfig, PinningMode
+from repro.openmx.config import DATA_FRAME_PAYLOAD
 from repro.sim.trace import summarize
 from repro.util.units import MIB, throughput_mib_s
 from repro.workloads import imb_pingpong
@@ -59,7 +60,7 @@ def run_miss_probability(nbytes: int = 8 * MIB,
     misses = 0
     for node in cluster.nodes:
         c = node.driver.counters
-        packets += c["pull_bytes"] // cluster.config.data_frame_payload
+        packets += c["pull_bytes"] // DATA_FRAME_PAYLOAD
         misses += c["overlap_miss_recv"] + c["overlap_miss_send"]
     return MissProbabilityResult(packets, misses)
 

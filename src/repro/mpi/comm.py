@@ -91,20 +91,18 @@ class RankComm:
 
     # -- non-blocking p2p ---------------------------------------------------------
     def isend(self, va: int, nbytes: int, dest: int, tag: int = 0,
-              context: int = 0, blocking: bool = False) -> Generator:
+              context: int = 0) -> Generator:
         if not 0 <= dest < self.size:
             raise ValueError(f"bad destination rank {dest}")
         if not 0 <= tag <= _TAG_MASK:
             raise ValueError(f"tag {tag} out of range")
         board, endpoint = self.comm._addresses[dest]
         match = _encode(context, self.rank, tag)
-        omx = yield from self.lib.isend(va, nbytes, board, endpoint, match,
-                                        blocking=blocking)
+        omx = yield from self.lib.isend(va, nbytes, board, endpoint, match)
         return MpiRequest(omx, self.lib)
 
     def irecv(self, va: int, nbytes: int, src: int = ANY_SOURCE,
-              tag: int = ANY_TAG, context: int = 0,
-              blocking: bool = False) -> Generator:
+              tag: int = ANY_TAG, context: int = 0) -> Generator:
         mask = MATCH_FULL_MASK
         src_field = src
         tag_field = tag
@@ -115,18 +113,17 @@ class RankComm:
             mask &= ~_TAG_MASK
             tag_field = 0
         match = _encode(context, src_field, tag_field)
-        omx = yield from self.lib.irecv(va, nbytes, match, mask,
-                                        blocking=blocking)
+        omx = yield from self.lib.irecv(va, nbytes, match, mask)
         return MpiRequest(omx, self.lib)
 
     # -- blocking p2p ----------------------------------------------------------------
     def send(self, va: int, nbytes: int, dest: int, tag: int = 0) -> Generator:
-        req = yield from self.isend(va, nbytes, dest, tag, blocking=True)
+        req = yield from self.isend(va, nbytes, dest, tag)
         yield from self.wait(req)
 
     def recv(self, va: int, nbytes: int, src: int = ANY_SOURCE,
              tag: int = ANY_TAG) -> Generator:
-        req = yield from self.irecv(va, nbytes, src, tag, blocking=True)
+        req = yield from self.irecv(va, nbytes, src, tag)
         yield from self.wait(req)
         return req.omx.received_length
 

@@ -24,7 +24,45 @@ from dataclasses import dataclass
 
 from repro.util.units import SECOND
 
-__all__ = ["OpenMXConfig", "PinningMode"]
+__all__ = [
+    "CACHE_LOOKUP_NS", "DATA_FRAME_PAYLOAD", "EAGER_MAX", "MATCH_COST_NS",
+    "OpenMXConfig", "PIN_RETRY_BACKOFF_NS", "PIN_RETRY_MAX", "PULL_BLOCK",
+    "PULL_WINDOW", "PinningMode", "RESEND_BACKOFF_CAP", "RESEND_BACKOFF_FACTOR",
+    "RESEND_JITTER_FRAC",
+]
+
+# Protocol constants (MXoE values).  No experiment varies them, so they are
+# module constants rather than OpenMXConfig fields.
+
+# MXoE message classes: everything up to EAGER_MAX goes through the
+# statically-pinned intermediate buffers; larger goes rendezvous.
+EAGER_MAX = 32 * 1024
+# Payload bytes per data frame (2 pages; fits a 9000-byte jumbo MTU).
+DATA_FRAME_PAYLOAD = 8192
+# Pull protocol: block size per pull request (a multiple of the frame
+# payload), and how many pull requests the receiver keeps outstanding.
+PULL_BLOCK = 64 * 1024
+PULL_WINDOW = 2
+
+# Exponential backoff on both retransmit timers: each consecutive
+# unproductive round multiplies the timeout by RESEND_BACKOFF_FACTOR, capped
+# at RESEND_BACKOFF_CAP times the base timeout.  A deterministic per-request
+# jitter of up to RESEND_JITTER_FRAC of the delay desynchronizes
+# retransmission bursts without an RNG.
+RESEND_BACKOFF_FACTOR = 2.0
+RESEND_BACKOFF_CAP = 8
+RESEND_JITTER_FRAC = 0.1
+
+# Pin-failure handling: retry a failed region pin up to PIN_RETRY_MAX times
+# (transient ENOMEM, notifier cancellation), waiting PIN_RETRY_BACKOFF_NS
+# (doubled per attempt) between tries; if the pin still fails but the
+# addresses are valid, fall back to copying through the statically-pinned
+# eager buffers instead of aborting.
+PIN_RETRY_MAX = 2
+PIN_RETRY_BACKOFF_NS = 100_000
+
+CACHE_LOOKUP_NS = 250  # region cache: hash lookup + pinned-state check
+MATCH_COST_NS = 500  # library matching + queue bookkeeping per message
 
 
 class PinningMode(enum.Enum):
@@ -45,41 +83,15 @@ class PinningMode(enum.Enum):
 
 @dataclass(frozen=True)
 class OpenMXConfig:
-    """Protocol and implementation tunables (defaults follow MXoE)."""
+    """The Open-MX settings an experiment, soak or test varies (defaults
+    follow MXoE); the fixed protocol constants are module-level above."""
 
     pinning_mode: PinningMode = PinningMode.PIN_PER_COMM
     use_ioat: bool = False
 
-    # MXoE message classes: everything up to eager_max goes through the
-    # statically-pinned intermediate buffers; larger goes rendezvous.
-    eager_max: int = 32 * 1024
-    # Payload bytes per data frame (2 pages; fits a 9000-byte jumbo MTU).
-    data_frame_payload: int = 8192
-    # Pull protocol: block size per pull request, and how many pull
-    # requests the receiver keeps outstanding.
-    pull_block: int = 64 * 1024
-    pull_window: int = 2
-
     # Reliability.
     resend_timeout_ns: int = SECOND  # the paper's 1 s retransmission timeout
     max_resend_rounds: int = 8  # give up (error) after this many dead timeouts
-    # Exponential backoff on both retransmit timers: each consecutive
-    # unproductive round multiplies the timeout by ``resend_backoff_factor``
-    # (1.0 restores the paper's fixed timer), capped at
-    # ``resend_backoff_cap_ns`` (None: 8x the base timeout).  A deterministic
-    # per-request jitter of up to ``resend_jitter_frac`` of the delay
-    # desynchronizes retransmission bursts without an RNG.
-    resend_backoff_factor: float = 2.0
-    resend_backoff_cap_ns: int | None = None
-    resend_jitter_frac: float = 0.1
-    # Pin-failure handling: retry a failed region pin up to ``pin_retry_max``
-    # times (transient ENOMEM, notifier cancellation), waiting
-    # ``pin_retry_backoff_ns`` (doubled per attempt) between tries; if the
-    # pin still fails but the addresses are valid, fall back to copying
-    # through the statically-pinned eager buffers instead of aborting.
-    pin_retry_max: int = 2
-    pin_retry_backoff_ns: int = 100_000
-    pin_fallback_to_copy: bool = True
 
     # Fair pin-budget admission (off by default: legacy behaviour is
     # reclaim-then-try, first caller to the budget wins).  When enabled, a
@@ -98,7 +110,6 @@ class OpenMXConfig:
 
     # User-space region cache (Section 3.2).
     region_cache_capacity: int = 64
-    cache_lookup_ns: int = 250  # hash lookup + pinned-state check
     # Validate cache hits against the VMA creation generation of the hit
     # range (off by default: the paper's design needs no user-space
     # invalidation — kernel notifiers keep stale *pins* safe; the check
@@ -113,35 +124,26 @@ class OpenMXConfig:
     # "some additional tests on the region descriptor".
     overlap_check_ns: int = 30
 
-    # Extensions the paper proposes as future work:
-    # Section 4.3: "pinning a few pages synchronously anyway before sending
-    # the initiating message to reduce the chance of getting some
-    # overlap-misses".  0 disables the synchronous prefix.
-    overlap_sync_pages: int = 0
-    # Section 5: only enable overlapped pinning for *blocking* operations
-    # (they gain the most; overlap-aware applications prefer the simple
-    # model with lower overhead).
-    adaptive_overlap: bool = False
-
-    # Library behaviour.
-    poll_slice_ns: int = 5_000  # completion-spin granularity
-    match_cost_ns: int = 500  # matching + queue bookkeeping per message
+    # Completion-spin granularity.  No experiment varies it; it stays a
+    # field because the poll-spin twin property
+    # (tests/property/test_poll_spin_props.py) draws it.
+    poll_slice_ns: int = 5_000
 
     def __post_init__(self):
-        if self.data_frame_payload <= 0:
-            raise ValueError("data_frame_payload must be positive")
-        if self.pull_block % self.data_frame_payload:
-            raise ValueError("pull_block must be a multiple of the frame payload")
-        if self.pull_window < 1:
-            raise ValueError("pull_window must be >= 1")
-        if self.eager_max < 0:
-            raise ValueError("eager_max must be >= 0")
-        if self.resend_backoff_factor < 1.0:
-            raise ValueError("resend_backoff_factor must be >= 1.0")
-        if not 0.0 <= self.resend_jitter_frac < 1.0:
-            raise ValueError("resend_jitter_frac must be in [0, 1)")
-        if self.pin_retry_max < 0:
-            raise ValueError("pin_retry_max must be >= 0")
+        if self.poll_slice_ns < 1:
+            raise ValueError("poll_slice_ns must be >= 1")
+        if self.overlap_check_ns < 0:
+            raise ValueError("overlap_check_ns must be >= 0")
+        if self.resend_timeout_ns < 1:
+            raise ValueError("resend_timeout_ns must be >= 1")
+        if self.max_resend_rounds < 0:
+            raise ValueError("max_resend_rounds must be >= 0")
+        if self.region_cache_capacity < 1:
+            raise ValueError("region_cache_capacity must be >= 1")
+        if self.pin_queue_wait_max_ns < 0:
+            raise ValueError("pin_queue_wait_max_ns must be >= 0")
+        if not 0.0 < self.pin_queue_max_share <= 1.0:
+            raise ValueError("pin_queue_max_share must be in (0, 1]")
 
     def resend_delay_ns(self, dead_rounds: int, key: int = 0) -> int:
         """Retransmission delay after ``dead_rounds`` unproductive rounds.
@@ -150,13 +152,11 @@ class OpenMXConfig:
         (a request seq/handle) — no RNG, so simulations stay reproducible.
         """
         base = self.resend_timeout_ns
-        cap = (self.resend_backoff_cap_ns if self.resend_backoff_cap_ns
-               is not None else 8 * base)
-        delay = min(int(base * self.resend_backoff_factor ** dead_rounds), cap)
-        if self.resend_jitter_frac > 0.0:
-            # Knuth multiplicative hash over (key, round): spreads timers
-            # without PYTHONHASHSEED-dependent behaviour.
-            h = ((key * 2654435761 + dead_rounds * 40503 + 12345)
-                 & 0xFFFFFFFF)
-            delay += int(delay * self.resend_jitter_frac * h / 0xFFFFFFFF)
+        delay = min(int(base * RESEND_BACKOFF_FACTOR ** dead_rounds),
+                    RESEND_BACKOFF_CAP * base)
+        # Knuth multiplicative hash over (key, round): spreads timers
+        # without PYTHONHASHSEED-dependent behaviour.
+        h = ((key * 2654435761 + dead_rounds * 40503 + 12345)
+             & 0xFFFFFFFF)
+        delay += int(delay * RESEND_JITTER_FRAC * h / 0xFFFFFFFF)
         return max(delay, 1)

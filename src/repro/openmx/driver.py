@@ -31,7 +31,15 @@ from repro.kernel.mmu_notifier import IntervalIndex
 from repro.kernel.kernel import Kernel, UserProcess
 from repro.obs.metrics import Counters, MetricRegistry
 from repro.obs.spans import Span, SpanTracker
-from repro.openmx.config import OpenMXConfig, PinningMode
+from repro.openmx.config import (
+    DATA_FRAME_PAYLOAD,
+    PIN_RETRY_BACKOFF_NS,
+    PIN_RETRY_MAX,
+    PULL_BLOCK,
+    PULL_WINDOW,
+    OpenMXConfig,
+    PinningMode,
+)
 from repro.openmx.events import (
     EagerSendFailed,
     RecvEagerEvent,
@@ -350,7 +358,7 @@ class OpenMXDriver:
 
     def _xmit_eager_frags(self, ctx: ExecContext, ep: DriverEndpoint,
                           state: _EagerTxState) -> Generator:
-        payload = self.config.data_frame_payload
+        payload = DATA_FRAME_PAYLOAD
         nfrags = max(1, (len(state.data) + payload - 1) // payload)
         for i in range(nfrags):
             chunk = state.data[i * payload : (i + 1) * payload]
@@ -394,30 +402,13 @@ class OpenMXDriver:
             ctx = AcquiringContext(self.env, ep.proc.core, PRIO_KERNEL)
             yield from self._xmit_eager_frags(ctx, ep, state)
 
-    def _use_overlap(self, blocking: bool) -> bool:
-        """Resolve the effective pinning strategy for one request.
-
-        With ``adaptive_overlap`` (the Section 5 extension), only blocking
-        operations — which gain the most, since the caller would otherwise
-        just spin — get the overlapped path; non-blocking requests use the
-        simple synchronous model with its lower overhead.
-        """
-        mode = self.config.pinning_mode
-        if not mode.overlapped:
-            return False
-        if self.config.adaptive_overlap and not blocking:
-            return False
-        return True
-
     def submit_send_large(self, ctx: ExecContext, ep: DriverEndpoint,
                           rid: int, dst_board: str, dst_endpoint: int,
-                          match_info: int, blocking: bool = False) -> Generator:
+                          match_info: int) -> Generator:
         """Syscall body: start a rendezvous send.  Returns the send seq.
 
         Synchronous modes pin before the rndv leaves (Figure 2); overlapped
-        modes send the rndv first and pin concurrently (Figure 5), after
-        optionally wiring a small synchronous page prefix
-        (``overlap_sync_pages``, the Section 4.3 extension).
+        modes send the rndv first and pin concurrently (Figure 5).
         """
         region = ep.regions[rid]
         seq = ep.next_seq()
@@ -435,20 +426,11 @@ class OpenMXDriver:
             sender_region=rid,
         )
         state.rndv = rndv
-        if self._use_overlap(blocking):
+        if self.config.pinning_mode.overlapped:
             # Figure 5: the rndv leaves first; the pin proceeds inside the
             # syscall while the rendezvous round-trip is in flight.  Pull
             # requests arriving before enough pages are pinned are dropped
             # in the bottom half (overlap miss) and re-requested.
-            if self.config.overlap_sync_pages > 0:
-                ok = yield from self.pin_mgr.pin_prefix(
-                    ctx, region, self.config.overlap_sync_pages
-                )
-                if not ok and not self._region_mapped(region):
-                    # Invalid addresses: unrecoverable.  A transient prefix
-                    # failure just skips the prefix; the main pin retries.
-                    yield from self._abort_send(ctx, ep, state)
-                    return seq
             yield from self._xmit(ctx, dst_board, rndv)
             self.trace(ep, "send_rndv", seq=seq, overlapped=True)
             self._start_send_watchdog(ep, state)
@@ -490,16 +472,20 @@ class OpenMXDriver:
         (exactly the Section 2.2 intermediate-buffer path) and pull requests
         are served from that snapshot, so persistent pin failure costs one
         extra copy instead of aborting the request.  Returns False when the
-        addresses are invalid (nothing to copy).
+        addresses are invalid (nothing to copy), also when the application
+        unmaps the buffer while the copy is under way.
         """
         region = state.region
-        if (not self.config.pin_fallback_to_copy or region.destroyed
-                or not self._region_mapped(region)):
+        if region.destroyed or not self._region_mapped(region):
             return False
         yield from ctx.memcpy(region.total_length)
-        region.bounce = b"".join(
-            region.aspace.read(seg.va, seg.length) for seg in region.segments
-        )
+        try:
+            region.bounce = b"".join(
+                region.aspace.read(seg.va, seg.length)
+                for seg in region.segments
+            )
+        except BadAddress:
+            return False
         self.counters.incr("pin_fallback_send")
         self.trace(ep, "pin_fallback_send", seq=state.seq)
         return True
@@ -559,7 +545,7 @@ class OpenMXDriver:
         """acquire_pinned wrapped in a ``pin`` span + pin-wait histogram.
 
         Transient pin failures (injected ENOMEM, a notifier cancellation
-        racing the pin) are retried up to ``pin_retry_max`` times with a
+        racing the pin) are retried up to ``PIN_RETRY_MAX`` times with a
         doubling backoff; regions whose addresses are genuinely unmapped
         fail immediately, preserving the error path.
         """
@@ -568,10 +554,10 @@ class OpenMXDriver:
                                     source=self.board, pages=region.npages)
         ok = yield from self.pin_mgr.acquire_pinned(ctx, region)
         attempt = 0
-        while (not ok and attempt < self.config.pin_retry_max
+        while (not ok and attempt < PIN_RETRY_MAX
                and not region.destroyed and not region.pin_denied
                and self._region_mapped(region)):
-            yield self.env.timeout(self.config.pin_retry_backoff_ns << attempt)
+            yield self.env.timeout(PIN_RETRY_BACKOFF_NS << attempt)
             attempt += 1
             self.counters.incr("pin_retry")
             ok = yield from self.pin_mgr.acquire_pinned(ctx, region)
@@ -596,18 +582,17 @@ class OpenMXDriver:
 
     # -------------------------------------------------------------- receive side
     def submit_recv_large(self, ctx: ExecContext, ep: DriverEndpoint,
-                          rid: int, rndv: Rndv, blocking: bool = False) -> Generator:
+                          rid: int, rndv: Rndv) -> Generator:
         """Syscall body: the library matched a rendezvous; start pulling."""
         region = ep.regions[rid]
         if region.total_length < rndv.msg_length:
             raise ValueError(
                 f"recv region {region.total_length} B < message {rndv.msg_length} B"
             )
-        cfg = self.config
         handle = ep.new_handle()
-        chunk = cfg.data_frame_payload
+        chunk = DATA_FRAME_PAYLOAD
         nchunks = max(1, (rndv.msg_length + chunk - 1) // chunk)
-        block_chunks = cfg.pull_block // chunk
+        block_chunks = PULL_BLOCK // chunk
         state = _PullState(
             handle=handle, region=region, src_board=rndv.src_board,
             src_endpoint=rndv.src_endpoint, sender_region=rndv.sender_region,
@@ -624,17 +609,10 @@ class OpenMXDriver:
         ep.pulls[handle] = state
         self.pin_mgr.comm_started(region)
 
-        if self._use_overlap(blocking):
+        if self.config.pinning_mode.overlapped:
             # Figure 5: pull requests leave before the region is pinned; the
             # pin proceeds inside the syscall while replies stream in through
             # the bottom half.  Replies beyond the watermark are dropped.
-            if cfg.overlap_sync_pages > 0:
-                ok = yield from self.pin_mgr.pin_prefix(
-                    ctx, region, cfg.overlap_sync_pages
-                )
-                if not ok and not self._region_mapped(region):
-                    yield from self._finish_pull(ctx, ep, state, status="error")
-                    return handle
             yield from self._request_initial_blocks(ctx, ep, state)
             self.env.process(self._pull_fallback_timer(ep, state),
                              name=f"omx.pulltimer.{handle}")
@@ -668,7 +646,7 @@ class OpenMXDriver:
 
     def _request_initial_blocks(self, ctx: ExecContext, ep: DriverEndpoint,
                                 state: _PullState) -> Generator:
-        for _ in range(min(self.config.pull_window, state.nblocks)):
+        for _ in range(min(PULL_WINDOW, state.nblocks)):
             yield from self._request_block(ctx, ep, state, state.next_block)
             state.next_block += 1
 
@@ -739,8 +717,7 @@ class OpenMXDriver:
         user buffers through the page table at completion.
         """
         region = state.region
-        if (not self.config.pin_fallback_to_copy or region.destroyed
-                or not self._region_mapped(region)):
+        if region.destroyed or not self._region_mapped(region):
             return False
         # Seed the bounce with the buffer's current contents: chunks that
         # landed in the user pages before the pin failure (overlapped mode)
@@ -926,7 +903,7 @@ class OpenMXDriver:
         end = pkt.offset + pkt.length
         served_fallback = False
         while offset < end:
-            chunk = min(cfg.data_frame_payload, end - offset)
+            chunk = min(DATA_FRAME_PAYLOAD, end - offset)
             if cfg.pinning_mode.overlapped:
                 yield from ctx.charge(cfg.overlap_check_ns)
             if not region.covers(offset, chunk):

@@ -28,7 +28,12 @@ from dataclasses import dataclass, field
 from repro.hw.cpu import PRIO_USER
 from repro.kernel.context import ExecContext
 from repro.kernel.kernel import UserProcess
-from repro.openmx.config import OpenMXConfig, PinningMode
+from repro.openmx.config import (
+    EAGER_MAX,
+    MATCH_COST_NS,
+    OpenMXConfig,
+    PinningMode,
+)
 from repro.openmx.driver import OpenMXDriver
 from repro.openmx.events import (
     EagerSendFailed,
@@ -56,7 +61,6 @@ class OmxRequest:
     length: int
     match_info: int
     match_mask: int = MATCH_FULL_MASK
-    blocking: bool = False
     done: bool = False
     status: str = "pending"
     received_length: int = 0
@@ -252,7 +256,6 @@ class OmxLib:
             range_gen = lambda segments: tuple(
                 aspace.range_generation(s.va, s.length) for s in segments)
         self.cache = RegionCache(
-            self.config,
             declare=self._declare_region,
             destroy=self._destroy_region,
             is_idle=self._region_is_idle,
@@ -337,38 +340,32 @@ class OmxLib:
 
     # -- API -----------------------------------------------------------------------
     def isend(self, va: int, length: int, dst_board: str, dst_endpoint: int,
-              match_info: int, blocking: bool = False) -> Generator:
-        """Process: start a send; returns an :class:`OmxRequest`.
-
-        ``blocking`` declares that the caller will wait immediately; with
-        ``adaptive_overlap`` configured, only such requests use overlapped
-        pinning.
-        """
+              match_info: int) -> Generator:
+        """Process: start a send; returns an :class:`OmxRequest`."""
         req = OmxRequest(kind="send", va=va, length=length,
-                         match_info=match_info, blocking=blocking)
+                         match_info=match_info)
         # Segment rejects length 0: an empty message is an eager send of
         # no segments.
         segs = (Segment(va, length),) if length else ()
         return self._send(req, segs, dst_board, dst_endpoint, match_info)
 
     def isendv(self, segments: list[tuple[int, int]], dst_board: str,
-               dst_endpoint: int, match_info: int,
-               blocking: bool = False) -> Generator:
+               dst_endpoint: int, match_info: int) -> Generator:
         """Process: vectorial send — one region over several (va, length)
         segments (Section 3.2: "regions may be vectorial"; the whole
         segment list crosses into the kernel once, at declaration)."""
         segs = tuple(Segment(va, length) for va, length in segments)
         req = OmxRequest(kind="send", va=segs[0].va,
                          length=sum(s.length for s in segs),
-                         match_info=match_info, blocking=blocking)
+                         match_info=match_info)
         return self._send(req, segs, dst_board, dst_endpoint, match_info)
 
     def _send(self, req: OmxRequest, segs: tuple[Segment, ...],
               dst_board: str, dst_endpoint: int,
               match_info: int) -> Generator:
         """The tail of :meth:`isend`/:meth:`isendv`: eager below
-        ``eager_max``, else a rendezvous over a (cached) region."""
-        if req.length <= self.config.eager_max:
+        ``EAGER_MAX``, else a rendezvous over a (cached) region."""
+        if req.length <= EAGER_MAX:
             data = b"".join(
                 self.proc.aspace.read(s.va, s.length) for s in segs
             )
@@ -391,7 +388,7 @@ class OmxLib:
         def body(sctx):
             seq = yield from self.driver.submit_send_large(
                 sctx, self.ep, req.region_id, dst_board, dst_endpoint,
-                match_info, blocking=req.blocking,
+                match_info,
             )
             return seq
 
@@ -407,24 +404,20 @@ class OmxLib:
         return req
 
     def irecv(self, va: int, length: int, match_info: int,
-              match_mask: int = MATCH_FULL_MASK,
-              blocking: bool = False) -> Generator:
+              match_mask: int = MATCH_FULL_MASK) -> Generator:
         """Process: post a receive; returns an :class:`OmxRequest`."""
         req = OmxRequest(kind="recv", va=va, length=length,
-                         match_info=match_info, match_mask=match_mask,
-                         blocking=blocking)
+                         match_info=match_info, match_mask=match_mask)
         yield from self._post_recv(req)
         return req
 
     def irecvv(self, segments: list[tuple[int, int]], match_info: int,
-               match_mask: int = MATCH_FULL_MASK,
-               blocking: bool = False) -> Generator:
+               match_mask: int = MATCH_FULL_MASK) -> Generator:
         """Process: post a vectorial receive over (va, length) segments."""
         segs = tuple(Segment(va, length) for va, length in segments)
         total = sum(seg.length for seg in segs)
         req = OmxRequest(kind="recv", va=segs[0].va, length=total,
-                         match_info=match_info, match_mask=match_mask,
-                         blocking=blocking)
+                         match_info=match_info, match_mask=match_mask)
         req.segments = segs
         yield from self._post_recv(req)
         return req
@@ -639,14 +632,14 @@ class OmxLib:
     def _handle_event(self, ev) -> Generator:
         ctx = self.proc.user_context()
         if isinstance(ev, RecvEagerEvent):
-            yield from ctx.charge(self.config.match_cost_ns)
+            yield from ctx.charge(MATCH_COST_NS)
             req = self._match_posted(ev.match_info)
             if req is None:
                 self._unexpected.append(_UnexpectedEager(ev))
             else:
                 yield from self._deliver_eager(req, ev)
         elif isinstance(ev, RndvEvent):
-            yield from ctx.charge(self.config.match_cost_ns)
+            yield from ctx.charge(MATCH_COST_NS)
             req = self._match_posted(ev.rndv.match_info)
             if req is None:
                 self._unexpected.append(_UnexpectedRndv(ev.rndv))
@@ -706,7 +699,7 @@ class OmxLib:
 
         def body(sctx):
             handle = yield from self.driver.submit_recv_large(
-                sctx, self.ep, req.region_id, rndv, blocking=req.blocking
+                sctx, self.ep, req.region_id, rndv
             )
             return handle
 

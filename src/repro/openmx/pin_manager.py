@@ -148,29 +148,6 @@ class PinManager:
                 continue
             return (yield from self._pin_loop(ctx.core, region, ctx.priority))
 
-    def pin_prefix(self, ctx: ExecContext, region: UserRegion,
-                   npages: int) -> Generator:
-        """Process: synchronously pin the first ``npages`` pages.
-
-        The Section 4.3 extension: before sending the initiating message in
-        overlapped mode, wire down a small prefix so the earliest data
-        packets never miss.  Returns True unless the region is invalid.
-        Afterwards the region is left without an active pinner (state
-        UNPINNED, watermark advanced) so the main overlapped pin resumes
-        from the prefix.
-        """
-        stop_at = min(npages, region.npages)
-        if region.watermark >= stop_at or region.state in (
-            RegionState.PINNED, RegionState.PINNING
-        ):
-            return True
-        self._touch(region)
-        ok = yield from self._pin_loop(ctx.core, region, ctx.priority,
-                                       stop_at=stop_at)
-        if ok:
-            self.counters.incr("prefix_pinned")
-        return ok
-
     def _admit(self, core: CpuCore, region: UserRegion, npages: int,
                priority: int) -> Generator:
         """Process: reserve pin budget for ``npages`` via the fair queue.
@@ -212,17 +189,11 @@ class PinManager:
         self._wake_waiters(region)
         return None
 
-    def _pin_loop(self, core: CpuCore, region: UserRegion, priority: int,
-                  stop_at: int | None = None) -> Generator:
-        """Pin the region's remaining pages batch by batch.
-
-        ``stop_at`` bounds the pin to a page prefix; the region is then left
-        in UNPINNED state with its watermark advanced ("no pinner active,
-        resumable"), which a later :meth:`acquire_pinned` continues from.
-        """
+    def _pin_loop(self, core: CpuCore, region: UserRegion,
+                  priority: int) -> Generator:
+        """Pin the region's remaining pages batch by batch."""
         pin = self.kernel.pin
-        limit = region.npages if stop_at is None else min(stop_at, region.npages)
-        npages_left = limit - region.watermark
+        npages_left = region.npages - region.watermark
         region.pin_denied = False
         token = None
         if self.config.pin_queue_enabled and npages_left > 0:
@@ -252,7 +223,7 @@ class PinManager:
                 yield from pin.pin_pages_batched(
                     core,
                     region.aspace,
-                    region.page_vas[:limit],
+                    region.page_vas,
                     priority=priority,
                     start_index=start_mark,
                     batch_pages=PIN_BATCH_PAGES,
@@ -292,12 +263,6 @@ class PinManager:
         self._wake_waiters(region)
         if region.state is RegionState.PINNED:
             self.counters.incr("region_pinned")
-            return True
-        if (stop_at is not None and region.watermark >= limit
-                and not region.pin_cancelled and not region.destroyed
-                and region.pin_epoch == epoch):
-            # Prefix complete: leave the region resumable.
-            region.state = RegionState.UNPINNED
             return True
         # Cancelled mid-pin (invalidation or destruction).  Leave the region
         # resumable — a PINNING state with no live pinner would strand any

@@ -34,7 +34,7 @@ from collections.abc import Callable, Generator
 
 from repro.kernel.context import ExecContext
 from repro.obs.metrics import Counters
-from repro.openmx.config import OpenMXConfig
+from repro.openmx.config import CACHE_LOOKUP_NS
 from repro.openmx.regions import Segment
 
 __all__ = ["RegionCache"]
@@ -45,7 +45,6 @@ class RegionCache:
 
     def __init__(
         self,
-        config: OpenMXConfig,
         declare: Callable[[ExecContext, tuple[Segment, ...]], Generator],
         destroy: Callable[[ExecContext, int], Generator],
         is_idle: Callable[[int], bool],
@@ -53,7 +52,6 @@ class RegionCache:
         counters: Counters | None = None,
         range_gen: Callable[[tuple[Segment, ...]], object] | None = None,
     ):
-        self.config = config
         self._declare = declare
         self._destroy = destroy
         self._is_idle = is_idle
@@ -76,7 +74,7 @@ class RegionCache:
 
     def get(self, ctx: ExecContext, segments: tuple[Segment, ...]) -> Generator:
         """Process: return the region id for ``segments`` (declaring on miss)."""
-        yield from ctx.charge(self.config.cache_lookup_ns)
+        yield from ctx.charge(CACHE_LOOKUP_NS)
         rid = self._lru.get(segments)
         if rid is not None:
             if self._range_gen is not None and (

@@ -198,8 +198,8 @@ def _wheel_storm(env: Environment, rounds: int, procs: int = 8) -> Probe:
 
 
 # Poll-spin scenario constants: the slice idiom of OmxLib.wait on one
-# capacity-1 core, with a bottom half arriving at fixed instants.
-_PS_SLICE_NS = 5_000        # OpenMXConfig's default poll_slice_ns
+# capacity-1 core, with a bottom half arriving at fixed instants.  The
+# slice is OpenMXConfig's default poll_slice_ns, read in _poll_spin.
 _PS_BH_PERIOD_NS = 37_000   # one bottom-half arrival every 37 us
 _PS_BH_COST_NS = 1_800      # how long the bottom half holds the core
 
@@ -217,8 +217,10 @@ def _poll_spin(env: Environment, rounds: int) -> Probe:
     single-expiry cascade is exercised as hard as the core claims.
     """
     from repro.hw.cpu import PRIO_BH, PRIO_USER
+    from repro.openmx.config import OpenMXConfig
     from repro.sim.resources import Resource
 
+    slice_ns = OpenMXConfig().poll_slice_ns
     core = Resource(env, capacity=1, name="core")
     bell = [env.event()]
 
@@ -226,7 +228,7 @@ def _poll_spin(env: Environment, rounds: int) -> Probe:
         for _ in range(rounds):
             with core.request(PRIO_USER) as req:
                 yield req
-                timer = env.timeout(_PS_SLICE_NS)
+                timer = env.timeout(slice_ns)
                 yield env.race(bell[0], timer)
                 timer.cancel()
             if bell[0].triggered:
@@ -234,7 +236,7 @@ def _poll_spin(env: Environment, rounds: int) -> Probe:
 
     def bottom_half():
         at = 0
-        for _ in range(rounds * _PS_SLICE_NS // _PS_BH_PERIOD_NS):
+        for _ in range(rounds * slice_ns // _PS_BH_PERIOD_NS):
             at += _PS_BH_PERIOD_NS
             yield env.timeout(at - env.now)
             with core.request(PRIO_BH) as req:

@@ -89,7 +89,7 @@ class OpenmxParams:
     latency_ns: int = 20_000
     min_gap_ns: int = 2_000
     max_gap_ns: int = 150_000
-    # Mixed traffic: the first sizes ride the eager path (<= eager_max),
+    # Mixed traffic: the first sizes ride the eager path (<= EAGER_MAX),
     # the last ones rendezvous/pull.  Sent size is drawn uniformly.
     sizes: tuple[int, ...] = (512, 8_192, 24_576, 49_152, 114_688)
     window: int = 3  # max in-flight sends per host (pin pressure knob)
@@ -235,7 +235,7 @@ class OpenmxHost:
             self.proc.write(va, _payload(self.id, rnd, size))
             req = yield from self.lib.isend(
                 va, size, nic_address(peer), 0,
-                match_info=(self.id << 20) | rnd, blocking=False)
+                match_info=(self.id << 20) | rnd)
             inflight.append((rnd, req, fresh_va))
             if len(inflight) >= p.window:
                 yield from reap(inflight.pop(0))

@@ -111,10 +111,8 @@ def imb_pingping(cluster: Cluster, nbytes: int, iterations: int = 3,
         for i in range(warmup + iterations):
             if i == warmup:
                 t0 = env.now
-            sreq = yield from rc.isend(send_buf, nbytes, peer, tag=i,
-                                       blocking=True)
-            rreq = yield from rc.irecv(recv_buf, nbytes, peer, tag=i,
-                                       blocking=True)
+            sreq = yield from rc.isend(send_buf, nbytes, peer, tag=i)
+            rreq = yield from rc.irecv(recv_buf, nbytes, peer, tag=i)
             yield from rc.wait(sreq)
             yield from rc.wait(rreq)
         marks[rc.rank] = (t0, env.now)

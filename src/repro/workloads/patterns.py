@@ -74,15 +74,14 @@ def run_reuse_pattern(cluster: Cluster, nbytes: int, messages: int,
             else:
                 buf, fresh = sp.malloc(nbytes), True
                 sp.write(buf, bytes([i % 251]) * min(64, nbytes))
-            req = yield from s.isend(buf, nbytes, r.board, r.endpoint_id,
-                                     i, blocking=True)
+            req = yield from s.isend(buf, nbytes, r.board, r.endpoint_id, i)
             yield from s.wait(req)
             if fresh:
                 sp.free(buf)  # munmap -> invalidation traffic
 
     def receiver():
         for i in range(messages):
-            req = yield from r.irecv(rbuf, nbytes, i, blocking=True)
+            req = yield from r.irecv(rbuf, nbytes, i)
             yield from r.wait(req)
         marks["t1"] = env.now
 

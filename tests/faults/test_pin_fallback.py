@@ -2,14 +2,15 @@
 
 Transient ``get_user_pages`` failures are retried with backoff; persistent
 failure falls back to copy-through statically-pinned bounce buffers —
-rendezvous transfers complete (slower) instead of aborting.  Disabling the
-fallback restores the old abort behaviour."""
+rendezvous transfers complete (slower) instead of aborting.  A send aborts
+only when its buffer is gone, so there is nothing left to copy."""
 
 import pytest
 
 from repro.cluster import build_cluster
 from repro.faults import PinFaults
 from repro.openmx import OpenMXConfig, PinningMode
+from repro.openmx.config import PIN_RETRY_MAX
 from repro.util.units import KIB, MIB
 
 
@@ -89,11 +90,11 @@ def test_transient_pin_failure_recovers_by_retry_without_fallback():
     assert c0["pin_fallback_send"] == 0  # the retry pinned for real
 
 
-def test_fallback_disabled_aborts_instead():
+def _free_send_buffer_under_failing_pins(free_at_ns):
+    """A 512 KiB send whose pins always fail; the application frees the
+    send buffer ``free_at_ns`` in.  Returns (send, recv, sender counters)."""
     cluster = build_cluster(
-        config=OpenMXConfig(pinning_mode=PinningMode.PIN_PER_COMM,
-                            pin_fallback_to_copy=False,
-                            pin_retry_max=1))
+        config=OpenMXConfig(pinning_mode=PinningMode.PIN_PER_COMM))
     attach_pin_faults(cluster, (0, 1), fail_prob=1.0, max_failures=None)
     env = cluster.env
     s, r = cluster.lib(0), cluster.lib(1)
@@ -108,16 +109,40 @@ def test_fallback_disabled_aborts_instead():
         reqs["send"] = req
         yield from s.wait(req)
 
+    def freer():
+        yield env.timeout(free_at_ns)
+        sp.free(sbuf)
+
     def receiver():
         # The send aborts before any rendezvous goes out, so this recv can
         # never match; post it without waiting and cancel it afterwards.
         reqs["recv"] = yield from r.irecv(rbuf, nbytes, 1)
 
-    env.run(until=env.all_of([env.process(sender()),
+    env.run(until=env.all_of([env.process(sender()), env.process(freer()),
                               env.process(receiver())]))
-    assert reqs["send"].status == "error"
     assert r.cancel(reqs["recv"])
     assert reqs["recv"].status == "cancelled"
+    return reqs["send"], cluster.nodes[0].driver.counters
+
+
+def test_fallback_disabled_aborts_instead():
+    # The buffer is freed between the pin retries, which leaves the
+    # copy-through fallback nothing to copy: the send aborts instead.
+    send, c0 = _free_send_buffer_under_failing_pins(150_000)
+    assert c0["pin_retry"] >= 1
+    assert send.status == "error"
+    assert c0["send_aborted"] == 1
+    assert c0["pin_fallback_send"] == 0
+
+
+def test_send_buffer_freed_during_fallback_copy_aborts():
+    # Freed while the fallback's copy is charged: the snapshot read finds
+    # the pages gone and the send aborts instead of raising BadAddress.
+    send, c0 = _free_send_buffer_under_failing_pins(400_000)
+    assert c0["pin_retry"] == PIN_RETRY_MAX
+    assert send.status == "error"
+    assert c0["send_aborted"] == 1
+    assert c0["pin_fallback_send"] == 0
 
 
 def test_slow_pin_jitter_only_slows_down():

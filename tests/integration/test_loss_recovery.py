@@ -9,13 +9,20 @@ alters which chunks are re-requested, or when, fails here even if the
 bytes still arrive.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import build_cluster
 from repro.faults import DropNth, FrameMatch, PeriodicDrop
+from repro.faults.chaos import run_chaos
 from repro.kernel.context import AcquiringContext
 from repro.openmx import OpenMXConfig, PinningMode
+from repro.openmx.driver import _PullState
 from repro.util.units import KIB, MIB, MILLISECOND
+
+GOLDENS = Path(__file__).resolve().parents[2] / "benchmarks/e2e/goldens.json"
 
 
 def run_transfer(cluster, nbytes, tag=1):
@@ -171,15 +178,10 @@ def test_receive_side_overlap_misses_recovered():
     application share core 0), so overlapped replies outrun the pinned
     watermark and are dropped on arrival.  Those chunks sit in the pull's
     ``missed`` set and must be re-requested once the pin catches up.
-
-    A synchronous 8-page prefix (4 chunks) lets the head of the message
-    land, and two of its replies are lost on the wire: their re-requested
-    replies arrive while ``missed`` is still non-empty, so detection runs
-    its merge with the receiver's own misses."""
+    Two replies are also lost on the wire."""
     cluster = build_cluster(
         nhosts=3,
         config=OpenMXConfig(pinning_mode=PinningMode.OVERLAP,
-                            overlap_sync_pages=8,
                             resend_timeout_ns=20 * MILLISECOND),
         first_app_core=0,
     )
@@ -206,4 +208,26 @@ def test_receive_side_overlap_misses_recovered():
     env.process(flood())
     run_transfer(cluster, 1 * MIB)
     assert cluster.nodes[1].driver.counters["overlap_miss_recv"] > 0
-    assert recovery_counts(cluster) == (3, 14, 0, 8_601_079)
+    assert recovery_counts(cluster) == (4, 16, 0, 7_986_224)
+
+
+def test_missed_set_merge_in_chaos_soak_matches_golden(monkeypatch):
+    """``_rx_pull_reply`` merges the receiver's own overlap misses with the
+    chunks a reply proves lost.  Chaos seed 3 at 12 steps runs that merge
+    twice, and both times the reply proves chunks lost; its digest must
+    still match the e2e golden (read, never written)."""
+    merges = []
+    evidently_lost = _PullState.evidently_lost
+
+    def spy(state, chunk):
+        lost = evidently_lost(state, chunk)
+        if state.missed:  # the merge runs right after this call
+            merges.append(lost)
+        return lost
+
+    monkeypatch.setattr(_PullState, "evidently_lost", spy)
+    result = run_chaos(3, steps=12)
+    assert len(merges) == 2
+    assert all(merges)
+    golden = json.loads(GOLDENS.read_text())["chaos_soak"]["chaos/3"][0]
+    assert result.digest.startswith(golden)

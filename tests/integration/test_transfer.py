@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.openmx import OpenMXConfig, PinningMode
+from repro.openmx.config import EAGER_MAX
 from repro.util.units import KIB, MIB
 
 
@@ -56,9 +57,8 @@ def test_eager_transfer_delivers_exact_bytes(mode):
 
 def test_eager_boundary_sizes():
     cluster = build_cluster()
-    cfg = cluster.config
-    transfer_once(cluster, cfg.eager_max, tag=1)  # largest eager
-    transfer_once(cluster, cfg.eager_max + 1, tag=2)  # smallest rendezvous
+    transfer_once(cluster, EAGER_MAX, tag=1)  # largest eager
+    transfer_once(cluster, EAGER_MAX + 1, tag=2)  # smallest rendezvous
 
 
 def test_odd_sizes_and_unaligned_lengths():

@@ -23,12 +23,11 @@ def transfer(cluster, nbytes, tag=1):
     sp.write(sbuf, data)
 
     def sender():
-        req = yield from s.isend(sbuf, nbytes, r.board, r.endpoint_id, tag,
-                                 blocking=True)
+        req = yield from s.isend(sbuf, nbytes, r.board, r.endpoint_id, tag)
         yield from s.wait(req)
 
     def receiver():
-        req = yield from r.irecv(rbuf, nbytes, tag, blocking=True)
+        req = yield from r.irecv(rbuf, nbytes, tag)
         yield from r.wait(req)
 
     done = env.all_of([env.process(sender()), env.process(receiver())])

@@ -243,74 +243,6 @@ def test_region_destroyed_unpins_and_wakes():
     assert region.destroyed
 
 
-def test_pin_prefix_advances_watermark_and_leaves_resumable():
-    env, host, kernel, mgr, proc, counters = build(PinningMode.OVERLAP)
-    region, _ = region_of(proc, 64 * PAGE_SIZE)
-    ctx = AcquiringContext(env, proc.core)
-
-    def work():
-        ok = yield from mgr.pin_prefix(ctx, region, 16)
-        return ok
-
-    assert env.run(until=env.process(work())) is True
-    assert region.watermark == 16
-    assert region.state is RegionState.UNPINNED  # resumable, no pinner active
-    assert counters["prefix_pinned"] == 1
-    # A later acquire continues from the prefix (only 48 more pages pinned).
-    t0 = env.now
-
-    def resume():
-        return (yield from mgr.acquire_pinned(ctx, region))
-
-    assert env.run(until=env.process(resume())) is True
-    assert region.state is RegionState.PINNED
-    elapsed = env.now - t0
-    full_cost = kernel.pin.pin_base_ns(proc.core) + 64 * kernel.pin.pin_per_page_ns(proc.core)
-    assert elapsed < full_cost  # cheaper than pinning from scratch
-
-
-def test_pin_prefix_larger_than_region_pins_fully():
-    env, host, kernel, mgr, proc, _ = build(PinningMode.OVERLAP)
-    region, _ = region_of(proc, 8 * PAGE_SIZE)
-    ctx = AcquiringContext(env, proc.core)
-
-    def work():
-        return (yield from mgr.pin_prefix(ctx, region, 4096))
-
-    assert env.run(until=env.process(work())) is True
-    assert region.state is RegionState.PINNED
-
-
-def test_pin_prefix_noop_when_already_covered():
-    env, host, kernel, mgr, proc, counters = build(PinningMode.OVERLAP_CACHE)
-    region, _ = region_of(proc, 32 * PAGE_SIZE)
-    ctx = AcquiringContext(env, proc.core)
-
-    def work():
-        yield from mgr.pin_prefix(ctx, region, 16)
-        t = env.now
-        ok = yield from mgr.pin_prefix(ctx, region, 8)  # already covered
-        return ok, env.now - t
-
-    ok, elapsed = env.run(until=env.process(work()))
-    assert ok is True
-    assert elapsed == 0
-    assert counters["prefix_pinned"] == 1
-
-
-def test_pin_prefix_invalid_region_fails():
-    env, host, kernel, mgr, proc, counters = build(PinningMode.OVERLAP)
-    va = proc.aspace.mmap(2 * PAGE_SIZE)
-    region = UserRegion(9, proc.aspace, (Segment(va, 16 * PAGE_SIZE),))
-    ctx = AcquiringContext(env, proc.core)
-
-    def work():
-        return (yield from mgr.pin_prefix(ctx, region, 8))
-
-    assert env.run(until=env.process(work())) is False
-    assert region.state is RegionState.FAILED
-
-
 def test_resumed_pin_failure_releases_earlier_batches():
     # A pin cancelled between batches leaves the region resumable with its
     # first batch still attached and pinned.  If the *resumed* call then

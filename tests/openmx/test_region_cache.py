@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.metrics import Counters
-from repro.openmx.config import OpenMXConfig
+from repro.openmx.config import CACHE_LOOKUP_NS
 from repro.openmx.region_cache import RegionCache
 from repro.openmx.regions import Segment
 from repro.sim import Environment
@@ -19,7 +19,6 @@ class Harness:
         self.next_rid = 1
         self.active = set()
         self.cache = RegionCache(
-            OpenMXConfig(),
             declare=self._declare,
             destroy=self._destroy,
             is_idle=lambda rid: rid not in self.active,
@@ -126,7 +125,7 @@ def test_lookup_charges_time():
     h.get(0x1000, 4096)
     t0 = h.env.now
     h.get(0x1000, 4096)  # pure hit: only the lookup cost
-    assert h.env.now - t0 == OpenMXConfig().cache_lookup_ns
+    assert h.env.now - t0 == CACHE_LOOKUP_NS
 
 
 def test_forget_unknown_or_double_is_noop():

@@ -8,7 +8,6 @@ flush, double declarations of one key, and generation-stale hits.
 """
 
 from repro.obs.metrics import Counters
-from repro.openmx.config import OpenMXConfig
 from repro.openmx.region_cache import RegionCache
 from repro.openmx.regions import Segment
 from repro.sim import Environment
@@ -25,7 +24,6 @@ class Harness:
         self.active = set()
         self.latency_ns = latency_ns
         self.cache = RegionCache(
-            OpenMXConfig(),
             declare=self._declare,
             destroy=self._destroy,
             is_idle=lambda rid: rid not in self.active,

@@ -42,14 +42,26 @@ def test_pull_request_resend_flag_not_in_equality():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OpenMXConfig(data_frame_payload=0)
-    with pytest.raises(ValueError):
-        OpenMXConfig(pull_block=10_000)  # not a multiple of the payload
-    with pytest.raises(ValueError):
-        OpenMXConfig(pull_window=0)
-    with pytest.raises(ValueError):
-        OpenMXConfig(eager_max=-1)
+    # The edge of every range check is accepted.
+    OpenMXConfig(poll_slice_ns=1, overlap_check_ns=0, resend_timeout_ns=1,
+                 max_resend_rounds=0, region_cache_capacity=1,
+                 pin_queue_wait_max_ns=0, pin_queue_max_share=1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("poll_slice_ns", 0),
+    ("poll_slice_ns", -5),
+    ("overlap_check_ns", -1),
+    ("resend_timeout_ns", 0),
+    ("max_resend_rounds", -1),
+    ("region_cache_capacity", 0),
+    ("pin_queue_wait_max_ns", -1),
+    ("pin_queue_max_share", 0.0),
+    ("pin_queue_max_share", 1.5),
+])
+def test_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        OpenMXConfig(**{field: value})
 
 
 def test_mode_properties():
