@@ -92,7 +92,8 @@ def test_transient_pin_failure_recovers_by_retry_without_fallback():
 
 def _free_send_buffer_under_failing_pins(free_at_ns):
     """A 512 KiB send whose pins always fail; the application frees the
-    send buffer ``free_at_ns`` in.  Returns (send, recv, sender counters)."""
+    send buffer ``free_at_ns`` in.  Returns the send and the sender's
+    counters."""
     cluster = build_cluster(
         config=OpenMXConfig(pinning_mode=PinningMode.PIN_PER_COMM))
     attach_pin_faults(cluster, (0, 1), fail_prob=1.0, max_failures=None)
